@@ -7,6 +7,14 @@ as slope tuples (1, t_1, ..., t_{d-1}) directly.
 
 The zero vector belongs to no class: the direction set of E collects
 canonical forms of the nonzero differences x - y over x, y in E.
+
+Classing works on flat grid codes (grid.encode_coords) rather than on rows:
+the difference vectors are encoded once, the distinct nonzero codes are
+found with a 1-D sort, only those distinct vectors are canonicalized, and
+the canonical codes are deduplicated the same way.  Just the |D(E)|
+survivors are decoded back into tuples.  A caller that already holds the
+support of the difference multiplicity mu passes its codes straight to
+directions_of_codes, so D(E) costs no second pair sweep.
 """
 
 from __future__ import annotations
@@ -48,25 +56,49 @@ def canonicalize_rows(diffs: np.ndarray, field: PrimeField) -> np.ndarray:
     return (diffs * scale[:, None]) % q
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array.
+
+    The sort-and-compare form of np.unique.  numpy 2.x's np.unique routes
+    integer input through a hash set whose per-element allocations fragment
+    the heap: with 16 MB spectra in the same process, peak RSS came out
+    16-32 MB higher in some runs at q = 101, d = 3.
+    """
+    ordered = np.sort(codes)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
+def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
+    """Directions of the vectors whose flat grid codes are given; code 0 is skipped.
+
+    Repeated codes are allowed.  Each distinct vector is canonicalized once.
+    """
+    q = field.q
+    distinct = _distinct(codes)
+    distinct = distinct[distinct != 0]
+    if not len(distinct):
+        return set()
+    canon = canonicalize_rows(grid.decode_indices(distinct, q, d), field)
+    reps = grid.decode_indices(_distinct(grid.encode_coords(canon, q)), q, d)
+    return set(map(tuple, reps.tolist()))
+
+
 def direction_set(E: PointSet) -> set[Direction]:
     """Directions determined by E: canonical forms of x - y over distinct pairs."""
     coords = E.coords()
     n = len(coords)
     if n < 2:
         return set()
-    field = E.field
     q, d = E.q, E.dim
-    out: set[Direction] = set()
     block = max(1, _PAIR_BLOCK // max(1, n))
+    codes = []
     for start in range(0, n, block):
         chunk = coords[start : start + block]
         diffs = (chunk[:, None, :] - coords[None, :, :]).reshape(-1, d) % q
-        diffs = diffs[np.any(diffs != 0, axis=1)]
-        if not len(diffs):
-            continue
-        canon = np.unique(canonicalize_rows(diffs, field), axis=0)
-        out.update(tuple(int(c) for c in row) for row in canon)
-    return out
+        codes.append(_distinct(grid.encode_coords(diffs, q)))
+    return directions_of_codes(np.concatenate(codes), E.field, d)
 
 
 def ambient_direction_count(q: int, d: int) -> int:

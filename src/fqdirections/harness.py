@@ -32,7 +32,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .directions import ambient_direction_count, coordinate_subspace_directions, direction_set
+from .directions import ambient_direction_count, direction_set
 from .errors import ConfigError
 from .field import MAX_MODULUS, is_prime
 from .generators import gen_coordinate_subspace, gen_random, gen_subspace_random
@@ -471,7 +471,9 @@ def _theorem_outcome(E: PointSet, cell: Cell, trial: int, seed: int | None) -> t
     report = theorem_main_threshold(E, cell.k)
     dirs = direction_set(E)
     ambient_n = ambient_direction_count(cell.q, cell.d)
-    literal = coordinate_subspace_directions(cell.q, cell.d, cell.k + 1) <= dirs
+    # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
+    # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
+    literal = sum(not any(v[cell.k + 1 :]) for v in dirs) == ambient_direction_count(cell.q, cell.k + 1)
     full = len(dirs) == ambient_n
     hard: list[str] = []
     soft: list[str] = []

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .directions import direction_set
+from .directions import directions_of_codes
 from .errors import NumericalInconsistencyError
 from .pointset import PointSet
 from .spectral import GridFunction, forward_transform
@@ -160,7 +160,7 @@ def difference_bound_check(E: PointSet) -> BoundCheckRecord:
     q, d = E.q, E.dim
     size = E.cardinality
     prof = difference_profile(E)
-    dirs = len(direction_set(E))
+    dirs = len(directions_of_codes(np.flatnonzero(prof.mu), E.field, d))
     lhs = prof.sum_of_squares()
     rhs = float(q) ** (3 * d) * float(np.sum(E.spectrum_power() ** 2))
     defect_rel = abs(lhs - rhs) / max(1.0, float(lhs))

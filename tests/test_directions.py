@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqdirections import directions, salem
 from fqdirections.directions import (
     ambient_direction_count,
     ambient_directions,
@@ -9,11 +10,13 @@ from fqdirections.directions import (
     canonicalize_rows,
     coordinate_subspace_directions,
     direction_set,
+    directions_of_codes,
     sort_directions,
 )
 from fqdirections.field import PrimeField
 from fqdirections.generators import gen_coordinate_subspace, gen_random
 from fqdirections.pointset import PointSet
+from fqdirections.salem import difference_bound_check
 
 import oracles
 
@@ -138,3 +141,51 @@ def test_direction_count_bound_by_pairs():
 def test_direction_set_oracle_property(seed):
     E = gen_random(5, 2, 5, seed=seed)
     assert direction_set(E) == oracles.directions_enumerate(E.points(), 5)
+
+
+@st.composite
+def _point_sets(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    picks = draw(st.sets(st.integers(min_value=0, max_value=q**d - 1), max_size=min(q**d, 12)))
+    return PointSet.from_indices(q, d, sorted(picks))
+
+
+def _assert_routes_agree(E):
+    dirs = direction_set(E)
+    assert dirs == oracles.directions_enumerate(E.points(), E.q)
+    assert difference_bound_check(E).direction_count == len(dirs)
+
+
+@given(_point_sets())
+@settings(max_examples=60, deadline=None)
+def test_direction_count_routes_agree(E):
+    _assert_routes_agree(E)
+
+
+@pytest.mark.parametrize(
+    "E",
+    [PointSet.empty(5, 2), PointSet.from_points(5, 2, [(2, 2)]), PointSet.full(3, 2), PointSet.full(2, 3)],
+    ids=["empty", "singleton", "full-3-2", "full-2-3"],
+)
+def test_direction_count_routes_agree_edge_sets(E):
+    _assert_routes_agree(E)
+
+
+@given(_point_sets())
+@settings(max_examples=30, deadline=None)
+def test_direction_count_routes_agree_across_pair_blocks(E):
+    # 7 pairs are fewer than the |E|^2 of any set of three or more points, so
+    # such sets are swept in several blocks whose codes must merge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(directions, "_PAIR_BLOCK", 7)
+        mp.setattr(salem, "_PAIR_BLOCK", 7)
+        _assert_routes_agree(E)
+
+
+def test_directions_of_codes_skips_zero_and_repeats():
+    F = PrimeField(5)
+    codes = np.array([0, 7, 7, 14, 0, 5], dtype=np.int64)  # (1,2), (1,2), (2,4), (1,0)
+    assert directions_of_codes(codes, F, 2) == {(1, 2), (1, 0)}
+    assert directions_of_codes(np.zeros(3, dtype=np.int64), F, 2) == set()
+    assert directions_of_codes(np.array([], dtype=np.int64), F, 2) == set()

@@ -1,13 +1,20 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from fqdirections.directions import coordinate_subspace_directions, direction_set
 from fqdirections.errors import ConfigError
+from fqdirections.generators import gen_coordinate_subspace, gen_random
 from fqdirections.harness import (
+    _COLUMNS,
     EXHAUSTIVE_LIMIT,
     CampaignConfig,
     CampaignResult,
+    Cell,
+    _theorem_outcome,
     emit_report,
     evaluate_size,
     run_campaign,
@@ -307,3 +314,34 @@ def test_emit_report_rejects_unknown_format():
 
 def test_exhaustive_limit_value():
     assert EXHAUSTIVE_LIMIT == 10**7
+
+
+def test_readme_column_lists_match_report_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Columns by kind:") : readme.index("Booleans are")]
+    listed = {
+        kind: tuple(col.strip() for col in cols.split(","))
+        for kind, cols in re.findall(r"^\* `([a-z-]+)`: `([^`]*)`", section, flags=re.MULTILINE)
+    }
+    assert listed == _COLUMNS
+
+
+def _literal_subset(E, k):
+    cell = Cell(E.q, E.dim, k, E.cardinality, "random")
+    row = _theorem_outcome(E, cell, 0, None)[0]
+    return row["literal_subset"]
+
+
+@pytest.mark.parametrize("q,d,k", [(2, 3, 1), (3, 3, 1), (5, 3, 1), (3, 4, 1), (3, 4, 2), (2, 5, 3)])
+def test_literal_subset_count_matches_subspace_enumeration(q, d, k):
+    outcomes = set()
+    for seed in range(12):
+        for size in (q**k + 1, 2 * q**k, q ** (k + 1)):
+            E = gen_random(q, d, size, seed=seed)
+            expected = coordinate_subspace_directions(q, d, k + 1) <= direction_set(E)
+            assert _literal_subset(E, k) == expected
+            outcomes.add(expected)
+    # H_(k+1) holds every direction of its own span; H_k misses all with z_(k+1) != 0
+    assert _literal_subset(gen_coordinate_subspace(q, d, k + 1), k)
+    assert not _literal_subset(gen_coordinate_subspace(q, d, k), k)
+    assert outcomes == {True, False}
