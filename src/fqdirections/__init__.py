@@ -49,6 +49,7 @@ from .incidence import (
     degenerate_pair_count,
     nu_brute,
     nu_spectral,
+    nu_sweep,
     remainder_spectral,
     theorem_main_threshold,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "degenerate_pair_count",
     "nu_brute",
     "nu_spectral",
+    "nu_sweep",
     "remainder_spectral",
     "theorem_main_threshold",
     "PointSet",

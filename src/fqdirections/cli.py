@@ -27,7 +27,7 @@ from .generators import (
     gen_subspace_random,
 )
 from .harness import GENERATORS, KINDS, MODES, CampaignConfig, run_campaign, write_report
-from .incidence import all_slopes, nu_brute, nu_spectral
+from .incidence import nu_brute, nu_spectral, nu_sweep
 from .pointset import format_fset, read_fset
 from .salem import difference_profile, salem_report
 
@@ -178,8 +178,7 @@ def nu_cmd(in_path, k, slope_text, method) -> None:
         click.echo(f"diagonal_term {rep.diagonal_term}")
         click.echo(f"remainder {_fmt(rep.remainder)}")
         return
-    for slope in all_slopes(E.q, k):
-        rep = count(E, slope)
+    for rep in nu_sweep(E, k, method):
         click.echo(
             f"slope={_join(rep.slope)} nu={rep.nu} "
             f"nondegenerate={rep.nu_nondegenerate} remainder={_fmt(rep.remainder)}"

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .field import PrimeField
+from .field import PrimeField, check_modulus
 from .pointset import PointSet
 
 Direction = tuple[int, ...]
@@ -103,7 +103,7 @@ def direction_set(E: PointSet) -> set[Direction]:
 
 def ambient_direction_count(q: int, d: int) -> int:
     """Number of direction classes of F_q^d itself: (q^d - 1) / (q - 1)."""
-    PrimeField(q)
+    check_modulus(q)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return (q**d - 1) // (q - 1)

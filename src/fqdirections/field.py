@@ -25,6 +25,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(q: int) -> None:
+    """Raise TypeError unless q is an int, ValueError unless it is a prime <= MAX_MODULUS."""
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise TypeError(f"modulus must be an int, got {type(q).__name__}")
+    if q > MAX_MODULUS:
+        raise ValueError(f"modulus {q} exceeds the supported cap {MAX_MODULUS}")
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+
+
 class PrimeField:
     """The prime field F_q.
 
@@ -37,12 +47,7 @@ class PrimeField:
     __slots__ = ("q", "roots", "inverse_table")
 
     def __init__(self, q: int):
-        if isinstance(q, bool) or not isinstance(q, int):
-            raise TypeError(f"modulus must be an int, got {type(q).__name__}")
-        if q > MAX_MODULUS:
-            raise ValueError(f"modulus {q} exceeds the supported cap {MAX_MODULUS}")
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
+        check_modulus(q)
         self.q = q
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         roots.setflags(write=False)

@@ -11,17 +11,24 @@ frequencies and is therefore nonnegative:
 
     R(t) = q^(2d-k) * sum_{s != 0} |Ehat(s.t, -s_1, ..., -s_k, 0, ..., 0)|^2.
 
-Two independent routes are provided: `nu_brute` counts pairs directly and
-`nu_spectral` assembles the decomposition from the cached spectrum, rounding
-to the nearest integer with a guard band.  They must agree exactly.
+Two independent routes are provided, and each computes nu for every slope
+at once.  The brute route counts pairs directly: a difference z with
+z_1 != 0 satisfies exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one
+bincount of those slope codes gives every count.  The spectral route gathers
+R(t) for a block of slope rows from the cached spectrum in one indexing
+operation and assembles the decomposition, rounding to the nearest integer
+with a guard band.  The two must agree exactly.  `theorem_main_threshold`
+and `nu_sweep` read all slopes off one kernel call; `nu_brute`, `nu_spectral`
+and `remainder_spectral` read one slope off the same kernels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +39,13 @@ from .pointset import PointSet
 #: Maximum allowed distance between the assembled spectral value and the
 #: nearest integer; anything larger signals a transform bug.
 ROUNDING_GUARD = 1e-4
+
+#: Gathered spectrum entries per block of slope rows in the spectral sweep;
+#: bounds the index array's memory, not results.
+_SLOPE_BLOCK = 1 << 16
+
+#: Pair-block size for the brute sweep; bounds peak memory, not results.
+_PAIR_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -85,33 +99,54 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     k < d-1.  For k = d-1 the count is zero: agreement everywhere forces x = y.
     """
     _check_k(E, k)
-    groups = Counter(tuple(int(c) for c in row[: k + 1]) for row in E.coords())
-    return sum(c * (c - 1) for c in groups.values())
+    groups = np.bincount(grid.encode_coords(E.coords()[:, : k + 1], E.q))
+    return int(groups @ (groups - 1))
 
 
-def nu_brute(E: PointSet, slope: tuple[int, ...], _diffs: np.ndarray | None = None) -> IncidenceReport:
+def _brute_counts(E: PointSet, k: int) -> tuple[np.ndarray, int]:
+    """nu_nondegenerate for every slope code, and the degenerate pair count.
+
+    A pair difference z with z_1 != 0 satisfies exactly one slope tuple,
+    (z_2, ..., z_{k+1}) * z_1^(-1), so one bincount of those codes counts
+    every slope at once.  Pairs with z_1 = ... = z_{k+1} = 0 and x != y
+    satisfy every slope; the rest satisfy none.  Slope codes follow the
+    mixed-radix order of all_slopes.
+    """
+    q = E.q
+    pts = E.coords()[:, : k + 1]
+    n = len(pts)
+    inverse = E.field.inverse_table
+    nondegenerate = np.zeros(q**k, dtype=np.int64)
+    agreeing = 0
+    block = max(1, _PAIR_BLOCK // max(1, n))
+    for start in range(0, n, block):
+        z = (pts[start : start + block, None, :] - pts[None, :, :]).reshape(-1, k + 1) % q
+        agreeing += int(np.count_nonzero(~z.any(axis=1)))
+        z = z[z[:, 0] != 0]
+        slopes = (z[:, 1:] * inverse[z[:, :1]]) % q
+        nondegenerate += np.bincount(grid.encode_coords(slopes, q), minlength=q**k)
+    return nondegenerate, agreeing - n
+
+
+def nu_brute(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     """Direct pair count; the remainder is back-solved from the decomposition."""
     k = len(slope)
     _check_k(E, k)
     q = E.q
-    diffs = pair_differences(E) if _diffs is None else _diffs
-    if len(diffs):
-        z1 = diffs[:, 0]
-        ok = np.ones(len(diffs), dtype=bool)
-        for i, t in enumerate(slope):
-            ok &= (diffs[:, i + 1] - int(t) * z1) % q == 0
-        nu = int(np.count_nonzero(ok))
-        nondeg = int(np.count_nonzero(ok & (z1 != 0)))
-    else:
-        nu = nondeg = 0
-    main, diag = _terms(E.cardinality, q, k)
+    nondegenerate, degenerate = _brute_counts(E, k)
+    nondeg = int(nondegenerate[grid.encode([int(t) % q for t in slope], q)])
+    return _brute_report(E, tuple(slope), nondeg + degenerate, nondeg)
+
+
+def _brute_report(E: PointSet, slope: tuple[int, ...], nu: int, nondeg: int) -> IncidenceReport:
+    main, diag = _terms(E.cardinality, E.q, len(slope))
     remainder = float(Fraction(nu) - main + diag)
-    return IncidenceReport(tuple(slope), nu, nondeg, main, diag, remainder)
+    return IncidenceReport(slope, nu, nondeg, main, diag, remainder)
 
 
 # Frequency bookkeeping reused across slope sweeps, keyed by (q, d, k):
-# the nonzero parameter vectors s and the index contribution of the fixed
-# coordinates (-s_1, ..., -s_k, 0, ..., 0).
+# the nonzero parameter vectors s (transposed) and the index contribution of
+# the fixed coordinates (-s_1, ..., -s_k, 0, ..., 0).
 _FREQ_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -122,8 +157,48 @@ def _frequency_tables(q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         svecs = grid.decode_indices(np.arange(1, q**k, dtype=np.int64), q, k)
         weights = q ** np.arange(d - 2, d - 2 - k, -1, dtype=np.int64)
         rest = ((-svecs) % q) @ weights
-        cached = _FREQ_CACHE[key] = (svecs, rest)
+        cached = _FREQ_CACHE[key] = (np.ascontiguousarray(svecs.T), rest)
     return cached
+
+
+def _remainders(E: PointSet, slopes: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """R(t) for each slope tuple (all of length k), gathered a block of slope rows at a time.
+
+    Row t of a block probes the frequencies m = (s.t, -s_1, ..., -s_k, 0, ..., 0)
+    in the global mixed-radix layout, one per nonzero s.
+    """
+    q, d = E.q, E.dim
+    k = len(slopes[0])
+    power = E.spectrum_power()
+    svecs_t, rest = _frequency_tables(q, d, k)
+    T = np.asarray(slopes, dtype=np.int64)
+    rows = max(1, _SLOPE_BLOCK // len(rest))
+    sums = np.empty(len(T))
+    for start in range(0, len(T), rows):
+        first = (T[start : start + rows] @ svecs_t) % q
+        sums[start : start + rows] = power[first * q ** (d - 1) + rest].sum(axis=1)
+    return q ** (2 * d - k) * sums
+
+
+def _spectral_counts(E: PointSet, slopes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """nu and R(t) for each slope tuple, nu rounded to the exact integer.
+
+    Raises NumericalInconsistencyError naming the first slope whose float
+    lands farther than the guard band from the nearest integer.
+    """
+    main, diag = _terms(E.cardinality, E.q, len(slopes[0]))
+    remainders = _remainders(E, slopes)
+    values = float(main - diag) + remainders
+    nu = np.rint(values)
+    off = np.abs(values - nu)
+    outside = np.flatnonzero(~(off <= ROUNDING_GUARD))
+    if len(outside):
+        i = outside[0]
+        raise NumericalInconsistencyError(
+            f"spectral incidence value {float(values[i])!r} is {off[i]:.3e} from the "
+            f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {slopes[i]}"
+        )
+    return nu.astype(np.int64), remainders
 
 
 def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
@@ -132,17 +207,11 @@ def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
     The frequency probed at s is m = (s.t, -s_1, ..., -s_k, 0, ..., 0) in the
     global mixed-radix layout.  Nonnegative up to float noise.
     """
-    k = len(slope)
-    _check_k(E, k)
-    q, d = E.q, E.dim
-    power = E.spectrum_power()
-    svecs, rest = _frequency_tables(q, d, k)
-    first = (svecs @ np.asarray(slope, dtype=np.int64)) % q
-    idx = first * q ** (d - 1) + rest
-    return float(q ** (2 * d - k) * power[idx].sum())
+    _check_k(E, len(slope))
+    return float(_remainders(E, [slope])[0])
 
 
-def nu_spectral(E: PointSet, slope: tuple[int, ...], _degenerate: int | None = None) -> IncidenceReport:
+def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     """Assemble nu from the decomposition and round to the exact integer.
 
     Raises NumericalInconsistencyError if the float lands farther than the
@@ -150,17 +219,42 @@ def nu_spectral(E: PointSet, slope: tuple[int, ...], _degenerate: int | None = N
     """
     k = len(slope)
     _check_k(E, k)
+    nu, remainders = _spectral_counts(E, [slope])
     main, diag = _terms(E.cardinality, E.q, k)
-    remainder = remainder_spectral(E, slope)
-    value = float(main - diag) + remainder
-    nu = round(value)
-    if abs(value - nu) > ROUNDING_GUARD:
-        raise NumericalInconsistencyError(
-            f"spectral incidence value {value!r} is {abs(value - nu):.3e} from the "
-            f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {slope}"
-        )
-    deg = degenerate_pair_count(E, k) if _degenerate is None else _degenerate
-    return IncidenceReport(tuple(slope), nu, nu - deg, main, diag, remainder)
+    n = int(nu[0])
+    deg = degenerate_pair_count(E, k)
+    return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0]))
+
+
+def _sweep(
+    E: PointSet, k: int, method: str
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray | None]:
+    """(slopes, nu, nu_nondegenerate, remainders) for every slope in all_slopes order.
+
+    One kernel call per route; remainders is None on the brute route, where
+    it is back-solved per slope only when asked for.
+    """
+    _check_k(E, k)
+    if method not in ("spectral", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    slopes = all_slopes(E.q, k)
+    if method == "spectral":
+        nu, remainders = _spectral_counts(E, slopes)
+        return slopes, nu, nu - degenerate_pair_count(E, k), remainders
+    nondegenerate, degenerate = _brute_counts(E, k)
+    return slopes, nondegenerate + degenerate, nondegenerate, None
+
+
+def nu_sweep(E: PointSet, k: int, method: str = "spectral") -> list[IncidenceReport]:
+    """The IncidenceReport of every slope tuple, in all_slopes order, from one kernel call."""
+    slopes, nu, nondeg, remainders = _sweep(E, k, method)
+    if remainders is None:
+        return [_brute_report(E, t, n, m) for t, n, m in zip(slopes, nu.tolist(), nondeg.tolist())]
+    main, diag = _terms(E.cardinality, E.q, k)
+    return [
+        IncidenceReport(t, n, m, main, diag, r)
+        for t, n, m, r in zip(slopes, nu.tolist(), nondeg.tolist(), remainders.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -209,28 +303,13 @@ class ThresholdReport:
 
 def theorem_main_threshold(E: PointSet, k: int, method: str = "spectral") -> ThresholdReport:
     """Sweep all slope tuples and test the size threshold |E| > q^k."""
-    _check_k(E, k)
-    if method not in ("spectral", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+    slopes, nu, nondeg, _ = _sweep(E, k, method)
     q = E.q
     size = E.cardinality
     main, diag = _terms(size, q, k)
     lower = main - diag
-    outcomes = []
-    if method == "spectral":
-        deg = degenerate_pair_count(E, k)
-        for slope in all_slopes(q, k):
-            rep = nu_spectral(E, slope, _degenerate=deg)
-            outcomes.append(SlopeOutcome(slope, rep.nu, rep.nu_nondegenerate))
-    else:
-        diffs = pair_differences(E)
-        for slope in all_slopes(q, k):
-            rep = nu_brute(E, slope, _diffs=diffs)
-            outcomes.append(SlopeOutcome(slope, rep.nu, rep.nu_nondegenerate))
-    if size > q**k:
-        failures = tuple(o.slope for o in outcomes if Fraction(o.nu) < lower)
-    else:
-        failures = tuple(o.slope for o in outcomes if o.nu == 0)
+    # nu is an integer, so nu < lower exactly when nu < ceil(lower)
+    failed = nu < ceil(lower) if size > q**k else nu == 0
     return ThresholdReport(
         q=q,
         dim=E.dim,
@@ -238,7 +317,7 @@ def theorem_main_threshold(E: PointSet, k: int, method: str = "spectral") -> Thr
         set_size=size,
         threshold=q**k,
         lower_bound=lower,
-        holds=not failures,
-        witness_failures=failures,
-        outcomes=tuple(outcomes),
+        holds=not failed.any(),
+        witness_failures=tuple(slopes[i] for i in np.flatnonzero(failed)),
+        outcomes=tuple(map(SlopeOutcome, slopes, nu.tolist(), nondeg.tolist())),
     )

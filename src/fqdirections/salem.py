@@ -36,6 +36,9 @@ PARSEVAL_TOLERANCE = 1e-6
 #: Pair-block size for the difference sweep.
 _PAIR_BLOCK = 1 << 21
 
+#: |E|^2 from which sum mu^2 <= |E|^3 may no longer fit in int64.
+_SQUARES_EXACT_TOTAL = 1 << 42
+
 
 @dataclass(eq=False)
 class DifferenceProfile:
@@ -61,9 +64,18 @@ class DifferenceProfile:
         return GridFunction(self.field, self.dim, self.mu.astype(np.complex128))
 
     def sum_of_squares(self) -> int:
-        """sum_z mu(z)^2 as an exact Python integer."""
+        """sum_z mu(z)^2 as an exact Python integer.
+
+        Summed in int64, which is exact because sum mu^2 <= max mu * sum mu
+        <= |E|^3 < 2^63 while |E| < 2^21; larger sets raise OverflowError.
+        """
+        if self.total >= _SQUARES_EXACT_TOTAL:
+            raise OverflowError(
+                f"sum of squared multiplicities may overflow int64 for |E|^2 = {self.total} "
+                f"(exact below |E| = 2^21)"
+            )
         vals = self.mu[self.mu > 0]
-        return int(sum(int(v) * int(v) for v in vals))
+        return int(vals @ vals)
 
 
 def difference_profile(E: PointSet) -> DifferenceProfile:

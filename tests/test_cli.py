@@ -92,6 +92,22 @@ def test_nu_sweep(runner, line_fset):
     assert all("nu=0" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("method", ["spectral", "brute"])
+def test_nu_sweep_lines_match_single_slope_calls(runner, tmp_path, method):
+    # k = 1 < d - 1 in F_5^3 leaves pairs that agree on the first two coordinates
+    path = tmp_path / "set.fset"
+    write_fset(gen_random(5, 3, 14, seed=8), path)
+    lines = invoke(runner, "nu", "--in", str(path), "--k", "1", "--method", method).output.splitlines()
+    assert len(lines) == 5
+    for t, line in enumerate(lines):
+        single = invoke(runner, "nu", "--in", str(path), "--k", "1", "--t", str(t), "--method", method)
+        fields = dict(entry.split(" ", 1) for entry in single.output.splitlines())
+        assert line == (
+            f"slope={fields['slope']} nu={fields['nu']} "
+            f"nondegenerate={fields['nu_nondegenerate']} remainder={fields['remainder']}"
+        )
+
+
 def test_nu_bad_slope_exits_2(runner, line_fset):
     assert invoke(runner, "nu", "--in", line_fset, "--k", "1", "--t", "1,2").exit_code == 2
     assert invoke(runner, "nu", "--in", line_fset, "--k", "1", "--t", "9").exit_code == 2

@@ -89,6 +89,16 @@ def test_ambient_direction_count():
     assert ambient_direction_count(2, 4) == 15
 
 
+@pytest.mark.parametrize("q", [4, 1 << 17, True])
+def test_ambient_direction_count_rejects_modulus_like_prime_field(q):
+    with pytest.raises((TypeError, ValueError)) as field_error:
+        PrimeField(q)
+    with pytest.raises((TypeError, ValueError)) as count_error:
+        ambient_direction_count(q, 2)
+    assert count_error.type is field_error.type
+    assert str(count_error.value) == str(field_error.value)
+
+
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (5, 2), (3, 3)])
 def test_ambient_directions_enumeration(q, d):
     dirs = ambient_directions(q, d)

@@ -11,6 +11,7 @@ from fqdirections.incidence import (
     degenerate_pair_count,
     nu_brute,
     nu_spectral,
+    nu_sweep,
     remainder_spectral,
     theorem_main_threshold,
 )
@@ -125,14 +126,73 @@ def test_empty_and_tiny_sets():
         assert nu_spectral(single, slope).nu == 0
 
 
-def test_guard_band_rejects_inconsistent_float(monkeypatch):
-    E = gen_random(5, 2, 6, seed=2)
-    monkeypatch.setattr(
-        "fqdirections.incidence.remainder_spectral", lambda *a, **k: 0.5
-    )
-    with pytest.raises(NumericalInconsistencyError):
-        nu_spectral(E, (1,))
+def test_guard_band_rejects_inconsistent_float():
+    # for k = 1 the frequency (t, -1, 0, ...) is probed by slope t alone, so
+    # raising its power pushes exactly that slope's value 0.3 off an integer
+    q, d = 5, 3
+    E = gen_random(q, d, 9, seed=2)
+    power = E.spectrum_power().copy()
+    for t in (1, 3):
+        power[t * q ** (d - 1) + (q - 1) * q ** (d - 2)] += 0.3 / q ** (2 * d - 1)
+    E._spectrum_power = power
+    for t in (0, 2, 4):
+        nu_spectral(E, (t,))
+    for t in (1, 3):
+        with pytest.raises(NumericalInconsistencyError, match=rf"at slope \({t},\)$"):
+            nu_spectral(E, (t,))
+    # the sweep names the first slope outside the band
+    with pytest.raises(NumericalInconsistencyError, match=r"at slope \(1,\)$"):
+        theorem_main_threshold(E, 1)
+    # brute counting never reads the spectrum
+    assert theorem_main_threshold(E, 1, method="brute").holds
     assert ROUNDING_GUARD == 1e-4
+
+
+def _points(q, d):
+    return st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * d), unique=True, max_size=min(q**d, 14)
+    )
+
+
+@st.composite
+def _sets_and_k(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(2, 4 if q < 5 else 3))
+    k = draw(st.integers(1, d - 1))
+    return PointSet.from_points(q, d, draw(_points(q, d))), k
+
+
+@given(_sets_and_k())
+@settings(max_examples=60, deadline=None)
+def test_sweep_kernels_match_pair_oracle(case):
+    # covers the empty set, singletons and k < d-1 with degenerate pairs
+    E, k = case
+    pts = E.points()
+    expected = [oracles.nu_pairs(pts, E.q, t) for t in all_slopes(E.q, k)]
+    degenerate = sum(1 for x in pts for y in pts if x != y and x[: k + 1] == y[: k + 1])
+    assert degenerate_pair_count(E, k) == degenerate
+    for method in ("spectral", "brute"):
+        reports = nu_sweep(E, k, method)
+        assert [r.slope for r in reports] == all_slopes(E.q, k)
+        assert [r.nu for r in reports] == expected
+        assert [r.nu_nondegenerate for r in reports] == [n - degenerate for n in expected]
+        outcomes = theorem_main_threshold(E, k, method).outcomes
+        assert [(o.nu, o.nu_nondegenerate) for o in outcomes] == [(r.nu, r.nu_nondegenerate) for r in reports]
+
+
+def test_sweep_multi_block(monkeypatch):
+    # one slope row per gather block and a few points per pair block must
+    # reproduce the single-block sweep exactly, remainders included
+    cases = [(gen_random(5, 3, 30, seed=5), 1), (gen_random(5, 3, 30, seed=5), 2), (gen_random(3, 4, 25, seed=1), 2)]
+    single = [(nu_sweep(E, k, "spectral"), nu_sweep(E, k, "brute")) for E, k in cases]
+    monkeypatch.setattr("fqdirections.incidence._SLOPE_BLOCK", 1)
+    monkeypatch.setattr("fqdirections.incidence._PAIR_BLOCK", 7)
+    for (E, k), (spectral, brute) in zip(cases, single):
+        pts = E.points()
+        assert [r.nu for r in brute] == [oracles.nu_pairs(pts, E.q, t) for t in all_slopes(E.q, k)]
+        assert nu_sweep(E, k, "spectral") == spectral
+        assert nu_sweep(E, k, "brute") == brute
+        assert [r.nu for r in spectral] == [r.nu for r in brute]
 
 
 def test_threshold_report_above():

@@ -61,9 +61,16 @@ def test_profile_empty_set():
 
 
 def test_sum_of_squares_exact():
-    E = gen_random(5, 2, 9, seed=2)
-    prof = difference_profile(E)
-    table = oracles.mu_direct(E.points(), 5)
+    for q, d, n, seed in [(5, 2, 9, 2), (13, 3, 600, 7)]:
+        E = gen_random(q, d, n, seed=seed)
+        prof = difference_profile(E)
+        table = oracles.mu_direct(E.points(), q)
+        assert prof.sum_of_squares() == sum(v * v for v in table.values())
+    # int64 is exact only while |E|^3 < 2^63, i.e. |E| < 2^21
+    prof.total = (1 << 21) ** 2
+    with pytest.raises(OverflowError):
+        prof.sum_of_squares()
+    prof.total = (1 << 21) ** 2 - 1
     assert prof.sum_of_squares() == sum(v * v for v in table.values())
 
 
