@@ -15,6 +15,11 @@ the canonical codes are deduplicated the same way.  Just the |D(E)|
 survivors are decoded back into tuples.  A caller that already holds the
 support of the difference multiplicity mu passes its codes straight to
 directions_of_codes, so D(E) costs no second pair sweep.
+
+pair_codes and canonical_codes work on a stack of sets at once: set b's
+codes are offset by b q^d, so one sort classes every set of a campaign
+block, and |D(E)| of each set is a bincount of the offsets.  direction_set
+and directions_of_codes are the one-set case.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .field import PrimeField, check_modulus
+from .field import PrimeField, check_modulus, prime_field
 from .pointset import PointSet
 
 Direction = tuple[int, ...]
@@ -70,35 +75,56 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
-    """Directions of the vectors whose flat grid codes are given; code 0 is skipped.
+def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
+    """Sorted distinct canonical codes of the nonzero vectors among the given codes.
 
-    Repeated codes are allowed.  Each distinct vector is canonicalized once.
+    Codes may carry a set offset: a code in [b q^d, (b+1) q^d) is the vector
+    code - b q^d of set b, and its canonical code keeps that offset, so one
+    call classes a whole stack of sets.  Repeated codes are allowed, and
+    vector 0 of every set is skipped.  Each distinct vector is canonicalized
+    once.
     """
     q = field.q
     distinct = _distinct(codes)
-    distinct = distinct[distinct != 0]
-    if not len(distinct):
-        return set()
-    canon = canonicalize_rows(grid.decode_indices(distinct, q, d), field)
-    reps = grid.decode_indices(_distinct(grid.encode_coords(canon, q)), q, d)
+    local = distinct % q**d
+    nonzero = local != 0
+    distinct, local = distinct[nonzero], local[nonzero]
+    canon = grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, d), field), q)
+    return _distinct(canon + (distinct - local))
+
+
+def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
+    """Directions of the vectors whose flat grid codes (of one set) are given; code 0 is skipped.
+
+    Repeated codes are allowed.  Each distinct vector is canonicalized once.
+    """
+    reps = grid.decode_indices(canonical_codes(codes, field, d), field.q, d)
     return set(map(tuple, reps.tolist()))
+
+
+def pair_codes(indices: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Grid codes of x - y over all ordered pairs of each set of a (B, n) index stack.
+
+    Set b's codes are offset by b q^d (see canonical_codes).  The pairs are
+    swept a block of rows of every set at a time, at most _PAIR_BLOCK pairs
+    per block, and each block's codes are deduplicated before they are kept.
+    """
+    sets, n = indices.shape
+    coords = grid.decode_indices(indices.ravel(), q, d).reshape(sets, n, d)
+    weights = grid.radix_weights(q, d)
+    offsets = (q**d * np.arange(sets, dtype=np.int64))[:, None, None]
+    rows = max(1, _PAIR_BLOCK // max(1, sets * n))
+    codes = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, rows):
+        block = ((coords[:, start : start + rows, None, :] - coords[:, None, :, :]) % q) @ weights
+        block += offsets
+        codes.append(_distinct(block.ravel()))
+    return np.concatenate(codes)
 
 
 def direction_set(E: PointSet) -> set[Direction]:
     """Directions determined by E: canonical forms of x - y over distinct pairs."""
-    coords = E.coords()
-    n = len(coords)
-    if n < 2:
-        return set()
-    q, d = E.q, E.dim
-    block = max(1, _PAIR_BLOCK // max(1, n))
-    codes = []
-    for start in range(0, n, block):
-        chunk = coords[start : start + block]
-        diffs = (chunk[:, None, :] - coords[None, :, :]).reshape(-1, d) % q
-        codes.append(_distinct(grid.encode_coords(diffs, q)))
-    return directions_of_codes(np.concatenate(codes), E.field, d)
+    return directions_of_codes(pair_codes(E.indices()[None], E.q, E.dim), E.field, E.dim)
 
 
 def ambient_direction_count(q: int, d: int) -> int:
@@ -116,7 +142,7 @@ def ambient_directions(q: int, d: int) -> set[Direction]:
 
 def coordinate_subspace_directions(q: int, d: int, n: int) -> set[Direction]:
     """Directions of the n-dimensional coordinate subspace (last d-n coords zero)."""
-    field = PrimeField(q)
+    field = prime_field(q)
     if not 1 <= n <= d:
         raise ValueError(f"subspace dimension must be in [1, {d}], got {n}")
     vecs = grid.decode_indices(np.arange(1, q**n, dtype=np.int64), q, n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 #: Largest modulus the toolkit accepts; keeps trial division and the character
@@ -96,3 +98,19 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
+
+
+def prime_field(q: int) -> PrimeField:
+    """The shared PrimeField(q), built once per modulus.
+
+    Validates q on every call, so a bool or float that hashes like a cached
+    int is still rejected.  Building a field costs an O(q) inverse loop,
+    which callers that take a bare modulus would otherwise pay per call.
+    """
+    check_modulus(q)
+    return _prime_field(q)
+
+
+@cache
+def _prime_field(q: int) -> PrimeField:
+    return PrimeField(q)

@@ -24,12 +24,17 @@ from .rng import sample_without_replacement
 from .spectral import DEFAULT_SIZE_CAP, check_size_cap
 
 
-def gen_random(q: int, d: int, n: int, seed: int) -> PointSet:
-    """n points drawn uniformly without replacement, deterministic in seed."""
+def random_indices(q: int, d: int, n: int, seed: int) -> list[int]:
+    """Flat indices of gen_random's n points, in draw order."""
     total = check_size_cap(q, d, DEFAULT_SIZE_CAP)
     if n > total:
         raise ValueError(f"cannot draw {n} distinct points from a grid of {total}")
-    return PointSet.from_indices(q, d, sample_without_replacement(total, n, seed))
+    return sample_without_replacement(total, n, seed)
+
+
+def gen_random(q: int, d: int, n: int, seed: int) -> PointSet:
+    """n points drawn uniformly without replacement, deterministic in seed."""
+    return PointSet.from_indices(q, d, random_indices(q, d, n, seed))
 
 
 def gen_coordinate_subspace(q: int, d: int, k: int) -> PointSet:
@@ -75,18 +80,22 @@ def gen_embedded(base: PointSet, d: int) -> PointSet:
     return PointSet.from_coords(base.q, d, coords)
 
 
-def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:
-    """n random points inside the m-dimensional coordinate subspace of F_q^d."""
+def subspace_random_indices(q: int, d: int, m: int, n: int, seed: int) -> np.ndarray:
+    """Flat indices of gen_subspace_random's n points, in draw order."""
     if not 1 <= m <= d:
         raise ValueError(f"subspace dimension must be in [1, {d}], got {m}")
     check_size_cap(q, d, DEFAULT_SIZE_CAP)
     total = q**m
     if n > total:
         raise ValueError(f"cannot draw {n} distinct points from a subspace of {total}")
-    picks = np.asarray(sample_without_replacement(total, n, seed), dtype=np.int64)
-    coords = np.zeros((n, d), dtype=np.int64)
-    coords[:, :m] = grid.decode_indices(picks, q, m)
-    return PointSet.from_coords(q, d, coords)
+    # the subspace has coordinates m+1..d zero, so its point with index p in
+    # F_q^m has index p q^(d-m) in F_q^d
+    return np.asarray(sample_without_replacement(total, n, seed), dtype=np.int64) * q ** (d - m)
+
+
+def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:
+    """n random points inside the m-dimensional coordinate subspace of F_q^d."""
+    return PointSet.from_indices(q, d, subspace_random_indices(q, d, m, n, seed))
 
 
 GENERATOR_NAMES = (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -28,22 +29,30 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .directions import ambient_direction_count, direction_set
+import numpy as np
+
+from .directions import ambient_direction_count, canonical_codes, direction_set, pair_codes
 from .errors import ConfigError
-from .field import MAX_MODULUS, is_prime
-from .generators import gen_coordinate_subspace, gen_random, gen_subspace_random
-from .incidence import theorem_main_threshold
+from .field import MAX_MODULUS, is_prime, prime_field
+from .generators import gen_coordinate_subspace, random_indices, subspace_random_indices
+from .incidence import slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, format_fset
 from .rng import mix64
 from .salem import difference_bound_check
-from .spectral import DEFAULT_SIZE_CAP, check_size_cap
+from .spectral import DEFAULT_SIZE_CAP, check_size_cap, indicator_power
 
 #: Enumerating all size-n subsets is preferred to sampling up to this count.
 EXHAUSTIVE_LIMIT = 10**7
+
+#: Theorem-main cells are evaluated a block of sets at a time; a block holds
+#: at most this many pair codes (B |E|^2) and grid cells (B q^d), or one set.
+#: They bound a block's memory, not results.
+_BLOCK_PAIRS = 1 << 14
+_BLOCK_CELLS = 1 << 16
 
 KINDS = ("theorem-main", "salem-bounds", "sharpness")
 MODES = ("auto", "random", "exhaustive")
@@ -387,10 +396,11 @@ def _trial_seed(config: CampaignConfig, cell: Cell, trial: int) -> int:
     return mix64(config.seed, cell.q, cell.d, cell.k or 0, cell.size or 0, trial)
 
 
-def _draw_set(config: CampaignConfig, cell: Cell, seed: int) -> PointSet:
+def _index_draw(config: CampaignConfig, cell: Cell) -> Callable[[int], Sequence[int]]:
+    """The configured generator's index draw for the cell's sets, as a function of the trial seed."""
     if config.generator == "subspace-random":
-        return gen_subspace_random(cell.q, cell.d, cell.k + 1, cell.size, seed)
-    return gen_random(cell.q, cell.d, cell.size, seed)
+        return functools.partial(subspace_random_indices, cell.q, cell.d, cell.k + 1, cell.size)
+    return functools.partial(random_indices, cell.q, cell.d, cell.size)
 
 
 def _map_ordered(work: Callable, items: Iterable, threads: int) -> list:
@@ -467,48 +477,89 @@ def _flag_records(
 
 # -- theorem-main ----------------------------------------------------------
 
-def _theorem_outcome(E: PointSet, cell: Cell, trial: int, seed: int | None) -> tuple[dict, list[str], list[str], PointSet]:
-    report = theorem_main_threshold(E, cell.k)
-    dirs = direction_set(E)
-    ambient_n = ambient_direction_count(cell.q, cell.d)
+def _theorem_blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, np.ndarray]]:
+    """The cell's sets in trial order, a block at a time: (trials, seeds, (B, size) indices)."""
+    per_block = max(1, min(_BLOCK_PAIRS // cell.size**2, _BLOCK_CELLS // cell.q**cell.d))
+    if cell.mode == "exhaustive":
+        sets = combinations(range(cell.q**cell.d), cell.size)
+        start = 0
+        while picks := list(islice(sets, per_block)):
+            yield range(start, start + len(picks)), [None] * len(picks), np.array(picks, dtype=np.int64)
+            start += len(picks)
+        return
+    draw = _index_draw(config, cell)
+    for start in range(0, config.trials, per_block):
+        trials = range(start, min(start + per_block, config.trials))
+        seeds = [_trial_seed(config, cell, trial) for trial in trials]
+        yield trials, seeds, np.array([draw(seed) for seed in seeds], dtype=np.int64)
+
+
+def _theorem_block(
+    cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
+) -> list[tuple[dict, list[str], PointSet | None]]:
+    """(row, hard failures, set if flagged) for each set of a block, read off stacked arrays.
+
+    One stacked transform and slope gather give nu for every slope of every
+    set; one sort of set-offset pair codes gives every D(E).  A PointSet is
+    built only for a flagged set, to format it.
+    """
+    q, d, k, size = cell.q, cell.d, cell.k, cell.size
+    field = prime_field(q)
+    nu, nondeg, _ = slope_counts(indicator_power(picks, field, d), picks, q, d, k)
+    holds = ~threshold_failures(nu, size, q, k).any(axis=1)
+    covered = (nondeg > 0).all(axis=1)
+    owner, vector = np.divmod(canonical_codes(pair_codes(picks, q, d), field, d), q**d)
+    counts = np.bincount(owner, minlength=len(picks))
     # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
     # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
-    literal = sum(not any(v[cell.k + 1 :]) for v in dirs) == ambient_direction_count(cell.q, cell.k + 1)
-    full = len(dirs) == ambient_n
-    hard: list[str] = []
-    soft: list[str] = []
-    if report.above_threshold:
-        if not report.holds:
-            hard.append("nu-threshold")
-        # full coverage is exact for k = d-1; below that the subset claim and
-        # the slope-pattern coverage are open questions, recorded per row only
-        if cell.k == cell.d - 1 and not full:
-            hard.append("ambient-coverage")
-    row = {
-        "kind": "theorem-main",
-        "q": cell.q,
-        "d": cell.d,
-        "k": cell.k,
-        "size": cell.size,
-        "mode": cell.mode,
-        "trial": trial,
-        "trial_seed": seed,
-        "nu_min": report.min_nu,
-        "lower_bound": report.lower_bound,
-        "threshold_holds": report.holds,
-        "slope_pattern_covered": report.slope_pattern_covered,
-        "literal_subset": literal,
-        "direction_count": len(dirs),
-        "ambient_count": ambient_n,
-        "full_coverage": full,
-        "hard_fail": bool(hard),
-        "soft_flags": tuple(soft),
-    }
-    return row, hard, soft, E
+    tails = np.bincount(owner[vector % q ** (d - k - 1) == 0], minlength=len(picks))
+    literal = tails == ambient_direction_count(q, k + 1)
+    ambient_n = ambient_direction_count(q, d)
+    lower = threshold_lower_bound(size, q, k)
+    columns = zip(
+        trials, seeds, picks, nu.min(axis=1).tolist(), holds.tolist(), covered.tolist(), literal.tolist(), counts.tolist()
+    )
+    out = []
+    for trial, seed, points, nu_min, ok, pattern, subset, n_dirs in columns:
+        full = n_dirs == ambient_n
+        hard: list[str] = []
+        if size > q**k:
+            if not ok:
+                hard.append("nu-threshold")
+            # full coverage is exact for k = d-1; below that the subset claim and
+            # the slope-pattern coverage are open questions, recorded per row only
+            if k == d - 1 and not full:
+                hard.append("ambient-coverage")
+        row = {
+            "kind": "theorem-main",
+            "q": q,
+            "d": d,
+            "k": k,
+            "size": size,
+            "mode": cell.mode,
+            "trial": trial,
+            "trial_seed": seed,
+            "nu_min": nu_min,
+            "lower_bound": lower,
+            "threshold_holds": ok,
+            "slope_pattern_covered": pattern,
+            "literal_subset": subset,
+            "direction_count": n_dirs,
+            "ambient_count": ambient_n,
+            "full_coverage": full,
+            "hard_fail": bool(hard),
+            "soft_flags": (),
+        }
+        out.append((row, hard, PointSet.from_indices(q, d, points) if hard else None))
+    return out
 
 
 def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
-    """Sweep the incidence threshold and direction coverage over the grid."""
+    """Sweep the incidence threshold and direction coverage over the grid.
+
+    Each cell is evaluated a block of sets at a time (_theorem_block); with
+    threads > 1 the blocks of a cell run in parallel, rows in trial order.
+    """
     config.validate()
     if config.kind != "theorem-main":
         raise ConfigError(f"verify_theorem_main got a {config.kind!r} config")
@@ -516,31 +567,22 @@ def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
     counterexamples: list[dict] = []
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
-        if cell.mode == "exhaustive":
-            results = [
-                _theorem_outcome(PointSet.from_indices(cell.q, cell.d, picks), cell, i, None)
-                for i, picks in enumerate(combinations(range(cell.q**cell.d), cell.size))
-            ]
-        else:
-            def work(trial: int, _cell: Cell = cell) -> tuple[dict, list[str], list[str], PointSet]:
-                seed = _trial_seed(config, _cell, trial)
-                return _theorem_outcome(_draw_set(config, _cell, seed), _cell, trial, seed)
+        def work(block: tuple, _cell: Cell = cell) -> list[tuple[dict, list[str], PointSet | None]]:
+            return _theorem_block(_cell, *block)
 
-            results = _map_ordered(work, range(config.trials), config.threads)
+        results = [r for block in _map_ordered(work, _theorem_blocks(config, cell), config.threads) for r in block]
         agg = {
             "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
             "sets_checked": len(results),
             "nu_min": min(r[0]["nu_min"] for r in results),
             "hard_failures": 0, "literal_subset_failures": 0, "slope_pattern_failures": 0,
         }
-        for row, hard, soft, E in results:
+        for row, hard, E in results:
             rows.append(row)
             agg["hard_failures"] += bool(hard)
             agg["literal_subset_failures"] += not row["literal_subset"]
             agg["slope_pattern_failures"] += not row["slope_pattern_covered"]
-            if hard or soft:
-                counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], hard, "hard", E))
-                counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], soft, "soft", E))
+            counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], hard, "hard", E))
         cell_aggs.append(agg)
     aggregates = {
         "cells": cell_aggs,
@@ -610,9 +652,12 @@ def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
                 for i, picks in enumerate(combinations(range(cell.q**cell.d), cell.size))
             ]
         else:
-            def work(trial: int, _cell: Cell = cell) -> tuple[dict, list[str], list[str], PointSet]:
+            def work(
+                trial: int, _cell: Cell = cell, _draw: Callable = _index_draw(config, cell)
+            ) -> tuple[dict, list[str], list[str], PointSet]:
                 seed = _trial_seed(config, _cell, trial)
-                return _salem_outcome(_draw_set(config, _cell, seed), _cell, trial, seed, config)
+                E = PointSet.from_indices(_cell.q, _cell.d, _draw(seed))
+                return _salem_outcome(E, _cell, trial, seed, config)
 
             results = _map_ordered(work, range(config.trials), config.threads)
         n = len(results)

@@ -15,11 +15,13 @@ Two independent routes are provided, and each computes nu for every slope
 at once.  The brute route counts pairs directly: a difference z with
 z_1 != 0 satisfies exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one
 bincount of those slope codes gives every count.  The spectral route gathers
-R(t) for a block of slope rows from the cached spectrum in one indexing
+R(t) for a block of slope rows from a stack of spectra in one indexing
 operation and assembles the decomposition, rounding to the nearest integer
-with a guard band.  The two must agree exactly.  `theorem_main_threshold`
-and `nu_sweep` read all slopes off one kernel call; `nu_brute`, `nu_spectral`
-and `remainder_spectral` read one slope off the same kernels.
+with a guard band.  The two must agree exactly.  `slope_counts` runs the
+spectral route for a stack of B equal-size sets (campaigns evaluate a block
+of sets at a time); `theorem_main_threshold` and `nu_sweep` are its B = 1
+case on one set's cached spectrum, and `nu_brute`, `nu_spectral` and
+`remainder_spectral` read one slope off the same kernels.
 """
 
 from __future__ import annotations
@@ -99,8 +101,19 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     k < d-1.  For k = d-1 the count is zero: agreement everywhere forces x = y.
     """
     _check_k(E, k)
-    groups = np.bincount(grid.encode_coords(E.coords()[:, : k + 1], E.q))
-    return int(groups @ (groups - 1))
+    return int(_degenerate_counts(E.indices()[None], E.q, E.dim, k)[0])
+
+
+def _degenerate_counts(indices: np.ndarray, q: int, d: int, k: int) -> np.ndarray:
+    """degenerate_pair_count of each set in a (B, n) stack, from one bincount.
+
+    The first k+1 coordinates of a point are its index // q^(d-k-1); set b's
+    prefixes are offset by b * q^(k+1) so every set counts in its own range.
+    """
+    cells = q ** (k + 1)
+    prefixes = indices // q ** (d - k - 1) + cells * np.arange(len(indices))[:, None]
+    groups = np.bincount(prefixes.ravel(), minlength=cells * len(indices)).reshape(len(indices), cells)
+    return (groups * (groups - 1)).sum(axis=1)
 
 
 def _brute_counts(E: PointSet, k: int) -> tuple[np.ndarray, int]:
@@ -161,44 +174,60 @@ def _frequency_tables(q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _remainders(E: PointSet, slopes: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """R(t) for each slope tuple (all of length k), gathered a block of slope rows at a time.
+def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """R(t) for each set of a (B, q^d) power stack and each slope tuple (all of length k).
 
-    Row t of a block probes the frequencies m = (s.t, -s_1, ..., -s_k, 0, ..., 0)
-    in the global mixed-radix layout, one per nonzero s.
+    Row t of a gather block probes the frequencies m = (s.t, -s_1, ..., -s_k,
+    0, ..., 0) in the global mixed-radix layout, one per nonzero s, in every
+    set at once; a block holds at most _SLOPE_BLOCK gathered entries.
     """
-    q, d = E.q, E.dim
     k = len(slopes[0])
-    power = E.spectrum_power()
     svecs_t, rest = _frequency_tables(q, d, k)
     T = np.asarray(slopes, dtype=np.int64)
-    rows = max(1, _SLOPE_BLOCK // len(rest))
-    sums = np.empty(len(T))
+    rows = max(1, _SLOPE_BLOCK // (len(power) * len(rest)))
+    sums = np.empty((len(power), len(T)))
     for start in range(0, len(T), rows):
         first = (T[start : start + rows] @ svecs_t) % q
-        sums[start : start + rows] = power[first * q ** (d - 1) + rest].sum(axis=1)
+        sums[:, start : start + rows] = power[:, first * q ** (d - 1) + rest].sum(axis=2)
     return q ** (2 * d - k) * sums
 
 
-def _spectral_counts(E: PointSet, slopes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """nu and R(t) for each slope tuple, nu rounded to the exact integer.
+def _spectral_counts(
+    power: np.ndarray, size: int, q: int, d: int, slopes: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """nu and R(t) for each set of a power stack of size-`size` sets and each slope tuple.
 
-    Raises NumericalInconsistencyError naming the first slope whose float
+    nu is rounded to the exact integer.  Raises NumericalInconsistencyError
+    naming the first slope, of the first set in stack order, whose float
     lands farther than the guard band from the nearest integer.
     """
-    main, diag = _terms(E.cardinality, E.q, len(slopes[0]))
-    remainders = _remainders(E, slopes)
+    main, diag = _terms(size, q, len(slopes[0]))
+    remainders = _remainders(power, q, d, slopes)
     values = float(main - diag) + remainders
     nu = np.rint(values)
     off = np.abs(values - nu)
-    outside = np.flatnonzero(~(off <= ROUNDING_GUARD))
+    outside = np.argwhere(~(off <= ROUNDING_GUARD))
     if len(outside):
-        i = outside[0]
+        b, i = outside[0]
         raise NumericalInconsistencyError(
-            f"spectral incidence value {float(values[i])!r} is {off[i]:.3e} from the "
+            f"spectral incidence value {float(values[b, i])!r} is {off[b, i]:.3e} from the "
             f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {slopes[i]}"
         )
     return nu.astype(np.int64), remainders
+
+
+def slope_counts(
+    power: np.ndarray, indices: np.ndarray, q: int, d: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectral route for a stack of B sets of equal size, every slope at once.
+
+    power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power) and
+    indices the (B, n) flat point indices of the same sets.  Returns
+    (nu, nu_nondegenerate, remainders), each (B, q^k) in all_slopes order,
+    from one gather per block of slope rows and one degenerate-pair bincount.
+    """
+    nu, remainders = _spectral_counts(power, indices.shape[1], q, d, all_slopes(q, k))
+    return nu, nu - _degenerate_counts(indices, q, d, k)[:, None], remainders
 
 
 def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
@@ -208,7 +237,7 @@ def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
     global mixed-radix layout.  Nonnegative up to float noise.
     """
     _check_k(E, len(slope))
-    return float(_remainders(E, [slope])[0])
+    return float(_remainders(E.spectrum_power()[None], E.q, E.dim, [slope])[0, 0])
 
 
 def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
@@ -219,11 +248,11 @@ def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     """
     k = len(slope)
     _check_k(E, k)
-    nu, remainders = _spectral_counts(E, [slope])
+    nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, [slope])
     main, diag = _terms(E.cardinality, E.q, k)
-    n = int(nu[0])
+    n = int(nu[0, 0])
     deg = degenerate_pair_count(E, k)
-    return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0]))
+    return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0, 0]))
 
 
 def _sweep(
@@ -239,8 +268,8 @@ def _sweep(
         raise ValueError(f"unknown method {method!r}")
     slopes = all_slopes(E.q, k)
     if method == "spectral":
-        nu, remainders = _spectral_counts(E, slopes)
-        return slopes, nu, nu - degenerate_pair_count(E, k), remainders
+        nu, nondeg, remainders = slope_counts(E.spectrum_power()[None], E.indices()[None], E.q, E.dim, k)
+        return slopes, nu[0], nondeg[0], remainders[0]
     nondegenerate, degenerate = _brute_counts(E, k)
     return slopes, nondegenerate + degenerate, nondegenerate, None
 
@@ -301,22 +330,37 @@ class ThresholdReport:
         return all(o.nu_nondegenerate > 0 for o in self.outcomes)
 
 
+def threshold_lower_bound(size: int, q: int, k: int) -> Fraction:
+    """(|E|(|E|-1) - |E|(q^k-1)) / q^k, the bound nu(t) meets above the threshold."""
+    main, diag = _terms(size, q, k)
+    return main - diag
+
+
+def threshold_failures(nu: np.ndarray, size: int, q: int, k: int) -> np.ndarray:
+    """Elementwise witness failures of slope counts nu of size-`size` sets.
+
+    Above the threshold (size > q^k) a count fails when it is below the
+    lower bound; at or below it, when it is zero.
+    """
+    if size > q**k:
+        # nu is an integer, so nu < lower exactly when nu < ceil(lower)
+        return nu < ceil(threshold_lower_bound(size, q, k))
+    return nu == 0
+
+
 def theorem_main_threshold(E: PointSet, k: int, method: str = "spectral") -> ThresholdReport:
     """Sweep all slope tuples and test the size threshold |E| > q^k."""
     slopes, nu, nondeg, _ = _sweep(E, k, method)
     q = E.q
     size = E.cardinality
-    main, diag = _terms(size, q, k)
-    lower = main - diag
-    # nu is an integer, so nu < lower exactly when nu < ceil(lower)
-    failed = nu < ceil(lower) if size > q**k else nu == 0
+    failed = threshold_failures(nu, size, q, k)
     return ThresholdReport(
         q=q,
         dim=E.dim,
         k=k,
         set_size=size,
         threshold=q**k,
-        lower_bound=lower,
+        lower_bound=threshold_lower_bound(size, q, k),
         holds=not failed.any(),
         witness_failures=tuple(slopes[i] for i in np.flatnonzero(failed)),
         outcomes=tuple(map(SlopeOutcome, slopes, nu.tolist(), nondeg.tolist())),

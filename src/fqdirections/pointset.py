@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grid
 from .errors import FsetParseError, SizeCapError
-from .field import PrimeField
+from .field import PrimeField, prime_field
 from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, forward_transform
 
 
@@ -48,7 +48,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, q: int, dim: int, indices: Iterable[int], size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
-        field = PrimeField(q)
+        field = prime_field(q)
         n = check_size_cap(q, dim, size_cap)
         mask = np.zeros(n, dtype=bool)
         idx = np.asarray(list(indices), dtype=np.int64)
@@ -83,7 +83,7 @@ class PointSet:
 
     @classmethod
     def full(cls, q: int, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
-        field = PrimeField(q)
+        field = prime_field(q)
         n = check_size_cap(q, dim, size_cap)
         return cls(field, dim, np.ones(n, dtype=bool), size_cap)
 
@@ -159,7 +159,7 @@ class PointSet:
 
 def matrix_rank_mod(matrix: np.ndarray, q: int) -> int:
     """Rank of an integer matrix over F_q by exact Gaussian elimination."""
-    field = PrimeField(q)
+    field = prime_field(q)
     m = [[int(v) % q for v in row] for row in np.asarray(matrix)]
     rows, cols = len(m), len(m[0]) if m else 0
     rank = 0
@@ -233,7 +233,7 @@ def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
             if dim < 1:
                 raise FsetParseError(f"dimension must be >= 1, got {dim}", lineno)
             try:
-                PrimeField(q)
+                prime_field(q)
             except ValueError as exc:
                 raise FsetParseError(str(exc), lineno) from None
             try:

@@ -10,7 +10,9 @@ and by character orthogonality the inverse carries no normalization:
 
 Both are computed axis by axis: d successive length-q one-dimensional
 transforms, O(d * q^(d+1)) scalar operations in total.  No fast-transform
-algorithm is used; at desk scale none is needed.
+algorithm is used; at desk scale none is needed.  indicator_power runs the
+same transform on a stack of indicator tables at once, for campaigns that
+evaluate a block of sets together.
 """
 
 from __future__ import annotations
@@ -77,34 +79,56 @@ def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool) -
 
     out[..., m] = sum_x cube[..., x] * chi(-+ m*x), with the character read
     from the field's root table.  Output rows are produced in blocks so the
-    q x q character matrix never exceeds a few MiB even for large q.
+    q x q character matrix never exceeds a few MiB even for large q.  Each
+    block's product is written straight into the output rather than through
+    a full-size temporary: at q = 101, d = 3 that kept 16 MB off the peak
+    resident size of a spectrum query.
     """
     q = field.q
     roots = np.conj(field.roots) if conjugate else field.roots
     xs = np.arange(q)
-    out = np.empty_like(cube, dtype=np.complex128)
+    out = np.empty(cube.shape, dtype=np.complex128)
     step = max(1, (1 << 22) // q)
     for start in range(0, q, step):
         ms = np.arange(start, min(start + step, q))
         block = roots[np.multiply.outer(ms, xs) % q]
-        out[..., start : start + len(ms)] = cube @ block.T
+        np.matmul(cube, block.T, out=out[..., start : start + len(ms)])
     return out
 
 
 def _axis_by_axis(values: np.ndarray, field: PrimeField, dim: int, conjugate: bool) -> np.ndarray:
-    cube = values.reshape((field.q,) * dim)
-    # Transform the last axis, rotate it to the front; after dim rounds every
-    # axis is transformed exactly once and the original order is restored.
+    """Transform the last axis of values, a flat table or a stack of them, as a d-cube."""
+    batch = values.shape[:-1]
+    cube = values.reshape(batch + (field.q,) * dim)
+    # Transform the last axis, rotate it to the front of the cube; after dim
+    # rounds every axis is transformed exactly once and the original order
+    # is restored.  Each table of a stack goes through the same per-table
+    # products, so its row is bit-identical to transforming it alone.
     for _ in range(dim):
-        cube = np.moveaxis(_transform_last_axis(cube, field, conjugate), -1, 0)
-    return cube.reshape(-1)
+        cube = np.moveaxis(_transform_last_axis(cube, field, conjugate), -1, len(batch))
+    return cube.reshape(values.shape)
+
+
+def _forward_values(values: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
+    vals = _axis_by_axis(values, field, dim, conjugate=True)
+    vals *= float(field.q) ** (-dim)
+    return vals
 
 
 def forward_transform(f: GridFunction) -> Spectrum:
     """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x)."""
-    vals = _axis_by_axis(f.values, f.field, f.dim, conjugate=True)
-    vals *= float(f.field.q) ** (-f.dim)
-    return Spectrum(f.field, f.dim, vals, f.size_cap)
+    return Spectrum(f.field, f.dim, _forward_values(f.values, f.field, f.dim), f.size_cap)
+
+
+def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
+    """|Ehat(m)|^2 for a stack of sets, one row per row of flat point indices.
+
+    indices is (B, n): B sets of n distinct points each.  Row b equals
+    PointSet.spectrum_power() of set b bit for bit.
+    """
+    mask = np.zeros((len(indices), field.q**dim), dtype=np.complex128)
+    np.put_along_axis(mask, indices, 1.0, axis=1)
+    return np.abs(_forward_values(mask, field, dim)) ** 2
 
 
 def inverse_transform(spec: GridFunction) -> GridFunction:

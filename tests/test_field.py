@@ -3,7 +3,8 @@ import cmath
 import pytest
 from hypothesis import given, strategies as st
 
-from fqdirections.field import MAX_MODULUS, PrimeField, is_prime
+from fqdirections.field import MAX_MODULUS, PrimeField, is_prime, prime_field
+from fqdirections.pointset import PointSet
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -91,6 +92,18 @@ def test_equality_and_hash_by_modulus():
     assert PrimeField(5) != PrimeField(7)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
     assert PrimeField(5) != 5
+
+
+def test_prime_field_is_shared_and_validated():
+    field = prime_field(101)
+    assert prime_field(101) is field
+    assert PointSet.from_indices(101, 2, [0, 5]).field is field
+    assert PointSet.full(101, 1).field is field
+    prime_field(3)
+    # True, 3.0 and 4 hash or compare like valid moduli; none may hit the cache
+    for bad, error in ((True, TypeError), (3.0, TypeError), (4, ValueError), (MAX_MODULUS + 1, ValueError)):
+        with pytest.raises(error):
+            prime_field(bad)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

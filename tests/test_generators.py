@@ -9,8 +9,12 @@ from fqdirections.generators import (
     gen_paraboloid,
     gen_random,
     gen_subspace_random,
+    random_indices,
+    subspace_random_indices,
 )
+from fqdirections.grid import decode_indices
 from fqdirections.pointset import write_fset
+from fqdirections.rng import sample_without_replacement
 
 
 def test_gen_random_deterministic():
@@ -75,6 +79,15 @@ def test_gen_subspace_random():
         gen_subspace_random(5, 3, 1, 6, seed=0)  # only q points available
     with pytest.raises(ValueError):
         gen_subspace_random(5, 3, 4, 6, seed=0)
+
+
+def test_index_draws():
+    assert random_indices(7, 2, 10, seed=42) == sample_without_replacement(49, 10, 42)
+    # point j of the draw is the j-th sampled point of F_11^2, padded with zeros
+    picks = subspace_random_indices(11, 4, 2, 37, seed=3)
+    coords = decode_indices(picks, 11, 4)
+    assert (coords[:, 2:] == 0).all()
+    assert (coords[:, :2] == decode_indices(sample_without_replacement(121, 37, 3), 11, 2)).all()
 
 
 def test_generator_names_frozen():

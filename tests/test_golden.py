@@ -7,15 +7,20 @@ float column changes, a column is added), re-pin with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and log the re-pin, with its reason, in CHANGES.md.
+which first prints, per file, the columns that changed and in how many
+rows, and log the re-pin, with that summary and its reason, in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from pathlib import Path
 
 import pytest
 
+from fqdirections import harness
 from fqdirections.harness import CampaignConfig, emit_report, run_campaign
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -34,8 +39,8 @@ CONFIGS = {
 FORMATS = ("csv", "json")
 
 
-def _render(name: str, format: str) -> bytes:
-    result = run_campaign(CampaignConfig.from_mapping(CONFIGS[name]))
+def _render(name: str, format: str, **overrides) -> bytes:
+    result = run_campaign(CampaignConfig.from_mapping({**CONFIGS[name], **overrides}))
     return emit_report(result, format).encode("ascii")
 
 
@@ -46,10 +51,65 @@ def test_report_matches_golden(name, format):
     assert _render(name, format) == golden
 
 
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize("name", ["salem-bounds", "theorem-main"])
+def test_report_matches_golden_with_two_threads(name, format, monkeypatch):
+    # several theorem-main blocks per cell, so the two threads share the work
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+    golden = (GOLDEN_DIR / f"{name}.{format}").read_bytes()
+    if format == "json":
+        # the config echo is the one place the thread count appears
+        assert golden.count(b'"threads": 1,') == 1
+        golden = golden.replace(b'"threads": 1,', b'"threads": 2,')
+    assert _render(name, format, threads=2) == golden
+
+
+def _rows(text: str, format: str) -> tuple[list[dict], dict]:
+    """A report's rows, and for JSON its other top-level entries."""
+    if format == "csv":
+        return list(csv.DictReader(io.StringIO(text))), {}
+    doc = json.loads(text)
+    return doc.pop("rows"), doc
+
+
+def change_summary(old: str, new: str, format: str) -> str:
+    """Which columns changed between two renderings of a report, and in how many rows."""
+    old_rows, old_rest = _rows(old, format)
+    new_rows, new_rest = _rows(new, format)
+    n = max(len(old_rows), len(new_rows))
+    columns = dict.fromkeys(key for row in old_rows + new_rows for key in row)
+    changes = []
+    for col in columns:
+        count = sum(
+            i >= len(old_rows) or i >= len(new_rows) or old_rows[i].get(col) != new_rows[i].get(col)
+            for i in range(n)
+        )
+        if count:
+            changes.append(f"{col} in {count} of {n} rows")
+    if len(old_rows) != len(new_rows):
+        changes.append(f"row count {len(old_rows)} -> {len(new_rows)}")
+    changes += [f"{key} section" for key in dict.fromkeys([*old_rest, *new_rest]) if old_rest.get(key) != new_rest.get(key)]
+    return "changed: " + ", ".join(changes) if changes else "unchanged"
+
+
+def test_change_summary_names_columns_and_rows():
+    old = "a,b\n1,2\n3,4\n"
+    assert change_summary(old, old, "csv") == "unchanged"
+    summary = change_summary(old, "a,b\n1,5\n3,4\n5,6\n", "csv")
+    assert summary == "changed: a in 1 of 3 rows, b in 2 of 3 rows, row count 2 -> 3"
+    doc = {"kind": "x", "rows": [{"a": 1}, {"a": 2}], "ok": True}
+    assert change_summary(json.dumps(doc), json.dumps({**doc, "rows": [{"a": 1}, {"a": 3}], "ok": False}), "json") == (
+        "changed: a in 1 of 2 rows, ok section"
+    )
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(CONFIGS):
-        for format in FORMATS:
-            path = GOLDEN_DIR / f"{name}.{format}"
-            path.write_bytes(_render(name, format))
-            print(f"wrote {path}")
+    rendered = {(name, fmt): _render(name, fmt) for name in sorted(CONFIGS) for fmt in FORMATS}
+    for (name, fmt), text in rendered.items():
+        path = GOLDEN_DIR / f"{name}.{fmt}"
+        old = path.read_text(encoding="ascii") if path.exists() else None
+        print(f"{path}: {'new file' if old is None else change_summary(old, text.decode('ascii'), fmt)}")
+    for (name, fmt), text in rendered.items():
+        path = GOLDEN_DIR / f"{name}.{fmt}"
+        path.write_bytes(text)
+        print(f"wrote {path}")

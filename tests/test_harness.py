@@ -14,7 +14,7 @@ from fqdirections.harness import (
     CampaignConfig,
     CampaignResult,
     Cell,
-    _theorem_outcome,
+    _theorem_block,
     emit_report,
     evaluate_size,
     run_campaign,
@@ -328,7 +328,7 @@ def test_readme_column_lists_match_report_columns():
 
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
-    row = _theorem_outcome(E, cell, 0, None)[0]
+    row = _theorem_block(cell, [0], [None], E.indices()[None])[0][0]
     return row["literal_subset"]
 
 

@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from fqdirections.errors import SizeCapError
 from fqdirections.field import PrimeField
+from fqdirections.generators import gen_random
 from fqdirections.spectral import (
     GridFunction,
     Spectrum,
     check_size_cap,
     forward_transform,
+    indicator_power,
     inverse_transform,
     plancherel_defect,
 )
@@ -112,3 +114,13 @@ def test_linearity():
     lhs = forward_transform(combo).values
     rhs = 2.0 * forward_transform(a).values - 3j * forward_transform(b).values
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("q,d,n,sets", [(3, 2, 4, 6), (5, 3, 9, 4), (11, 3, 30, 3), (2, 5, 7, 5), (7, 4, 20, 2)])
+def test_indicator_power_rows_equal_single_set_power(q, d, n, sets):
+    # a row of the stacked transform is bit-identical to the set's own
+    # spectrum, so guard-band errors name the same floats either way
+    members = [gen_random(q, d, n, seed) for seed in range(sets)]
+    stack = indicator_power(np.array([E.indices() for E in members]), PrimeField(q), d)
+    for row, E in zip(stack, members):
+        assert np.array_equal(row, E.spectrum_power())

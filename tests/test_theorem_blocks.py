@@ -1,0 +1,183 @@
+"""Theorem-main cells are evaluated a block of sets at a time.
+
+Every batched row must equal the row built for its set alone from
+theorem_main_threshold and direction_set, the one-set entry points, with the
+literal_subset rule written out as the enumeration it replaces.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fqdirections import directions, harness, incidence
+from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
+from fqdirections.errors import NumericalInconsistencyError
+from fqdirections.generators import gen_random, gen_subspace_random
+from fqdirections.harness import CampaignConfig, Cell, _theorem_block, verify_theorem_main
+from fqdirections.incidence import theorem_main_threshold
+from fqdirections.pointset import PointSet, format_fset
+
+import numpy as np
+
+
+def _reference_row(E: PointSet, cell: Cell, trial: int, seed: int | None) -> dict:
+    q, d, k = cell.q, cell.d, cell.k
+    report = theorem_main_threshold(E, k)
+    dirs = direction_set(E)
+    ambient_n = ambient_direction_count(q, d)
+    full = len(dirs) == ambient_n
+    hard = report.above_threshold and (not report.holds or (k == d - 1 and not full))
+    return {
+        "kind": "theorem-main", "q": q, "d": d, "k": k, "size": cell.size, "mode": cell.mode,
+        "trial": trial, "trial_seed": seed,
+        "nu_min": report.min_nu, "lower_bound": report.lower_bound, "threshold_holds": report.holds,
+        "slope_pattern_covered": report.slope_pattern_covered,
+        "literal_subset": coordinate_subspace_directions(q, d, k + 1) <= dirs,
+        "direction_count": len(dirs), "ambient_count": ambient_n, "full_coverage": full,
+        "hard_fail": hard, "soft_flags": (),
+    }
+
+
+def _reference_sets(config: CampaignConfig, cell: Cell):
+    """(trial, seed, set) in trial order, drawn by the public generators."""
+    if cell.mode == "exhaustive":
+        for trial, picks in enumerate(combinations(range(cell.q**cell.d), cell.size)):
+            yield trial, None, PointSet.from_indices(cell.q, cell.d, picks)
+        return
+    for trial in range(config.trials):
+        seed = harness._trial_seed(config, cell, trial)
+        if config.generator == "subspace-random":
+            yield trial, seed, gen_subspace_random(cell.q, cell.d, cell.k + 1, cell.size, seed)
+        else:
+            yield trial, seed, gen_random(cell.q, cell.d, cell.size, seed)
+
+
+def _assert_matches_per_set(config: CampaignConfig) -> None:
+    result = verify_theorem_main(config)
+    expected = [
+        _reference_row(E, cell, trial, seed)
+        for cell in harness._expand_cells(config)
+        for trial, seed, E in _reference_sets(config, cell)
+    ]
+    assert list(result.rows) == expected
+
+
+@st.composite
+def _blocks(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(2, 4 if q < 5 else 3))
+    k = draw(st.integers(1, d - 1))
+    n = draw(st.integers(1, min(q**d, 12)))
+    picks = draw(
+        st.lists(st.lists(st.integers(0, q**d - 1), min_size=n, max_size=n, unique=True), min_size=1, max_size=5)
+    )
+    return Cell(q, d, k, n, "random"), np.array(picks, dtype=np.int64)
+
+
+@given(_blocks())
+@settings(max_examples=80, deadline=None)
+def test_block_rows_match_per_set_rows(block):
+    cell, picks = block
+    trials = range(len(picks))
+    rows = [row for row, _, _ in _theorem_block(cell, trials, list(trials), picks)]
+    expected = [
+        _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t) for t, p in zip(trials, picks)
+    ]
+    assert rows == expected
+
+
+CELL_CONFIGS = {
+    "exhaustive": {"kind": "theorem-main", "q": 2, "d": 3, "sizes": ["q^k", "q^k+1"], "mode": "exhaustive"},
+    "exhaustive-plane": {"kind": "theorem-main", "q": 3, "d": 2, "k": 1, "sizes": [1, 2, "q^k+1"], "mode": "exhaustive"},
+    "random": {"kind": "theorem-main", "q": 5, "d": [3, 4], "trials": 9, "seed": 4, "mode": "random"},
+    "subspace-random": {
+        "kind": "theorem-main", "q": 3, "d": 4, "k": [1, 2], "sizes": ["q^k", "q^k+1"], "trials": 8,
+        "seed": 9, "mode": "random", "generator": "subspace-random",
+    },
+}
+
+
+# whole cells per block (the defaults), one set per block (cells), one per
+# block (pairs), and several sets per block with a partial last block; with
+# small blocks the inner pair and slope blocks shrink too
+BUDGETS = [{}, {"_BLOCK_CELLS": 1}, {"_BLOCK_PAIRS": 7}, {"_BLOCK_PAIRS": 100}]
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()) or "default")
+@pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
+def test_campaign_rows_match_per_set_rows(name, budget, monkeypatch):
+    for key, value in budget.items():
+        monkeypatch.setattr(harness, key, value)
+    if budget:
+        monkeypatch.setattr(directions, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(incidence, "_SLOPE_BLOCK", 1)
+    _assert_matches_per_set(CampaignConfig.from_mapping(CELL_CONFIGS[name]))
+
+
+def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
+    # no set breaks the theorem, so fail every slope to flag every set
+    monkeypatch.setattr(harness, "threshold_failures", lambda nu, size, q, k: nu >= 0)
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+    config = CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive-plane"])
+    result = verify_theorem_main(config)
+    flagged = [
+        (cell.size, trial, format_fset(E))
+        for cell in harness._expand_cells(config)
+        if cell.size > cell.q**cell.k
+        for trial, _, E in _reference_sets(config, cell)
+    ]
+    assert [(c["size"], c["trial"], c["fset"]) for c in result.counterexamples] == flagged
+    assert {c["reason"] for c in result.counterexamples} == {"nu-threshold"}
+    assert all(row["hard_fail"] == (row["size"] > 3) for row in result.rows)
+
+
+# -- guard band ------------------------------------------------------------
+
+Q, D = 5, 3
+
+
+def _perturb(power: np.ndarray, slopes: tuple[int, ...]) -> None:
+    # for k = 1 the frequency (t, -1, 0) is probed by slope t alone, so
+    # raising its power pushes exactly that slope's value 0.3 off an integer
+    for t in slopes:
+        power[t * Q ** (D - 1) + (Q - 1) * Q ** (D - 2)] += 0.3 / Q ** (2 * D - 1)
+
+
+def test_guard_band_failure_inside_a_block(monkeypatch):
+    # trials 3-5 share a block; trial 4 fails at slopes 3 and 4, trial 5 at
+    # slope 1, so the error must name slope 3: the first failing slope of the
+    # first failing set in trial order, not the first failing slope overall
+    config = CampaignConfig.from_mapping(
+        {"kind": "theorem-main", "q": Q, "d": D, "k": 1, "sizes": [9], "trials": 6, "seed": 2, "mode": "random"}
+    )
+    cell = harness._expand_cells(config)[0]
+    sets = {trial: E for trial, _, E in _reference_sets(config, cell)}
+    faults = {4: (3, 4), 5: (1,)}
+    expected = {}
+    for trial, slopes in faults.items():
+        E = sets[trial]
+        power = E.spectrum_power().copy()
+        _perturb(power, slopes)
+        E._spectrum_power = power
+        with pytest.raises(NumericalInconsistencyError) as err:
+            theorem_main_threshold(E, 1)
+        expected[trial] = str(err.value)
+    assert expected[4].endswith("at slope (3,)") and expected[5].endswith("at slope (1,)")
+
+    original = harness.indicator_power
+    faulty = {tuple(sets[t].indices().tolist()): slopes for t, slopes in faults.items()}
+
+    def perturbed_power(picks, field, dim):
+        power = original(picks, field, dim)
+        for row, points in zip(power, picks):
+            _perturb(row, faulty.get(tuple(sorted(points.tolist())), ()))
+        return power
+
+    monkeypatch.setattr(harness, "indicator_power", perturbed_power)
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
+    with pytest.raises(NumericalInconsistencyError) as err:
+        verify_theorem_main(config)
+    assert str(err.value) == expected[4]
