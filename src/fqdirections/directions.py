@@ -61,20 +61,6 @@ def canonicalize_rows(diffs: np.ndarray, field: PrimeField) -> np.ndarray:
     return (diffs * scale[:, None]) % q
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array.
-
-    The sort-and-compare form of np.unique.  numpy 2.x's np.unique routes
-    integer input through a hash set whose per-element allocations fragment
-    the heap: with 16 MB spectra in the same process, peak RSS came out
-    16-32 MB higher in some runs at q = 101, d = 3.
-    """
-    ordered = np.sort(codes)
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
-
-
 def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
     """Sorted distinct canonical codes of the nonzero vectors among the given codes.
 
@@ -85,12 +71,12 @@ def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
     once.
     """
     q = field.q
-    distinct = _distinct(codes)
+    distinct = grid.distinct(codes)
     local = distinct % q**d
     nonzero = local != 0
     distinct, local = distinct[nonzero], local[nonzero]
     canon = grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, d), field), q)
-    return _distinct(canon + (distinct - local))
+    return grid.distinct(canon + (distinct - local))
 
 
 def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
@@ -118,7 +104,7 @@ def pair_codes(indices: np.ndarray, q: int, d: int) -> np.ndarray:
     for start in range(0, n, rows):
         block = ((coords[:, start : start + rows, None, :] - coords[:, None, :, :]) % q) @ weights
         block += offsets
-        codes.append(_distinct(block.ravel()))
+        codes.append(grid.distinct(block.ravel()))
     return np.concatenate(codes)
 
 

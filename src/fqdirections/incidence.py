@@ -187,7 +187,8 @@ def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, .
     rows = max(1, _SLOPE_BLOCK // (len(power) * len(rest)))
     sums = np.empty((len(power), len(T)))
     for start in range(0, len(T), rows):
-        first = (T[start : start + rows] @ svecs_t) % q
+        # einsum: numpy's integer matmul runs a slower generic loop
+        first = np.einsum("ik,kj->ij", T[start : start + rows], svecs_t) % q
         sums[:, start : start + rows] = power[:, first * q ** (d - 1) + rest].sum(axis=2)
     return q ** (2 * d - k) * sums
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import grid
 from .errors import FsetParseError, SizeCapError
 from .field import PrimeField, prime_field
-from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, forward_transform
+from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, indicator_spectrum
 
 
 class PointSet:
@@ -95,7 +95,7 @@ class PointSet:
 
     @property
     def cardinality(self) -> int:
-        return int(self.mask.sum())
+        return len(self.indices())
 
     def indices(self) -> np.ndarray:
         if self._indices is None:
@@ -142,7 +142,8 @@ class PointSet:
     def spectrum(self) -> Spectrum:
         """Fourier coefficients of the indicator, cached after the first call."""
         if self._spectrum is None:
-            self._spectrum = forward_transform(self.indicator())
+            values = indicator_spectrum(self.indices()[None], self.field, self.dim)[0]
+            self._spectrum = Spectrum(self.field, self.dim, values, self.size_cap)
         return self._spectrum
 
     def spectrum_power(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .directions import directions_of_codes
+from .directions import canonical_codes
 from .errors import NumericalInconsistencyError
 from .pointset import PointSet
 from .spectral import GridFunction, forward_transform
@@ -74,8 +74,7 @@ class DifferenceProfile:
                 f"sum of squared multiplicities may overflow int64 for |E|^2 = {self.total} "
                 f"(exact below |E| = 2^21)"
             )
-        vals = self.mu[self.mu > 0]
-        return int(vals @ vals)
+        return int(self.mu @ self.mu)
 
 
 def difference_profile(E: PointSet) -> DifferenceProfile:
@@ -172,7 +171,7 @@ def difference_bound_check(E: PointSet) -> BoundCheckRecord:
     q, d = E.q, E.dim
     size = E.cardinality
     prof = difference_profile(E)
-    dirs = len(directions_of_codes(np.flatnonzero(prof.mu), E.field, d))
+    dirs = len(canonical_codes(np.flatnonzero(prof.mu), E.field, d))
     lhs = prof.sum_of_squares()
     rhs = float(q) ** (3 * d) * float(np.sum(E.spectrum_power() ** 2))
     defect_rel = abs(lhs - rhs) / max(1.0, float(lhs))

@@ -9,18 +9,28 @@ and by character orthogonality the inverse carries no normalization:
     f(x) = sum_m chi(x . m) fhat(m).
 
 Both are computed axis by axis: d successive length-q one-dimensional
-transforms, O(d * q^(d+1)) scalar operations in total.  No fast-transform
-algorithm is used; at desk scale none is needed.  indicator_power runs the
-same transform on a stack of indicator tables at once, for campaigns that
-evaluate a block of sets together.
+transforms, pass j (j = 0, ..., d-1) along coordinate d-j.  No
+fast-transform algorithm is used; at desk scale none is needed.
+
+A pass only multiplies rows whose untransformed prefix (x_1, ..., x_(d-1-j))
+holds a nonzero value; every other row of its input is zero and is neither
+stored nor multiplied.  Pass j therefore costs q^(j+2) operations per live
+prefix: at most q^(d+1), O(d * q^(d+1)) in all, and for a set of n points at
+most n * q^(j+2).  At q = 101, d = 3 a random set of 102 points leaves 102 of
+10,201 rows live in pass 0, about 64% in pass 1 and all in pass 2.
+indicator_spectrum and indicator_power feed the loop straight from point
+indices, for one set or a stack of sets at once (campaigns evaluate a block
+of sets together), so no dense indicator table is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import grid
 from .errors import SizeCapError
 from .field import PrimeField
 
@@ -74,20 +84,20 @@ class Spectrum(GridFunction):
     """Fourier coefficients fhat(m) for all m, same layout as the source."""
 
 
-def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool) -> np.ndarray:
+def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool, out: np.ndarray) -> np.ndarray:
     """One-dimensional character transform along the last axis.
 
-    out[..., m] = sum_x cube[..., x] * chi(-+ m*x), with the character read
-    from the field's root table.  Output rows are produced in blocks so the
-    q x q character matrix never exceeds a few MiB even for large q.  Each
-    block's product is written straight into the output rather than through
-    a full-size temporary: at q = 101, d = 3 that kept 16 MB off the peak
+    out[..., m] = sum_x cube[..., x] * chi(-+ m*x), written into out, a
+    C-ordered array of cube's shape, with the character read from the
+    field's root table.  Output rows are produced in blocks so the q x q
+    character matrix never exceeds a few MiB even for large q.  Each block's
+    product is written straight into the output rather than through a
+    full-size temporary: at q = 101, d = 3 that kept 16 MB off the peak
     resident size of a spectrum query.
     """
     q = field.q
     roots = np.conj(field.roots) if conjugate else field.roots
     xs = np.arange(q)
-    out = np.empty(cube.shape, dtype=np.complex128)
     step = max(1, (1 << 22) // q)
     for start in range(0, q, step):
         ms = np.arange(start, min(start + step, q))
@@ -96,28 +106,113 @@ def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool) -
     return out
 
 
-def _axis_by_axis(values: np.ndarray, field: PrimeField, dim: int, conjugate: bool) -> np.ndarray:
-    """Transform the last axis of values, a flat table or a stack of them, as a d-cube."""
-    batch = values.shape[:-1]
-    cube = values.reshape(batch + (field.q,) * dim)
-    # Transform the last axis, rotate it to the front of the cube; after dim
-    # rounds every axis is transformed exactly once and the original order
-    # is restored.  Each table of a stack goes through the same per-table
-    # products, so its row is bit-identical to transforming it alone.
-    for _ in range(dim):
-        cube = np.moveaxis(_transform_last_axis(cube, field, conjugate), -1, len(batch))
-    return cube.reshape(values.shape)
+def _axis_by_axis(
+    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, conjugate: bool
+) -> np.ndarray:
+    """Transform a stack of `tables` flat q^d tables, given only their live rows.
+
+    View the stack as (tables * q^(d-1), q) rows along coordinate d.  rows
+    holds the rows with a nonzero value and keys their ascending row numbers
+    b q^(d-1) + (x_1, ..., x_(d-1)) in mixed radix; every other row is
+    zero.  Returns the (tables, q^d) transform.
+
+    Pass j (j = 0, ..., d-1) transforms coordinate d-j.  A row of its input
+    is fixed by its key (b, x_1, ..., x_(d-1-j)) and the frequencies that
+    earlier passes produced, and it is zero unless its key prefixes a live
+    key of pass 0.  So each pass holds only its P live keys, as a
+    (P, q, ..., q) array whose last axis is coordinate d-j, and passes its
+    output, keyed by the distinct key // q, to the next.  Every row meets
+    the same character products as in the whole cube, through the same kind
+    of matrix product, so values are bit-identical to transforming the
+    whole cube; zero rows are neither stored nor multiplied.
+    """
+    q = field.q
+    if len(keys) == 1 and tables * q ** (dim - 1) > 1:
+        # numpy sends a one-row product to gemv, which rounds unlike the gemm
+        # that transforms a whole table; a zero row beside it keeps the gemm
+        zero = np.zeros((1, q), dtype=np.complex128)
+        if keys[0]:
+            keys, rows = np.array([keys[0] - 1, keys[0]]), np.concatenate([zero, rows])
+        else:
+            keys, rows = np.array([0, 1]), np.concatenate([rows, zero])
+    # Two whole-stack buffers serve every pass: a pass writes its output into
+    # the front of one, its live rows are scattered into the other as the
+    # next pass's input, and the last output is reordered into the spare one.
+    # Large arrays sized by the live rows instead fragmented the heap: with
+    # 16 MB spectra in the same process, peak RSS at q = 101, d = 3 read
+    # 84.9 MB for some random sets and 92.4 MB for others.
+    spare = np.empty(tables * q**dim, dtype=np.complex128)
+    work = np.empty(tables * q**dim, dtype=np.complex128)
+    for j in range(dim):
+        out = _transform_last_axis(rows, field, conjugate, work[: rows.size].reshape(rows.shape))
+        if j == dim - 1:
+            break
+        # keys ascend, so a key's parent key // q starts a new parent exactly
+        # where it differs from the previous one
+        up, digit = np.divmod(keys, q)
+        starts = np.ones(len(up), dtype=bool)
+        starts[1:] = up[1:] != up[:-1]
+        keys = up[starts]
+        # a key's last digit is the coordinate the next pass transforms: give
+        # each key's frequencies their slot under its parent (where every
+        # parent has all q digits that slot is where they already are, and
+        # the buffers swap roles), then view that coordinate last, as the
+        # whole-cube loop's rotation did
+        shape = (len(keys), q) + out.shape[1:]
+        if len(digit) == len(keys) * q:
+            block = out.reshape(shape)
+            work, spare = spare, work
+        else:
+            block = spare[: math.prod(shape)].reshape(shape)
+            block.fill(0)
+            block[np.cumsum(starts) - 1, digit] = out
+        rows = block.transpose(0, *range(2, j + 3), 1)
+    # out is (live tables, m_d, ..., m_1): each pass put its frequency last
+    spectra = out.transpose(0, *range(dim, 0, -1))
+    result = spare.reshape((tables,) + (q,) * dim)
+    if len(keys) == tables:
+        result[...] = spectra
+    else:
+        result.fill(0)
+        result[keys] = spectra
+    return spare.reshape(tables, q**dim)
 
 
-def _forward_values(values: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
-    vals = _axis_by_axis(values, field, dim, conjugate=True)
+def _live_rows(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-pass rows with a nonzero value of a flat table or a flattened stack, and their keys."""
+    table = values.reshape(-1, q)
+    keys = np.flatnonzero((table != 0).any(axis=1))
+    # with every row live the table itself is the input, not a second copy
+    return (table if len(keys) == len(table) else table[keys]), keys
+
+
+def _forward_values(rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int) -> np.ndarray:
+    vals = _axis_by_axis(rows, keys, tables, field, dim, conjugate=True)
     vals *= float(field.q) ** (-dim)
     return vals
 
 
 def forward_transform(f: GridFunction) -> Spectrum:
     """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x)."""
-    return Spectrum(f.field, f.dim, _forward_values(f.values, f.field, f.dim), f.size_cap)
+    rows, keys = _live_rows(f.values, f.field.q)
+    return Spectrum(f.field, f.dim, _forward_values(rows, keys, 1, f.field, f.dim)[0], f.size_cap)
+
+
+def indicator_spectrum(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
+    """Ehat(m) for a stack of sets, one row per row of flat point indices.
+
+    indices is (B, n): B sets of n distinct points each.  The transform is
+    fed the sets' live rows straight from the indices, so no dense indicator
+    is built.  Row b equals forward_transform of set b's indicator bit for
+    bit.
+    """
+    q = field.q
+    prefixes, last = np.divmod(indices, q)
+    point_keys = (q ** (dim - 1) * np.arange(len(indices))[:, None] + prefixes).ravel()
+    keys = grid.distinct(point_keys)
+    rows = np.zeros((len(keys), q), dtype=np.complex128)
+    rows[np.searchsorted(keys, point_keys), last.ravel()] = 1.0
+    return _forward_values(rows, keys, len(indices), field, dim)
 
 
 def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
@@ -126,15 +221,14 @@ def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndar
     indices is (B, n): B sets of n distinct points each.  Row b equals
     PointSet.spectrum_power() of set b bit for bit.
     """
-    mask = np.zeros((len(indices), field.q**dim), dtype=np.complex128)
-    np.put_along_axis(mask, indices, 1.0, axis=1)
-    return np.abs(_forward_values(mask, field, dim)) ** 2
+    return np.abs(indicator_spectrum(indices, field, dim)) ** 2
 
 
 def inverse_transform(spec: GridFunction) -> GridFunction:
     """Inverse transform: f(x) = sum_m chi(x.m) fhat(m)."""
-    vals = _axis_by_axis(spec.values, spec.field, spec.dim, conjugate=False)
-    return GridFunction(spec.field, spec.dim, vals, spec.size_cap)
+    rows, keys = _live_rows(spec.values, spec.field.q)
+    vals = _axis_by_axis(rows, keys, 1, spec.field, spec.dim, conjugate=False)
+    return GridFunction(spec.field, spec.dim, vals[0], spec.size_cap)
 
 
 def plancherel_defect(f: GridFunction) -> float:

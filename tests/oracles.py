@@ -85,3 +85,20 @@ def mu_direct(points, q: int) -> dict[tuple[int, ...], int]:
             z = tuple((a - b) % q for a, b in zip(x, y))
             table[z] = table.get(z, 0) + 1
     return table
+
+
+def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int, conjugate: bool) -> np.ndarray:
+    """The whole-cube axis-by-axis transform of a flat table or a (B, q^d) stack.
+
+    Every row of every pass is multiplied, zero or not: the last axis of the
+    cube goes through the q x q character matrix and the new frequency axis
+    is rotated to the front.  The live-row loop must reproduce it bit for
+    bit, since it runs the same matrix products on the rows it keeps.
+    Unscaled: the forward transform multiplies by q^(-d) afterwards.
+    """
+    batch = values.shape[:-1]
+    cube = values.reshape(batch + (q,) * d)
+    chars = (np.conj(roots) if conjugate else roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
+    for _ in range(d):
+        cube = np.moveaxis(np.matmul(cube, chars.T), -1, len(batch))
+    return cube.reshape(values.shape)

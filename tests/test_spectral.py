@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqdirections.errors import SizeCapError
-from fqdirections.field import PrimeField
+from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_random
+from fqdirections.pointset import PointSet
 from fqdirections.spectral import (
     GridFunction,
     Spectrum,
+    _axis_by_axis,
+    _live_rows,
     check_size_cap,
     forward_transform,
     indicator_power,
+    indicator_spectrum,
     inverse_transform,
     plancherel_defect,
 )
@@ -124,3 +130,131 @@ def test_indicator_power_rows_equal_single_set_power(q, d, n, sets):
     stack = indicator_power(np.array([E.indices() for E in members]), PrimeField(q), d)
     for row, E in zip(stack, members):
         assert np.array_equal(row, E.spectrum_power())
+
+
+# -- live-row transform against the whole-cube loop ------------------------
+
+
+def dense_forward(values, q, d):
+    return oracles.dense_axis_by_axis(values, prime_field(q).roots, q, d, conjugate=True) * float(q) ** (-d)
+
+
+def stack_transform(stack, q, d, conjugate):
+    """The live-row loop on a (B, q^d) stack of general tables, unscaled."""
+    rows, keys = _live_rows(stack, q)
+    return _axis_by_axis(rows, keys, len(stack), prime_field(q), d, conjugate)
+
+
+@st.composite
+def _index_stacks(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(min_value=1, max_value=3 if q == 7 else 4))
+    n = draw(st.integers(min_value=0, max_value=min(q**d, 12)))
+    sets = draw(st.integers(min_value=1, max_value=5))
+    points = st.lists(st.integers(min_value=0, max_value=q**d - 1), min_size=n, max_size=n, unique=True)
+    return q, d, np.array(draw(st.lists(points, min_size=sets, max_size=sets)), dtype=np.int64).reshape(sets, n)
+
+
+@given(_index_stacks())
+@settings(max_examples=150, deadline=None)
+def test_indicator_stack_matches_dense_loop(case):
+    q, d, indices = case
+    masks = np.zeros((len(indices), q**d), dtype=np.complex128)
+    np.put_along_axis(masks, indices, 1.0, axis=1)
+    spectrum = indicator_spectrum(indices, prime_field(q), d)
+    assert np.array_equal(spectrum, dense_forward(masks, q, d))
+    assert np.array_equal(indicator_power(indices, prime_field(q), d), np.abs(spectrum) ** 2)
+
+
+@given(_index_stacks(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_general_stack_matches_dense_loop(case, seed):
+    # random values on a random subset of rows, whole tables left empty
+    q, d, indices = case
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(len(indices), q**d)) + 1j * rng.normal(size=(len(indices), q**d))
+    stack.reshape(-1, q)[rng.random(len(indices) * q ** (d - 1)) < 0.6] = 0
+    stack[rng.random(len(indices)) < 0.3] = 0
+    for conjugate in (True, False):
+        reference = oracles.dense_axis_by_axis(stack, prime_field(q).roots, q, d, conjugate)
+        assert np.array_equal(stack_transform(stack, q, d, conjugate), reference)
+
+
+@pytest.mark.parametrize(
+    "q,d,points",
+    [
+        (5, 3, []),  # empty set
+        (5, 3, [0]),  # singleton on the first row
+        (5, 3, [124]),  # singleton on the last row
+        (7, 2, [17]),
+        (3, 3, list(range(27))),  # full grid
+        (2, 1, [1]),
+        (3, 1, []),
+        (7, 1, [0, 3, 6]),
+        (7, 1, list(range(7))),
+    ],
+)
+def test_live_row_edge_cases(q, d, points):
+    E = PointSet.from_indices(q, d, points)
+    reference = dense_forward(E.indicator().values, q, d)
+    assert np.array_equal(E.spectrum().values, reference)
+    assert np.array_equal(forward_transform(E.indicator()).values, reference)
+    inverse = oracles.dense_axis_by_axis(reference, prime_field(q).roots, q, d, conjugate=False)
+    assert np.array_equal(inverse_transform(E.spectrum()).values, inverse)
+
+
+@pytest.mark.parametrize("q,d", [(5, 3), (7, 2), (3, 1), (2, 1)])
+def test_stack_mixing_empty_and_nonempty_tables(q, d):
+    stack = np.zeros((4, q**d), dtype=np.complex128)
+    stack[1, 0] = 1.0
+    stack[3, [1, q**d - 1]] = [2.0, -1j]
+    reference = oracles.dense_axis_by_axis(stack, prime_field(q).roots, q, d, conjugate=True)
+    assert np.array_equal(stack_transform(stack, q, d, conjugate=True), reference)
+    assert not stack_transform(stack, q, d, conjugate=True)[[0, 2]].any()
+
+
+@pytest.mark.parametrize("q,d", [(5, 3), (7, 2), (3, 1), (101, 2)])
+def test_one_live_row_matches_dense_loop(q, d):
+    # numpy would send a one-row product to gemv, which rounds unlike gemm
+    rng = np.random.default_rng(q * d)
+    for row in (0, q ** (d - 1) - 1):
+        values = np.zeros(q**d, dtype=np.complex128)
+        values[row * q : (row + 1) * q] = rng.normal(size=q) + 1j * rng.normal(size=q)
+        spec = forward_transform(GridFunction(prime_field(q), d, values))
+        assert np.array_equal(spec.values, dense_forward(values, q, d))
+
+
+@given(_index_stacks())
+@settings(max_examples=60, deadline=None)
+def test_pointset_spectrum_equals_transform_of_indicator(case):
+    q, d, indices = case
+    E = PointSet.from_indices(q, d, indices[0])
+    assert np.array_equal(E.spectrum().values, forward_transform(E.indicator()).values)
+
+
+def test_spectrum_power_peak_memory():
+    # the transform holds two complex tables, one of which becomes the cached
+    # spectrum; the power (float) is built after the other is freed
+    q, d = 61, 3
+    E = gen_random(q, d, q + 1, seed=5)
+    tracemalloc.start()
+    try:
+        E.spectrum_power()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * q**d
+
+
+def test_dense_transform_peak_memory():
+    # every row live: each pass reads one buffer and writes the other, with
+    # no third table for a product whose input and output overlap
+    q, d = 61, 3
+    f = GridFunction(prime_field(q), d, np.random.default_rng(3).random(q**d) + 1.0)
+    tracemalloc.start()
+    try:
+        forward_transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * q**d
