@@ -17,15 +17,7 @@ import click
 
 from .directions import direction_set, sort_directions
 from .errors import ConfigError, FsetParseError, NumericalInconsistencyError, SizeCapError
-from .generators import (
-    GENERATOR_NAMES,
-    gen_affine_subspace,
-    gen_coordinate_subspace,
-    gen_embedded,
-    gen_paraboloid,
-    gen_random,
-    gen_subspace_random,
-)
+from .generators import FAMILIES, GENERATOR_NAMES
 from .harness import GENERATORS, KINDS, MODES, CampaignConfig, run_campaign, write_report
 from .incidence import nu_brute, nu_spectral, nu_sweep
 from .pointset import format_fset, read_fset
@@ -81,16 +73,6 @@ def main(ctx: click.Context, threads: int | None) -> None:
     ctx.obj["threads"] = threads
 
 
-_FAMILY_PARAMS = {
-    "random": ("q", "d", "n", "seed"),
-    "coordinate-subspace": ("q", "d", "k"),
-    "affine-subspace": ("q", "d", "k", "shift"),
-    "paraboloid": ("q", "d"),
-    "embedded": ("in", "d"),
-    "subspace-random": ("q", "d", "m", "n", "seed"),
-}
-
-
 @main.command("gen")
 @click.option("--family", type=click.Choice(GENERATOR_NAMES), required=True)
 @click.option("--q", type=int, default=None, help="Field modulus (prime).")
@@ -113,25 +95,15 @@ def gen_cmd(family, q, d, k, m, n, seed, shift, in_path, out) -> None:
         )
         if value is not None
     }
-    wanted = _FAMILY_PARAMS[family]
+    generate, wanted = FAMILIES[family]
     missing = [p for p in wanted if p not in provided]
     extra = [p for p in provided if p not in wanted]
     if missing:
         raise ConfigError(f"family {family} needs --{', --'.join(missing)}")
     if extra:
         raise ConfigError(f"family {family} does not take --{', --'.join(extra)}")
-    if family == "random":
-        E = gen_random(q, d, n, seed)
-    elif family == "coordinate-subspace":
-        E = gen_coordinate_subspace(q, d, k)
-    elif family == "affine-subspace":
-        E = gen_affine_subspace(q, d, k, _parse_vector(shift))
-    elif family == "paraboloid":
-        E = gen_paraboloid(q, d)
-    elif family == "embedded":
-        E = gen_embedded(read_fset(in_path), d)
-    else:
-        E = gen_subspace_random(q, d, m, n, seed)
+    convert = {"shift": _parse_vector, "in": read_fset}
+    E = generate(*(convert.get(p, int)(provided[p]) for p in wanted))
     text = format_fset(E)
     if out is None:
         click.echo(text, nl=False)

@@ -8,18 +8,20 @@ as slope tuples (1, t_1, ..., t_{d-1}) directly.
 The zero vector belongs to no class: the direction set of E collects
 canonical forms of the nonzero differences x - y over x, y in E.
 
-Classing works on flat grid codes (grid.encode_coords) rather than on rows:
-the difference vectors are encoded once, the distinct nonzero codes are
-found with a 1-D sort, only those distinct vectors are canonicalized, and
-the canonical codes are deduplicated the same way.  Just the |D(E)|
-survivors are decoded back into tuples.  A caller that already holds the
-support of the difference multiplicity mu passes its codes straight to
-directions_of_codes, so D(E) costs no second pair sweep.
+Everything here is a view of one primitive, the difference multiplicity
+mu(z) (grid.difference_multiplicities, cached per set by
+PointSet.difference_multiplicity): D(E) is the set of canonical classes of
+the support of mu.  Classing works on flat grid codes rather than on rows:
+the distinct nonzero support codes are canonicalized once each and the
+canonical codes are deduplicated with a 1-D sort; just the |D(E)| survivors
+are decoded back into tuples.
 
-pair_codes and canonical_codes work on a stack of sets at once: set b's
-codes are offset by b q^d, so one sort classes every set of a campaign
-block, and |D(E)| of each set is a bincount of the offsets.  direction_set
-and directions_of_codes are the one-set case.
+canonical_codes works on a stack of sets at once: set b's codes are offset
+by b q^d, as the stacked mu kernel returns them, so one sort classes every
+set of a campaign block, and |D(E)| of each set is a bincount of the
+offsets.  Campaign blocks read nu(t) off the same stacked mu and compare it
+with the spectral route (see incidence).  direction_set and
+directions_of_codes are the one-set case.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .field import PrimeField, check_modulus, prime_field
 from .pointset import PointSet
 
 Direction = tuple[int, ...]
-
-#: Pair-block size for the difference sweep; bounds peak memory, not results.
-_PAIR_BLOCK = 1 << 21
 
 
 def canonical_direction(z: Sequence[int], q: int) -> Direction:
@@ -88,29 +87,9 @@ def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Dir
     return set(map(tuple, reps.tolist()))
 
 
-def pair_codes(indices: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Grid codes of x - y over all ordered pairs of each set of a (B, n) index stack.
-
-    Set b's codes are offset by b q^d (see canonical_codes).  The pairs are
-    swept a block of rows of every set at a time, at most _PAIR_BLOCK pairs
-    per block, and each block's codes are deduplicated before they are kept.
-    """
-    sets, n = indices.shape
-    coords = grid.decode_indices(indices.ravel(), q, d).reshape(sets, n, d)
-    weights = grid.radix_weights(q, d)
-    offsets = (q**d * np.arange(sets, dtype=np.int64))[:, None, None]
-    rows = max(1, _PAIR_BLOCK // max(1, sets * n))
-    codes = [np.empty(0, dtype=np.int64)]
-    for start in range(0, n, rows):
-        block = ((coords[:, start : start + rows, None, :] - coords[:, None, :, :]) % q) @ weights
-        block += offsets
-        codes.append(grid.distinct(block.ravel()))
-    return np.concatenate(codes)
-
-
 def direction_set(E: PointSet) -> set[Direction]:
     """Directions determined by E: canonical forms of x - y over distinct pairs."""
-    return directions_of_codes(pair_codes(E.indices()[None], E.q, E.dim), E.field, E.dim)
+    return directions_of_codes(E.difference_multiplicity()[0], E.field, E.dim)
 
 
 def ambient_direction_count(q: int, d: int) -> int:

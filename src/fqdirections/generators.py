@@ -16,6 +16,8 @@ deterministic in their arguments.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import grid
@@ -98,14 +100,18 @@ def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:
     return PointSet.from_indices(q, d, subspace_random_indices(q, d, m, n, seed))
 
 
-GENERATOR_NAMES = (
-    "random",
-    "coordinate-subspace",
-    "affine-subspace",
-    "paraboloid",
-    "embedded",
-    "subspace-random",
-)
+#: Every generator family: its function and its parameters, in call order.
+#: The CLI and build_set both dispatch through this table.
+FAMILIES: dict[str, tuple[Callable[..., PointSet], tuple[str, ...]]] = {
+    "random": (gen_random, ("q", "d", "n", "seed")),
+    "coordinate-subspace": (gen_coordinate_subspace, ("q", "d", "k")),
+    "affine-subspace": (gen_affine_subspace, ("q", "d", "k", "shift")),
+    "paraboloid": (gen_paraboloid, ("q", "d")),
+    "embedded": (gen_embedded, ("in", "d")),
+    "subspace-random": (gen_subspace_random, ("q", "d", "m", "n", "seed")),
+}
+
+GENERATOR_NAMES = tuple(FAMILIES)
 
 
 def _parse_params(blob: str) -> dict[str, str]:
@@ -123,23 +129,18 @@ def _parse_params(blob: str) -> dict[str, str]:
     return params
 
 
-def _take_int(params: dict[str, str], key: str) -> int:
-    if key not in params:
-        raise ValueError(f"missing generator parameter {key!r}")
-    try:
-        return int(params.pop(key))
-    except ValueError:
-        raise ValueError(f"generator parameter {key!r} must be an integer") from None
-
-
-def _take_vector(params: dict[str, str], key: str) -> tuple[int, ...]:
+def _take(params: dict[str, str], key: str) -> int | tuple[int, ...] | PointSet:
+    """Pop one spec parameter: 'in' reads a .fset, 'shift' is dash-separated integers, the rest integers."""
     if key not in params:
         raise ValueError(f"missing generator parameter {key!r}")
     raw = params.pop(key)
+    if key == "in":
+        return read_fset(raw)
     try:
-        return tuple(int(part) for part in raw.split("-"))
+        return tuple(int(part) for part in raw.split("-")) if key == "shift" else int(raw)
     except ValueError:
-        raise ValueError(f"generator parameter {key!r} must be dash-separated integers") from None
+        shape = "dash-separated integers" if key == "shift" else "an integer"
+        raise ValueError(f"generator parameter {key!r} must be {shape}") from None
 
 
 def build_set(spec: str) -> PointSet:
@@ -147,28 +148,10 @@ def build_set(spec: str) -> PointSet:
     name, _, blob = spec.partition(":")
     name = name.strip()
     params = _parse_params(blob)
-    if name == "random":
-        E = gen_random(_take_int(params, "q"), _take_int(params, "d"), _take_int(params, "n"), _take_int(params, "seed"))
-    elif name == "coordinate-subspace":
-        E = gen_coordinate_subspace(_take_int(params, "q"), _take_int(params, "d"), _take_int(params, "k"))
-    elif name == "affine-subspace":
-        E = gen_affine_subspace(
-            _take_int(params, "q"), _take_int(params, "d"), _take_int(params, "k"), _take_vector(params, "shift")
-        )
-    elif name == "paraboloid":
-        E = gen_paraboloid(_take_int(params, "q"), _take_int(params, "d"))
-    elif name == "subspace-random":
-        E = gen_subspace_random(
-            _take_int(params, "q"), _take_int(params, "d"), _take_int(params, "m"),
-            _take_int(params, "n"), _take_int(params, "seed"),
-        )
-    elif name == "embedded":
-        if "in" not in params:
-            raise ValueError("missing generator parameter 'in'")
-        base = read_fset(params.pop("in"))
-        E = gen_embedded(base, _take_int(params, "d"))
-    else:
+    if name not in FAMILIES:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+    generate, wanted = FAMILIES[name]
+    args = [_take(params, key) for key in wanted]
     if params:
         raise ValueError(f"unused generator parameters: {', '.join(sorted(params))}")
-    return E
+    return generate(*args)

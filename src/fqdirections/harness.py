@@ -35,11 +35,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .directions import ambient_direction_count, canonical_codes, direction_set, pair_codes
-from .errors import ConfigError
+from .directions import ambient_direction_count, canonical_codes, direction_set
+from .errors import ConfigError, NumericalInconsistencyError
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, random_indices, subspace_random_indices
-from .incidence import slope_counts, threshold_failures, threshold_lower_bound
+from .grid import decode, difference_multiplicities
+from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, format_fset
 from .rng import mix64
 from .salem import difference_bound_check
@@ -49,9 +50,10 @@ from .spectral import DEFAULT_SIZE_CAP, check_size_cap, indicator_power
 EXHAUSTIVE_LIMIT = 10**7
 
 #: Theorem-main cells are evaluated a block of sets at a time; a block holds
-#: at most this many pair codes (B |E|^2) and grid cells (B q^d), or one set.
-#: They bound a block's memory, not results.
-_BLOCK_PAIRS = 1 << 14
+#: at most this many pairs (B |E|^2) and grid cells (B q^d), or one set.
+#: They bound a block's memory, not results: B |E|^2 int32 pair codes
+#: (512 KB) and B q^d int64 counts (512 KB), besides the stacked spectra.
+_BLOCK_PAIRS = 1 << 17
 _BLOCK_CELLS = 1 << 16
 
 KINDS = ("theorem-main", "salem-bounds", "sharpness")
@@ -297,21 +299,8 @@ class CampaignConfig:
             raise ConfigError("exhaustive mode enumerates all sets; it requires the random generator")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "q": list(self.q_list),
-            "d": list(self.d_list),
-            "k": list(self.k_list),
-            "sizes": list(self.sizes),
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "generator": self.generator,
-            "salem_threshold": self.salem_threshold,
-            "ratio_floor": self.ratio_floor,
-            "threads": self.threads,
-            "output": self.output,
-        }
+        values = {key: getattr(self, attr) for key, attr in self._JSON_KEYS.items()}
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in values.items()}
 
 
 # -- cells -----------------------------------------------------------------
@@ -499,17 +488,28 @@ def _theorem_block(
 ) -> list[tuple[dict, list[str], PointSet | None]]:
     """(row, hard failures, set if flagged) for each set of a block, read off stacked arrays.
 
-    One stacked transform and slope gather give nu for every slope of every
-    set; one sort of set-offset pair codes gives every D(E).  A PointSet is
-    built only for a flagged set, to format it.
+    One stacked transform and slope gather give the spectral nu of every
+    slope of every set; one stacked mu gives every D(E) and the pair-count
+    nu.  After the guard band, a disagreement of the two raises, naming the
+    first such slope of the first such set.  A PointSet is built only for a
+    flagged set, to format it.
     """
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
-    nu, nondeg, _ = slope_counts(indicator_power(picks, field, d), picks, q, d, k)
+    nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k)
+    codes, counts, owner = difference_multiplicities(picks, q, d)
+    nondeg, degenerate = mu_slope_counts(codes, counts, owner, len(picks), size, q, d, k)
+    disagree = np.argwhere(nondeg + degenerate[:, None] != nu)
+    if len(disagree):
+        b, i = disagree[0]
+        raise NumericalInconsistencyError(
+            f"pair-count nu {int(nondeg[b, i] + degenerate[b])} and spectral nu {int(nu[b, i])} "
+            f"disagree at slope {decode(int(i), q, k)} of trial {trials[b]}"
+        )
     holds = ~threshold_failures(nu, size, q, k).any(axis=1)
     covered = (nondeg > 0).all(axis=1)
-    owner, vector = np.divmod(canonical_codes(pair_codes(picks, q, d), field, d), q**d)
-    counts = np.bincount(owner, minlength=len(picks))
+    owner, vector = np.divmod(canonical_codes(codes, field, d), q**d)
+    dir_counts = np.bincount(owner, minlength=len(picks))
     # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
     # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
     tails = np.bincount(owner[vector % q ** (d - k - 1) == 0], minlength=len(picks))
@@ -517,7 +517,8 @@ def _theorem_block(
     ambient_n = ambient_direction_count(q, d)
     lower = threshold_lower_bound(size, q, k)
     columns = zip(
-        trials, seeds, picks, nu.min(axis=1).tolist(), holds.tolist(), covered.tolist(), literal.tolist(), counts.tolist()
+        trials, seeds, picks, nu.min(axis=1).tolist(), holds.tolist(), covered.tolist(), literal.tolist(),
+        dir_counts.tolist(),
     )
     out = []
     for trial, seed, points, nu_min, ok, pattern, subset, n_dirs in columns:
@@ -594,7 +595,14 @@ def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
 
 # -- salem-bounds ----------------------------------------------------------
 
-def _salem_outcome(E: PointSet, cell: Cell, trial: int, seed: int | None, config: CampaignConfig) -> tuple[dict, list[str], list[str], PointSet]:
+def _salem_outcome(
+    E: PointSet, cell: Cell, trial: int, seed: int | None, config: CampaignConfig
+) -> tuple[dict, list[str], list[str], PointSet | None]:
+    """(row, hard failures, soft flags, set if flagged).
+
+    An unflagged set is dropped, with its cached spectrum and mu, so a cell
+    keeps only its rows.
+    """
     rec = difference_bound_check(E)
     ambient_n = ambient_direction_count(cell.q, cell.d)
     full = rec.direction_count == ambient_n
@@ -634,7 +642,7 @@ def _salem_outcome(E: PointSet, cell: Cell, trial: int, seed: int | None, config
         "hard_fail": bool(hard),
         "soft_flags": tuple(soft),
     }
-    return row, hard, soft, E
+    return row, hard, soft, E if hard or soft else None
 
 
 def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
@@ -654,7 +662,7 @@ def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
         else:
             def work(
                 trial: int, _cell: Cell = cell, _draw: Callable = _index_draw(config, cell)
-            ) -> tuple[dict, list[str], list[str], PointSet]:
+            ) -> tuple[dict, list[str], list[str], PointSet | None]:
                 seed = _trial_seed(config, _cell, trial)
                 E = PointSet.from_indices(_cell.q, _cell.d, _draw(seed))
                 return _salem_outcome(E, _cell, trial, seed, config)
@@ -809,9 +817,7 @@ def _csv_value(value: Any) -> str:
 def _json_value(value: Any) -> Any:
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, tuple):
-        return [_json_value(item) for item in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_json_value(item) for item in value]
     if isinstance(value, dict):
         return {key: _json_value(item) for key, item in value.items()}

@@ -12,16 +12,17 @@ frequencies and is therefore nonnegative:
     R(t) = q^(2d-k) * sum_{s != 0} |Ehat(s.t, -s_1, ..., -s_k, 0, ..., 0)|^2.
 
 Two independent routes are provided, and each computes nu for every slope
-at once.  The brute route counts pairs directly: a difference z with
-z_1 != 0 satisfies exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one
-bincount of those slope codes gives every count.  The spectral route gathers
-R(t) for a block of slope rows from a stack of spectra in one indexing
-operation and assembles the decomposition, rounding to the nearest integer
-with a guard band.  The two must agree exactly.  `slope_counts` runs the
-spectral route for a stack of B equal-size sets (campaigns evaluate a block
-of sets at a time); `theorem_main_threshold` and `nu_sweep` are its B = 1
-case on one set's cached spectrum, and `nu_brute`, `nu_spectral` and
-`remainder_spectral` read one slope off the same kernels.
+at once.  The brute route is a read-off of mu, the package's one primitive:
+a difference z with z_1 != 0 satisfies exactly one slope,
+(z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of those slope codes
+gives every count.  The spectral route gathers R(t) for a block of slope
+rows from a stack of spectra in one indexing operation and assembles the
+decomposition, rounding to the nearest integer with a guard band; it never
+builds mu.  The two must agree exactly, and campaigns check that they do in
+every block: `mu_slope_counts` and `slope_counts` run the routes for a stack
+of B equal-size sets.  `theorem_main_threshold` and `nu_sweep` are their
+B = 1 case on one set's cached mu or spectrum, and `nu_brute`, `nu_spectral`
+and `remainder_spectral` read one slope off the same kernels.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import grid
 from .errors import NumericalInconsistencyError
+from .field import prime_field
 from .pointset import PointSet
 
 #: Maximum allowed distance between the assembled spectral value and the
@@ -45,9 +47,6 @@ ROUNDING_GUARD = 1e-4
 #: Gathered spectrum entries per block of slope rows in the spectral sweep;
 #: bounds the index array's memory, not results.
 _SLOPE_BLOCK = 1 << 16
-
-#: Pair-block size for the brute sweep; bounds peak memory, not results.
-_PAIR_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,12 @@ def _terms(size: int, q: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def pair_differences(E: PointSet) -> np.ndarray:
-    """Differences x - y over all ordered pairs of distinct points, one row each."""
-    coords = E.coords()
-    n = len(coords)
-    if n < 2:
-        return np.empty((0, E.dim), dtype=np.int64)
-    diffs = (coords[:, None, :] - coords[None, :, :]).reshape(-1, E.dim) % E.q
-    return diffs[np.any(diffs != 0, axis=1)]
+    """Differences x - y over all ordered pairs of distinct points, one row each, ascending by code.
+
+    Read off mu: each support vector repeated mu(z) times, less the |E| zeros.
+    """
+    codes, counts = E.difference_multiplicity()
+    return grid.decode_indices(np.repeat(codes, counts)[E.cardinality :], E.q, E.dim)
 
 
 def degenerate_pair_count(E: PointSet, k: int) -> int:
@@ -99,46 +97,46 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     These satisfy every slope constraint vacuously (their difference vanishes
     in the constrained coordinates), so they inflate nu for every t when
     k < d-1.  For k = d-1 the count is zero: agreement everywhere forces x = y.
+    Read off E's cached mu.
     """
     _check_k(E, k)
-    return int(_degenerate_counts(E.indices()[None], E.q, E.dim, k)[0])
+    return _brute_counts(E, k)[1]
 
 
-def _degenerate_counts(indices: np.ndarray, q: int, d: int, k: int) -> np.ndarray:
-    """degenerate_pair_count of each set in a (B, n) stack, from one bincount.
+def _prefix_degenerate_count(E: PointSet, k: int) -> int:
+    """degenerate_pair_count from one bincount of the points' first k+1 coordinates; needs no mu.
 
-    The first k+1 coordinates of a point are its index // q^(d-k-1); set b's
-    prefixes are offset by b * q^(k+1) so every set counts in its own range.
+    The first k+1 coordinates of a point are its index // q^(d-k-1).
     """
-    cells = q ** (k + 1)
-    prefixes = indices // q ** (d - k - 1) + cells * np.arange(len(indices))[:, None]
-    groups = np.bincount(prefixes.ravel(), minlength=cells * len(indices)).reshape(len(indices), cells)
-    return (groups * (groups - 1)).sum(axis=1)
+    groups = np.bincount(E.indices() // E.q ** (E.dim - k - 1))
+    return int((groups * (groups - 1)).sum())
+
+
+def mu_slope_counts(
+    codes: np.ndarray, counts: np.ndarray, owner: np.ndarray, sets: int, size: int, q: int, d: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brute route off a stacked mu (grid.difference_multiplicities) of sets of `size` points.
+
+    Returns nu_nondegenerate, (sets, q^k) in all_slopes order, and the
+    (sets,) degenerate counts: the mass of mu on z_1 = ... = z_(k+1) = 0
+    less the |E| pairs x = y.  The float64 weighted sums are exact below
+    |E|^2 = 2^53.
+    """
+    prefix = (codes - owner * q**d) // q ** (d - k - 1)
+    lead, rest = np.divmod(prefix, q**k)
+    live = lead != 0
+    inverse = prime_field(q).inverse_table[lead[live]]
+    slopes = grid.encode_coords(grid.decode_indices(rest[live], q, k) * inverse[:, None] % q, q)
+    nondegenerate = np.bincount(owner[live] * q**k + slopes, counts[live], minlength=sets * q**k)
+    agreeing = np.bincount(owner[prefix == 0], counts[prefix == 0], minlength=sets)
+    return nondegenerate.astype(np.int64).reshape(sets, q**k), agreeing.astype(np.int64) - size
 
 
 def _brute_counts(E: PointSet, k: int) -> tuple[np.ndarray, int]:
-    """nu_nondegenerate for every slope code, and the degenerate pair count.
-
-    A pair difference z with z_1 != 0 satisfies exactly one slope tuple,
-    (z_2, ..., z_{k+1}) * z_1^(-1), so one bincount of those codes counts
-    every slope at once.  Pairs with z_1 = ... = z_{k+1} = 0 and x != y
-    satisfy every slope; the rest satisfy none.  Slope codes follow the
-    mixed-radix order of all_slopes.
-    """
-    q = E.q
-    pts = E.coords()[:, : k + 1]
-    n = len(pts)
-    inverse = E.field.inverse_table
-    nondegenerate = np.zeros(q**k, dtype=np.int64)
-    agreeing = 0
-    block = max(1, _PAIR_BLOCK // max(1, n))
-    for start in range(0, n, block):
-        z = (pts[start : start + block, None, :] - pts[None, :, :]).reshape(-1, k + 1) % q
-        agreeing += int(np.count_nonzero(~z.any(axis=1)))
-        z = z[z[:, 0] != 0]
-        slopes = (z[:, 1:] * inverse[z[:, :1]]) % q
-        nondegenerate += np.bincount(grid.encode_coords(slopes, q), minlength=q**k)
-    return nondegenerate, agreeing - n
+    """nu_nondegenerate for every slope code, and the degenerate pair count, off E's cached mu."""
+    codes, counts = E.difference_multiplicity()
+    nondegenerate, degenerate = mu_slope_counts(codes, counts, np.zeros_like(codes), 1, E.cardinality, E.q, E.dim, k)
+    return nondegenerate[0], int(degenerate[0])
 
 
 def nu_brute(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
@@ -217,18 +215,14 @@ def _spectral_counts(
     return nu.astype(np.int64), remainders
 
 
-def slope_counts(
-    power: np.ndarray, indices: np.ndarray, q: int, d: int, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral route for a stack of B sets of equal size, every slope at once.
+def slope_counts(power: np.ndarray, size: int, q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral route for a stack of B sets of `size` points, every slope at once.
 
-    power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power) and
-    indices the (B, n) flat point indices of the same sets.  Returns
-    (nu, nu_nondegenerate, remainders), each (B, q^k) in all_slopes order,
-    from one gather per block of slope rows and one degenerate-pair bincount.
+    power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power).
+    Returns (nu, remainders), each (B, q^k) in all_slopes order, from one
+    gather per block of slope rows.
     """
-    nu, remainders = _spectral_counts(power, indices.shape[1], q, d, all_slopes(q, k))
-    return nu, nu - _degenerate_counts(indices, q, d, k)[:, None], remainders
+    return _spectral_counts(power, size, q, d, all_slopes(q, k))
 
 
 def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
@@ -252,7 +246,7 @@ def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, [slope])
     main, diag = _terms(E.cardinality, E.q, k)
     n = int(nu[0, 0])
-    deg = degenerate_pair_count(E, k)
+    deg = _prefix_degenerate_count(E, k)
     return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0, 0]))
 
 
@@ -269,8 +263,8 @@ def _sweep(
         raise ValueError(f"unknown method {method!r}")
     slopes = all_slopes(E.q, k)
     if method == "spectral":
-        nu, nondeg, remainders = slope_counts(E.spectrum_power()[None], E.indices()[None], E.q, E.dim, k)
-        return slopes, nu[0], nondeg[0], remainders[0]
+        nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, k)
+        return slopes, nu[0], nu[0] - _prefix_degenerate_count(E, k), remainders[0]
     nondegenerate, degenerate = _brute_counts(E, k)
     return slopes, nondegenerate + degenerate, nondegenerate, None
 

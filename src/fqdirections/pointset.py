@@ -20,15 +20,15 @@ import numpy as np
 from . import grid
 from .errors import FsetParseError, SizeCapError
 from .field import PrimeField, prime_field
-from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, indicator_spectrum
+from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, empty_table, indicator_spectrum
 
 
 class PointSet:
     """A subset E of F_q^d stored as a dense bit indicator.
 
     Treat instances as immutable: operations return new sets.  The Fourier
-    spectrum of the indicator is computed lazily and cached, so sweeps that
-    reuse it (incidence counts across all slopes) pay for one transform.
+    spectrum of the indicator and the sparse difference multiplicity mu are
+    computed lazily and cached: one transform and one pair sweep per set.
     """
 
     def __init__(self, field: PrimeField, dim: int, mask: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
@@ -43,6 +43,7 @@ class PointSet:
         self._indices: np.ndarray | None = None
         self._spectrum: Spectrum | None = None
         self._spectrum_power: np.ndarray | None = None
+        self._mu: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -149,10 +150,20 @@ class PointSet:
     def spectrum_power(self) -> np.ndarray:
         """|Ehat(m)|^2 for all m, cached; read-only."""
         if self._spectrum_power is None:
-            power = np.abs(self.spectrum().values) ** 2
+            power = np.abs(self.spectrum().values, out=empty_table(self.q**self.dim, np.float64))
+            np.square(power, out=power)
             power.setflags(write=False)
             self._spectrum_power = power
         return self._spectrum_power
+
+    def difference_multiplicity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse mu, cached and read-only: ascending codes of E - E, their multiplicities; O(|E|^2)."""
+        if self._mu is None:
+            codes, counts, _ = grid.difference_multiplicities(self.indices()[None], self.q, self.dim)
+            codes.setflags(write=False)
+            counts.setflags(write=False)
+            self._mu = codes, counts
+        return self._mu
 
 
 # -- linear maps over F_q --------------------------------------------------
@@ -202,9 +213,7 @@ def apply_linear_map(E: PointSet, matrix: Sequence[Sequence[int]]) -> PointSet:
 
 def format_fset(E: PointSet) -> str:
     """Canonical .fset text: header, then points ascending by grid index."""
-    lines = [f"{E.q} {E.dim}"]
-    for row in E.coords():
-        lines.append(" ".join(str(int(c)) for c in row))
+    lines = [f"{E.q} {E.dim}"] + [" ".join(str(int(c)) for c in row) for row in E.coords()]
     return "\n".join(lines) + "\n"
 
 
@@ -235,11 +244,8 @@ def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
                 raise FsetParseError(f"dimension must be >= 1, got {dim}", lineno)
             try:
                 prime_field(q)
-            except ValueError as exc:
-                raise FsetParseError(str(exc), lineno) from None
-            try:
                 check_size_cap(q, dim, size_cap)
-            except SizeCapError as exc:
+            except (ValueError, SizeCapError) as exc:
                 raise FsetParseError(str(exc), lineno) from None
             header_line = lineno
             continue

@@ -14,11 +14,17 @@ Spectral flatness is reported as a measured constant
 never as a boolean: the classification threshold is caller policy.  A set
 with C_E bounded as q grows exhibits square-root cancellation; a subspace
 has C_E = q^(dim/2) * something large, a paraboloid has C_E = 1 on the nose.
+
+mu is the package's one primitive, cached sparse per set: |E - E|, sum mu^2,
+D(E) and the brute incidence route are read off its support, and campaigns
+cross-check it against the spectral route in every block.  The dense q^d
+table is built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Sequence
 
@@ -28,13 +34,10 @@ from . import grid
 from .directions import canonical_codes
 from .errors import NumericalInconsistencyError
 from .pointset import PointSet
-from .spectral import GridFunction, forward_transform
+from .spectral import GridFunction, empty_table, forward_transform
 
 #: Relative tolerance for the fourth-moment Parseval identity.
 PARSEVAL_TOLERANCE = 1e-6
-
-#: Pair-block size for the difference sweep.
-_PAIR_BLOCK = 1 << 21
 
 #: |E|^2 from which sum mu^2 <= |E|^3 may no longer fit in int64.
 _SQUARES_EXACT_TOTAL = 1 << 42
@@ -42,23 +45,36 @@ _SQUARES_EXACT_TOTAL = 1 << 42
 
 @dataclass(eq=False)
 class DifferenceProfile:
-    """Dense table of difference multiplicities with its exact invariants."""
+    """Sparse difference multiplicities (ascending support codes, counts) with their exact invariants."""
 
     field: "object"
     dim: int
-    mu: np.ndarray
-    support_size: int
+    codes: np.ndarray
+    counts: np.ndarray
     total: int
 
     @property
     def q(self) -> int:
         return self.field.q
 
+    @property
+    def support_size(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """The dense q^d table of mu, built on first use."""
+        mu = np.zeros(self.q**self.dim, dtype=np.int64)
+        mu[self.codes] = self.counts
+        return mu
+
     def mu_of(self, z: Sequence[int]) -> int:
-        return int(self.mu[grid.encode([c % self.q for c in z], self.q)])
+        code = grid.encode([c % self.q for c in z], self.q)
+        at = int(np.searchsorted(self.codes, code))
+        return int(self.counts[at]) if at < len(self.codes) and self.codes[at] == code else 0
 
     def max_multiplicity(self) -> int:
-        return int(self.mu.max()) if len(self.mu) else 0
+        return int(self.counts.max()) if len(self.counts) else 0
 
     def as_grid_function(self) -> GridFunction:
         return GridFunction(self.field, self.dim, self.mu.astype(np.complex128))
@@ -74,30 +90,13 @@ class DifferenceProfile:
                 f"sum of squared multiplicities may overflow int64 for |E|^2 = {self.total} "
                 f"(exact below |E| = 2^21)"
             )
-        return int(self.mu @ self.mu)
+        return int(self.counts @ self.counts)
 
 
 def difference_profile(E: PointSet) -> DifferenceProfile:
-    """mu(z) over the full grid, counted exactly over ordered pairs (x = y included)."""
-    q, d = E.q, E.dim
-    n_cells = q**d
-    idx = E.indices()
-    n = len(idx)
-    mu = np.zeros(n_cells, dtype=np.int64)
-    if n:
-        coords = E.coords()
-        block = max(1, _PAIR_BLOCK // max(1, n))
-        for start in range(0, n, block):
-            chunk = coords[start : start + block]
-            diffs = (chunk[:, None, :] - coords[None, :, :]).reshape(-1, d) % q
-            mu += np.bincount(grid.encode_coords(diffs, q), minlength=n_cells)
-    return DifferenceProfile(
-        field=E.field,
-        dim=d,
-        mu=mu,
-        support_size=int(np.count_nonzero(mu)),
-        total=n * n,
-    )
+    """mu(z) counted exactly over ordered pairs (x = y included), read off E's cached sparse mu."""
+    codes, counts = E.difference_multiplicity()
+    return DifferenceProfile(field=E.field, dim=E.dim, codes=codes, counts=counts, total=E.cardinality**2)
 
 
 def mu_spectrum_identity_defect(E: PointSet) -> float:
@@ -171,9 +170,9 @@ def difference_bound_check(E: PointSet) -> BoundCheckRecord:
     q, d = E.q, E.dim
     size = E.cardinality
     prof = difference_profile(E)
-    dirs = len(canonical_codes(np.flatnonzero(prof.mu), E.field, d))
+    dirs = len(canonical_codes(prof.codes, E.field, d))
     lhs = prof.sum_of_squares()
-    rhs = float(q) ** (3 * d) * float(np.sum(E.spectrum_power() ** 2))
+    rhs = float(q) ** (3 * d) * float(np.sum(np.square(E.spectrum_power(), out=empty_table(q**d, np.float64))))
     defect_rel = abs(lhs - rhs) / max(1.0, float(lhs))
     if defect_rel > PARSEVAL_TOLERANCE:
         raise NumericalInconsistencyError(

@@ -26,6 +26,7 @@ of sets together), so no dense indicator table is built.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,6 +47,21 @@ def check_size_cap(q: int, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     if n > size_cap:
         raise SizeCapError(f"grid of {q}^{dim} = {n} entries exceeds the cap {size_cap}")
     return n
+
+
+def empty_table(n: int, dtype) -> np.ndarray:
+    """An uninitialised flat table; from 4 MiB up on pages of its own, unmapped when freed.
+
+    On the heap, a block numpy cached above a dead table pinned its pages and
+    peak RSS hung on allocation order.  Whole 2 MiB pages fault in as huge pages.
+    """
+    nbytes = n * np.dtype(dtype).itemsize
+    if nbytes < 1 << 22 or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(n, dtype)
+    pages = mmap.mmap(-1, nbytes + (1 << 21), flags=mmap.MAP_PRIVATE)
+    start = -np.frombuffer(pages, np.uint8, count=1).ctypes.data % (1 << 21)
+    pages.madvise(mmap.MADV_HUGEPAGE, start, nbytes >> 21 << 21)
+    return np.frombuffer(pages, dtype, count=n, offset=start)
 
 
 @dataclass(eq=False)
@@ -138,11 +154,8 @@ def _axis_by_axis(
     # Two whole-stack buffers serve every pass: a pass writes its output into
     # the front of one, its live rows are scattered into the other as the
     # next pass's input, and the last output is reordered into the spare one.
-    # Large arrays sized by the live rows instead fragmented the heap: with
-    # 16 MB spectra in the same process, peak RSS at q = 101, d = 3 read
-    # 84.9 MB for some random sets and 92.4 MB for others.
-    spare = np.empty(tables * q**dim, dtype=np.complex128)
-    work = np.empty(tables * q**dim, dtype=np.complex128)
+    spare = empty_table(tables * q**dim, np.complex128)
+    work = empty_table(tables * q**dim, np.complex128)
     for j in range(dim):
         out = _transform_last_axis(rows, field, conjugate, work[: rows.size].reshape(rows.shape))
         if j == dim - 1:

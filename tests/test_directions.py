@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqdirections import directions, salem
+from fqdirections import grid
 from fqdirections.directions import (
     ambient_direction_count,
     ambient_directions,
@@ -186,10 +186,9 @@ def test_direction_count_routes_agree_edge_sets(E):
 @settings(max_examples=30, deadline=None)
 def test_direction_count_routes_agree_across_pair_blocks(E):
     # 7 pairs are fewer than the |E|^2 of any set of three or more points, so
-    # such sets are swept in several blocks whose codes must merge
+    # sets counted into a dense histogram are swept in several row blocks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(directions, "_PAIR_BLOCK", 7)
-        mp.setattr(salem, "_PAIR_BLOCK", 7)
+        mp.setattr(grid, "_PAIR_BLOCK", 7)
         _assert_routes_agree(E)
 
 

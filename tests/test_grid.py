@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fqdirections import grid
 
@@ -55,3 +55,64 @@ def test_iter_points_order():
 def test_roundtrip_property(q, d, data):
     idx = data.draw(st.integers(min_value=0, max_value=q**d - 1))
     assert grid.encode(grid.decode(idx, q, d), q) == idx
+
+
+# -- the difference-multiplicity kernel -------------------------------------
+
+def _assert_mu_matches_oracle(picks: np.ndarray, q: int, d: int) -> None:
+    codes, counts, owner = grid.difference_multiplicities(picks, q, d)
+    assert np.array_equal(codes, np.sort(codes)) and np.array_equal(owner, codes // q**d)
+    for b, points in enumerate(picks):
+        mine = owner == b
+        table = {grid.decode(int(c) - b * q**d, q, d): int(m) for c, m in zip(codes[mine], counts[mine])}
+        assert table == oracles.mu_direct([grid.decode(int(i), q, d) for i in points], q)
+
+
+@st.composite
+def _stacks(draw, dense: bool):
+    # the kernel counts densely exactly when |E|^2 >= q^d, so the size picks the branch
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 4))
+    sizes = [n for n in range(min(q**d, 12) + 1) if (n * n >= q**d) == dense]
+    if not sizes:
+        d = 1
+        sizes = [n for n in range(q + 1) if (n * n >= q) == dense]
+    n = draw(st.sampled_from(sizes))
+    sets = draw(st.integers(1, 5))
+    picks = [draw(st.lists(st.integers(0, q**d - 1), min_size=n, max_size=n, unique=True)) for _ in range(sets)]
+    return q, d, np.array(picks, dtype=np.int64).reshape(sets, n)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sort"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_multiplicities_match_oracle(dense, data):
+    q, d, picks = data.draw(_stacks(dense))
+    _assert_mu_matches_oracle(picks, q, d)
+
+
+@given(_stacks(dense=True))
+@settings(max_examples=30, deadline=None)
+def test_difference_multiplicities_across_row_blocks(stack):
+    q, d, picks = stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_PAIR_BLOCK", 7)
+        _assert_mu_matches_oracle(picks, q, d)
+
+
+@pytest.mark.parametrize(
+    "q,d,picks",
+    [
+        (5, 2, np.empty((3, 0), dtype=np.int64)),
+        (7, 3, np.array([[0], [342], [100]])),
+        (3, 2, np.tile(np.arange(9), (2, 1))),
+        (2, 4, np.arange(16)[None]),
+        (7, 1, np.array([[0, 3, 6], [1, 2, 5]])),
+        (13, 1, np.arange(13)[None]),
+        # B q^d >= 2^31: codes are built in int64
+        (46349, 2, np.array([[0, 5, 46349 * 7 + 3, 46349**2 - 1], [1, 2, 3, 46349 * 46348]])),
+    ],
+    ids=["empty", "singletons", "full-3-2", "full-2-4", "d1", "full-d1", "int64"],
+)
+def test_difference_multiplicities_edge_stacks(q, d, picks):
+    _assert_mu_matches_oracle(picks, q, d)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,23 @@ def test_salem_bounds_part_i_full_coverage():
     res = verify_salem_bounds(cfg)
     assert res.ok
     assert all(row["full_coverage"] for row in res.rows)
+
+
+def test_salem_bounds_cell_memory_does_not_grow_with_trials():
+    # an unflagged set's cached spectrum and mu (about 120 KB at q = 17,
+    # d = 3) must not outlive its row, so 20 more trials add only their rows
+    def peak(trials: int) -> int:
+        cfg = CampaignConfig(
+            kind="salem-bounds", q_list=(17,), d_list=(3,), sizes=("q+1",), trials=trials, seed=5, mode="random"
+        )
+        tracemalloc.start()
+        try:
+            assert verify_salem_bounds(cfg).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(24) - peak(4) < 1 << 20
 
 
 def test_salem_bounds_ratio_floor_soft_flag():

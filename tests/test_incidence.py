@@ -12,6 +12,7 @@ from fqdirections.incidence import (
     nu_brute,
     nu_spectral,
     nu_sweep,
+    pair_differences,
     remainder_spectral,
     theorem_main_threshold,
 )
@@ -180,14 +181,24 @@ def test_sweep_kernels_match_pair_oracle(case):
         assert [(o.nu, o.nu_nondegenerate) for o in outcomes] == [(r.nu, r.nu_nondegenerate) for r in reports]
 
 
+@given(_sets_and_k())
+@settings(max_examples=30, deadline=None)
+def test_pair_differences_read_off_mu(case):
+    E, _ = case
+    pts = E.points()
+    expected = sorted(tuple((a - b) % E.q for a, b in zip(x, y)) for x in pts for y in pts if x != y)
+    assert [tuple(row) for row in pair_differences(E).tolist()] == expected
+
+
 def test_sweep_multi_block(monkeypatch):
     # one slope row per gather block and a few points per pair block must
     # reproduce the single-block sweep exactly, remainders included
     cases = [(gen_random(5, 3, 30, seed=5), 1), (gen_random(5, 3, 30, seed=5), 2), (gen_random(3, 4, 25, seed=1), 2)]
     single = [(nu_sweep(E, k, "spectral"), nu_sweep(E, k, "brute")) for E, k in cases]
     monkeypatch.setattr("fqdirections.incidence._SLOPE_BLOCK", 1)
-    monkeypatch.setattr("fqdirections.incidence._PAIR_BLOCK", 7)
-    for (E, k), (spectral, brute) in zip(cases, single):
+    monkeypatch.setattr("fqdirections.grid._PAIR_BLOCK", 7)
+    for (cached, k), (spectral, brute) in zip(cases, single):
+        E = PointSet.from_indices(cached.q, cached.dim, cached.indices())  # no cached mu or spectrum
         pts = E.points()
         assert [r.nu for r in brute] == [oracles.nu_pairs(pts, E.q, t) for t in all_slopes(E.q, k)]
         assert nu_sweep(E, k, "spectral") == spectral

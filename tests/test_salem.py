@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqdirections.directions import direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import (
     gen_coordinate_subspace,
@@ -11,6 +13,7 @@ from fqdirections.generators import (
     gen_paraboloid,
     gen_random,
 )
+from fqdirections.incidence import nu_sweep
 from fqdirections.pointset import PointSet
 from fqdirections.salem import (
     difference_bound_check,
@@ -169,3 +172,29 @@ def test_profile_oracle_property(seed):
     table = oracles.mu_direct(E.points(), 5)
     assert {z: prof.mu_of(z) for z in table} == table
     assert prof.support_size == len(table)
+
+
+def test_sparse_queries_allocate_no_dense_table():
+    # q^d = 226,981 cells against 62^2 = 3,844 pairs: the counts of mu, D(E)
+    # and the brute nu sweep must stay O(|E|^2); only .mu builds the table
+    q, d = 61, 3
+    E = gen_random(q, d, 62, seed=3)
+    E.indices()
+    table_bytes = 8 * q**d
+    tracemalloc.start()
+    try:
+        support = difference_profile(E).support_size
+        dirs = direction_set(E)
+        sweep = nu_sweep(E, 1, "brute")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+    table = oracles.mu_direct(E.points(), q)
+    assert support == len(table)
+    assert dirs == oracles.directions_enumerate(E.points(), q)
+    assert sum(r.nu_nondegenerate for r in sweep) == sum(v for z, v in table.items() if z[0])
+    dense = np.zeros(q**d, dtype=np.int64)
+    for z, count in table.items():
+        dense[oracles.point_to_index(z, q)] = count
+    assert np.array_equal(difference_profile(E).mu, dense)

@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,14 @@ from fqdirections.errors import SizeCapError
 from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_random
 from fqdirections.pointset import PointSet
+from fqdirections.salem import difference_bound_check, difference_profile
 from fqdirections.spectral import (
     GridFunction,
     Spectrum,
     _axis_by_axis,
     _live_rows,
     check_size_cap,
+    empty_table,
     forward_transform,
     indicator_power,
     indicator_spectrum,
@@ -258,3 +261,39 @@ def test_dense_transform_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 16 * q**d
+
+
+_OWN_PAGES = pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice on this platform")
+
+
+def _owner(a):
+    """The object that owns an array's memory, through views and buffer exports."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@_OWN_PAGES
+def test_empty_table_maps_large_tables_on_their_own_pages():
+    small = empty_table(1000, np.complex128)
+    assert _owner(small) is None and small.shape == (1000,)
+    big = empty_table(1 << 19, np.float64)  # 4 MiB
+    assert isinstance(_owner(big), mmap.mmap)
+    assert big.shape == (1 << 19,) and big.dtype == np.float64 and big.flags.writeable
+    assert big.ctypes.data % (1 << 21) == 0
+    big[:] = 2.0
+    assert big.sum() == 2.0 * (1 << 19)
+
+
+@_OWN_PAGES
+def test_page_backed_power_and_fourth_moment_keep_their_bits():
+    # q = 101, d = 3: the spectrum, its power and the fourth-moment squares
+    # are all page-backed tables; values must match the plain numpy route
+    E = gen_random(101, 3, 102, seed=1)
+    power = E.spectrum_power()
+    assert isinstance(_owner(E.spectrum().values), mmap.mmap) and isinstance(_owner(power), mmap.mmap)
+    assert np.array_equal(power, np.abs(E.spectrum().values) ** 2)
+    rec = difference_bound_check(E)
+    lhs = difference_profile(E).sum_of_squares()
+    rhs = float(101) ** 9 * float(np.sum(power**2))
+    assert rec.parseval_defect_rel == abs(lhs - rhs) / max(1.0, float(lhs))

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqdirections import directions, harness, incidence
+from fqdirections import grid, harness, incidence
 from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_random, gen_subspace_random
@@ -112,7 +112,7 @@ def test_campaign_rows_match_per_set_rows(name, budget, monkeypatch):
     for key, value in budget.items():
         monkeypatch.setattr(harness, key, value)
     if budget:
-        monkeypatch.setattr(directions, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(grid, "_PAIR_BLOCK", 7)
         monkeypatch.setattr(incidence, "_SLOPE_BLOCK", 1)
     _assert_matches_per_set(CampaignConfig.from_mapping(CELL_CONFIGS[name]))
 
@@ -181,3 +181,39 @@ def test_guard_band_failure_inside_a_block(monkeypatch):
     with pytest.raises(NumericalInconsistencyError) as err:
         verify_theorem_main(config)
     assert str(err.value) == expected[4]
+
+
+# -- route agreement -------------------------------------------------------
+
+def test_route_disagreement_inside_a_block(monkeypatch):
+    # trials 3-5 share a block; the spectral nu of trial 4 is off by one at
+    # slope 3 and of trial 5 at slope 1, so the error must name trial 4's
+    # slope 3: the first disagreeing slope of the first such set in trial order
+    config = CampaignConfig.from_mapping(
+        {"kind": "theorem-main", "q": Q, "d": D, "k": 1, "sizes": [9], "trials": 6, "seed": 2, "mode": "random"}
+    )
+    cell = harness._expand_cells(config)[0]
+    sets = {trial: E for trial, _, E in _reference_sets(config, cell)}
+    faults = {tuple(sets[4].indices().tolist()): 3, tuple(sets[5].indices().tolist()): 1}
+    original_power, original_counts = harness.indicator_power, harness.slope_counts
+    blocks = []
+
+    def recorded_power(picks, field, dim):
+        blocks.append(picks)
+        return original_power(picks, field, dim)
+
+    def skewed_counts(power, size, q, d, k):
+        nu, remainders = original_counts(power, size, q, d, k)
+        for row, points in zip(nu, blocks[-1]):
+            slope = faults.get(tuple(sorted(points.tolist())))
+            if slope is not None:
+                row[slope] += 1
+        return nu, remainders
+
+    monkeypatch.setattr(harness, "indicator_power", recorded_power)
+    monkeypatch.setattr(harness, "slope_counts", skewed_counts)
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
+    with pytest.raises(NumericalInconsistencyError) as err:
+        verify_theorem_main(config)
+    nu = theorem_main_threshold(sets[4], 1, "brute").outcomes[3].nu
+    assert str(err.value) == f"pair-count nu {nu} and spectral nu {nu + 1} disagree at slope (3,) of trial 4"
