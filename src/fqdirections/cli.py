@@ -230,21 +230,11 @@ def verify_cmd(
     exhaustive_flag, generator, salem_threshold, ratio_floor, out_prefix,
 ) -> None:
     """Run one verification campaign from command-line flags."""
-    config = CampaignConfig(
-        kind=kind,
-        q_list=tuple(q_values),
-        d_list=tuple(d_values),
-        k_list=tuple(k_values),
-        sizes=tuple(size_values),
-        trials=trials,
-        seed=seed,
-        mode="exhaustive" if exhaustive_flag else mode,
-        generator=generator,
-        salem_threshold=salem_threshold,
-        ratio_floor=ratio_floor,
-        threads=ctx.obj["threads"] or 1,
-    )
-    config.validate()
+    config = CampaignConfig.from_mapping({
+        "kind": kind, "q": q_values, "d": d_values, "k": k_values, "sizes": size_values, "trials": trials,
+        "seed": seed, "mode": "exhaustive" if exhaustive_flag else mode, "generator": generator,
+        "salem_threshold": salem_threshold, "ratio_floor": ratio_floor, "threads": ctx.obj["threads"] or 1,
+    })
     _finish_campaign(run_campaign(config), out_prefix)
 
 

@@ -12,9 +12,9 @@ Everything here is a view of one primitive, the difference multiplicity
 mu(z) (grid.difference_multiplicities, cached per set by
 PointSet.difference_multiplicity): D(E) is the set of canonical classes of
 the support of mu.  Classing works on flat grid codes rather than on rows:
-the distinct nonzero support codes are canonicalized once each and the
-canonical codes are deduplicated with a 1-D sort; just the |D(E)| survivors
-are decoded back into tuples.
+the nonzero support codes, distinct already, are canonicalized once each
+and the canonical codes are deduplicated with a 1-D sort; just the |D(E)|
+survivors are decoded back into tuples.
 
 canonical_codes works on a stack of sets at once: set b's codes are offset
 by b q^d, as the stacked mu kernel returns them, so one sort classes every
@@ -65,23 +65,23 @@ def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
 
     Codes may carry a set offset: a code in [b q^d, (b+1) q^d) is the vector
     code - b q^d of set b, and its canonical code keeps that offset, so one
-    call classes a whole stack of sets.  Repeated codes are allowed, and
-    vector 0 of every set is skipped.  Each distinct vector is canonicalized
-    once.
+    call classes a whole stack of sets.  Vector 0 of every set is skipped.
+    Each code given is canonicalized, so callers pass distinct codes (the
+    support of mu is); a repeated code costs one more row but leaves the
+    result unchanged.
     """
     q = field.q
-    distinct = grid.distinct(codes)
-    local = distinct % q**d
+    local = codes % q**d
     nonzero = local != 0
-    distinct, local = distinct[nonzero], local[nonzero]
+    codes, local = codes[nonzero], local[nonzero]
     canon = grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, d), field), q)
-    return grid.distinct(canon + (distinct - local))
+    return grid.distinct(canon + (codes - local))
 
 
 def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
     """Directions of the vectors whose flat grid codes (of one set) are given; code 0 is skipped.
 
-    Repeated codes are allowed.  Each distinct vector is canonicalized once.
+    Repeated codes are allowed; see canonical_codes.
     """
     reps = grid.decode_indices(canonical_codes(codes, field, d), field.q, d)
     return set(map(tuple, reps.tolist()))

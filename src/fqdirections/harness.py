@@ -20,18 +20,17 @@ never fail the run on their own.  Every flagged set is recorded in full
 from __future__ import annotations
 
 import ast
-import csv
 import functools
-import io
 import json
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -423,13 +422,48 @@ _COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _new_columns(kind: str) -> dict[str, list]:
+    return {name: [] for name in _COLUMNS[kind]}
+
+
+def _extend_rows(columns: dict[str, list], rows: Iterable[tuple]) -> None:
+    """Append rows, each a tuple of values in column order, to the columns."""
+    for column, values in zip(columns.values(), zip(*rows)):
+        column += values
+
+
+class Rows(Sequence):
+    """Read-only view of a result's columns as rows; a row's dict is built when it is read."""
+
+    def __init__(self, columns: Mapping[str, Sequence]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self._columns.values()), ()))
+
+    def __getitem__(self, index: int | slice) -> dict | list[dict]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return {name: values[index] for name, values in self._columns.items()}
+
+    def __iter__(self) -> Iterator[dict]:
+        names = tuple(self._columns)
+        return (dict(zip(names, values)) for values in zip(*self._columns.values()))
+
+
 @dataclass(frozen=True)
 class CampaignResult:
+    """A campaign's outcome; columns maps each of _COLUMNS[kind] to its values, one per row."""
+
     kind: str
     config: CampaignConfig
-    rows: tuple[dict, ...]
+    columns: dict[str, list]
     aggregates: dict
     counterexamples: tuple[dict, ...]
+
+    @property
+    def rows(self) -> Rows:
+        return Rows(self.columns)
 
     @property
     def hard_failure_count(self) -> int:
@@ -446,7 +480,7 @@ class CampaignResult:
 
 
 def _flag_records(
-    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, E: PointSet | None
+    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, E: PointSet
 ) -> list[dict]:
     return [
         {
@@ -458,7 +492,7 @@ def _flag_records(
             "size": cell.size,
             "trial": trial,
             "trial_seed": seed,
-            "fset": format_fset(E) if E is not None else None,
+            "fset": format_fset(E),
         }
         for reason in reasons
     ]
@@ -485,8 +519,8 @@ def _theorem_blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range,
 
 def _theorem_block(
     cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
-) -> list[tuple[dict, list[str], PointSet | None]]:
-    """(row, hard failures, set if flagged) for each set of a block, read off stacked arrays.
+) -> tuple[dict[str, list], list[dict]]:
+    """The block's report columns and hard-failure records, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
     slope of every set; one stacked mu gives every D(E) and the pair-count
@@ -515,44 +549,40 @@ def _theorem_block(
     tails = np.bincount(owner[vector % q ** (d - k - 1) == 0], minlength=len(picks))
     literal = tails == ambient_direction_count(q, k + 1)
     ambient_n = ambient_direction_count(q, d)
-    lower = threshold_lower_bound(size, q, k)
-    columns = zip(
-        trials, seeds, picks, nu.min(axis=1).tolist(), holds.tolist(), covered.tolist(), literal.tolist(),
-        dir_counts.tolist(),
-    )
-    out = []
-    for trial, seed, points, nu_min, ok, pattern, subset, n_dirs in columns:
-        full = n_dirs == ambient_n
-        hard: list[str] = []
-        if size > q**k:
-            if not ok:
-                hard.append("nu-threshold")
-            # full coverage is exact for k = d-1; below that the subset claim and
-            # the slope-pattern coverage are open questions, recorded per row only
-            if k == d - 1 and not full:
-                hard.append("ambient-coverage")
-        row = {
-            "kind": "theorem-main",
-            "q": q,
-            "d": d,
-            "k": k,
-            "size": size,
-            "mode": cell.mode,
-            "trial": trial,
-            "trial_seed": seed,
-            "nu_min": nu_min,
-            "lower_bound": lower,
-            "threshold_holds": ok,
-            "slope_pattern_covered": pattern,
-            "literal_subset": subset,
-            "direction_count": n_dirs,
-            "ambient_count": ambient_n,
-            "full_coverage": full,
-            "hard_fail": bool(hard),
-            "soft_flags": (),
-        }
-        out.append((row, hard, PointSet.from_indices(q, d, points) if hard else None))
-    return out
+    full = dir_counts == ambient_n
+    fails = {
+        "nu-threshold": ~holds & (size > q**k),
+        # full coverage is exact for k = d-1; below that the subset claim and
+        # the slope-pattern coverage are open questions, recorded per row only
+        "ambient-coverage": ~full & (size > q**k and k == d - 1),
+    }
+    hard_fail = fails["nu-threshold"] | fails["ambient-coverage"]
+    flags = []
+    for b in np.flatnonzero(hard_fail).tolist():
+        reasons = [reason for reason, failed in fails.items() if failed[b]]
+        flags += _flag_records(cell, trials[b], seeds[b], reasons, "hard", PointSet.from_indices(q, d, picks[b]))
+    n = len(picks)
+    columns = {
+        "kind": ["theorem-main"] * n,
+        "q": [q] * n,
+        "d": [d] * n,
+        "k": [k] * n,
+        "size": [size] * n,
+        "mode": [cell.mode] * n,
+        "trial": list(trials),
+        "trial_seed": list(seeds),
+        "nu_min": nu.min(axis=1).tolist(),
+        "lower_bound": [threshold_lower_bound(size, q, k)] * n,
+        "threshold_holds": holds.tolist(),
+        "slope_pattern_covered": covered.tolist(),
+        "literal_subset": literal.tolist(),
+        "direction_count": dir_counts.tolist(),
+        "ambient_count": [ambient_n] * n,
+        "full_coverage": full.tolist(),
+        "hard_fail": hard_fail.tolist(),
+        "soft_flags": [()] * n,
+    }
+    return columns, flags
 
 
 def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
@@ -564,41 +594,40 @@ def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
     config.validate()
     if config.kind != "theorem-main":
         raise ConfigError(f"verify_theorem_main got a {config.kind!r} config")
-    rows: list[dict] = []
+    columns = _new_columns("theorem-main")
     counterexamples: list[dict] = []
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
-        def work(block: tuple, _cell: Cell = cell) -> list[tuple[dict, list[str], PointSet | None]]:
+        def work(block: tuple, _cell: Cell = cell) -> tuple[dict[str, list], list[dict]]:
             return _theorem_block(_cell, *block)
 
-        results = [r for block in _map_ordered(work, _theorem_blocks(config, cell), config.threads) for r in block]
-        agg = {
+        start = len(columns["trial"])
+        for block_columns, flags in _map_ordered(work, _theorem_blocks(config, cell), config.threads):
+            for name, values in block_columns.items():
+                columns[name] += values
+            counterexamples += flags
+        cell_aggs.append({
             "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
-            "sets_checked": len(results),
-            "nu_min": min(r[0]["nu_min"] for r in results),
-            "hard_failures": 0, "literal_subset_failures": 0, "slope_pattern_failures": 0,
-        }
-        for row, hard, E in results:
-            rows.append(row)
-            agg["hard_failures"] += bool(hard)
-            agg["literal_subset_failures"] += not row["literal_subset"]
-            agg["slope_pattern_failures"] += not row["slope_pattern_covered"]
-            counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], hard, "hard", E))
-        cell_aggs.append(agg)
+            "sets_checked": len(columns["trial"]) - start,
+            "nu_min": min(columns["nu_min"][start:]),
+            "hard_failures": columns["hard_fail"][start:].count(True),
+            "literal_subset_failures": columns["literal_subset"][start:].count(False),
+            "slope_pattern_failures": columns["slope_pattern_covered"][start:].count(False),
+        })
     aggregates = {
         "cells": cell_aggs,
         "sets_checked": sum(a["sets_checked"] for a in cell_aggs),
         "hard_failures": sum(a["hard_failures"] for a in cell_aggs),
     }
-    return CampaignResult("theorem-main", config, tuple(rows), aggregates, tuple(counterexamples))
+    return CampaignResult("theorem-main", config, columns, aggregates, tuple(counterexamples))
 
 
 # -- salem-bounds ----------------------------------------------------------
 
 def _salem_outcome(
     E: PointSet, cell: Cell, trial: int, seed: int | None, config: CampaignConfig
-) -> tuple[dict, list[str], list[str], PointSet | None]:
-    """(row, hard failures, soft flags, set if flagged).
+) -> tuple[tuple, list[dict]]:
+    """(row values in column order, flag records).
 
     An unflagged set is dropped, with its cached spectrum and mu, so a cell
     keeps only its rows.
@@ -616,33 +645,16 @@ def _salem_outcome(
         soft.append("ratio-ii-floor")
     if rec.ratio_diff < config.ratio_floor:
         soft.append("ratio-diff-floor")
-    row = {
-        "kind": "salem-bounds",
-        "q": cell.q,
-        "d": cell.d,
-        "k": cell.k,
-        "size": cell.size,
-        "mode": cell.mode,
-        "trial": trial,
-        "trial_seed": seed,
-        "direction_count": rec.direction_count,
-        "ambient_count": ambient_n,
-        "full_coverage": full,
-        "diff_size": rec.diff_size,
-        "bound_ii": rec.bound_ii,
-        "bound_iii": rec.bound_iii,
-        "bound_diff": rec.bound_diff,
-        "ratio_ii": rec.ratio_ii,
-        "ratio_iii": rec.ratio_iii,
-        "ratio_diff": rec.ratio_diff,
-        "salem_constant": rec.salem_constant,
-        "is_salem": rec.salem_constant <= config.salem_threshold,
-        "parseval_defect_rel": rec.parseval_defect_rel,
-        "quotient_bound_holds": rec.quotient_bound_holds,
-        "hard_fail": bool(hard),
-        "soft_flags": tuple(soft),
-    }
-    return row, hard, soft, E if hard or soft else None
+    row = (
+        "salem-bounds", cell.q, cell.d, cell.k, cell.size, cell.mode, trial, seed,
+        rec.direction_count, ambient_n, full, rec.diff_size, rec.bound_ii, rec.bound_iii, rec.bound_diff,
+        rec.ratio_ii, rec.ratio_iii, rec.ratio_diff, rec.salem_constant,
+        rec.salem_constant <= config.salem_threshold, rec.parseval_defect_rel, rec.quotient_bound_holds,
+        bool(hard), tuple(soft),
+    )
+    if not (hard or soft):
+        return row, []
+    return row, _flag_records(cell, trial, seed, hard, "hard", E) + _flag_records(cell, trial, seed, soft, "soft", E)
 
 
 def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
@@ -650,42 +662,40 @@ def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
     config.validate()
     if config.kind != "salem-bounds":
         raise ConfigError(f"verify_salem_bounds got a {config.kind!r} config")
-    rows: list[dict] = []
+    columns = _new_columns("salem-bounds")
     counterexamples: list[dict] = []
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
         if cell.mode == "exhaustive":
-            results = [
+            outcomes = [
                 _salem_outcome(PointSet.from_indices(cell.q, cell.d, picks), cell, i, None, config)
                 for i, picks in enumerate(combinations(range(cell.q**cell.d), cell.size))
             ]
         else:
             def work(
                 trial: int, _cell: Cell = cell, _draw: Callable = _index_draw(config, cell)
-            ) -> tuple[dict, list[str], list[str], PointSet | None]:
+            ) -> tuple[tuple, list[dict]]:
                 seed = _trial_seed(config, _cell, trial)
                 E = PointSet.from_indices(_cell.q, _cell.d, _draw(seed))
                 return _salem_outcome(E, _cell, trial, seed, config)
 
-            results = _map_ordered(work, range(config.trials), config.threads)
-        n = len(results)
-        agg = {
+            outcomes = _map_ordered(work, range(config.trials), config.threads)
+        start = len(columns["trial"])
+        _extend_rows(columns, (row for row, _ in outcomes))
+        for _, flags in outcomes:
+            counterexamples += flags
+        n = len(columns["trial"]) - start
+        cell_aggs.append({
             "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
             "trials": n,
-            "min_ratio_ii": min(r[0]["ratio_ii"] for r in results),
-            "min_ratio_iii": min(r[0]["ratio_iii"] for r in results),
-            "min_ratio_diff": min(r[0]["ratio_diff"] for r in results),
-            "max_salem_constant": max(r[0]["salem_constant"] for r in results),
-            "mean_direction_count": sum(r[0]["direction_count"] for r in results) / n,
-            "hard_failures": sum(bool(r[1]) for r in results),
-            "soft_flags": sum(len(r[2]) for r in results),
-        }
-        cell_aggs.append(agg)
-        for row, hard, soft, E in results:
-            rows.append(row)
-            if hard or soft:
-                counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], hard, "hard", E))
-                counterexamples.extend(_flag_records(cell, row["trial"], row["trial_seed"], soft, "soft", E))
+            "min_ratio_ii": min(columns["ratio_ii"][start:]),
+            "min_ratio_iii": min(columns["ratio_iii"][start:]),
+            "min_ratio_diff": min(columns["ratio_diff"][start:]),
+            "max_salem_constant": max(columns["salem_constant"][start:]),
+            "mean_direction_count": sum(columns["direction_count"][start:]) / n,
+            "hard_failures": columns["hard_fail"][start:].count(True),
+            "soft_flags": sum(map(len, columns["soft_flags"][start:])),
+        })
     monotonicity = _monotonicity_probe(cell_aggs)
     for probe in monotonicity:
         if not probe["nondecreasing"]:
@@ -708,7 +718,7 @@ def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
         "sets_checked": sum(a["trials"] for a in cell_aggs),
         "hard_failures": sum(a["hard_failures"] for a in cell_aggs),
     }
-    return CampaignResult("salem-bounds", config, tuple(rows), aggregates, tuple(counterexamples))
+    return CampaignResult("salem-bounds", config, columns, aggregates, tuple(counterexamples))
 
 
 def _monotonicity_probe(cell_aggs: list[dict]) -> list[dict]:
@@ -740,7 +750,7 @@ def verify_sharpness(config: CampaignConfig) -> CampaignResult:
     config.validate()
     if config.kind != "sharpness":
         raise ConfigError(f"verify_sharpness got a {config.kind!r} config")
-    rows: list[dict] = []
+    rows: list[tuple] = []
     counterexamples: list[dict] = []
     for cell in _expand_cells(config):
         q, d = cell.q, cell.d
@@ -752,32 +762,20 @@ def verify_sharpness(config: CampaignConfig) -> CampaignResult:
             exact = n_dirs == expected and E.cardinality == q**k
             fewer = n_dirs < next_count
             hard = [] if exact and fewer else ["sharpness-count"]
-            row = {
-                "kind": "sharpness",
-                "q": q,
-                "d": d,
-                "k": k,
-                "size": q**k,
-                "mode": cell.mode,
-                "trial": None,
-                "trial_seed": None,
-                "direction_count": n_dirs,
-                "expected_count": expected,
-                "next_subspace_count": next_count,
-                "exact_match": exact,
-                "strictly_fewer": fewer,
-                "hard_fail": bool(hard),
-                "soft_flags": (),
-            }
-            rows.append(row)
+            rows.append(
+                ("sharpness", q, d, k, q**k, cell.mode, None, None, n_dirs, expected, next_count, exact, fewer,
+                 bool(hard), ())
+            )
             if hard:
                 k_cell = Cell(q, d, k, q**k, cell.mode)
                 counterexamples.extend(_flag_records(k_cell, None, None, hard, "hard", E))
+    columns = _new_columns("sharpness")
+    _extend_rows(columns, rows)
     aggregates = {
         "cells_checked": len(rows),
-        "hard_failures": sum(row["hard_fail"] for row in rows),
+        "hard_failures": columns["hard_fail"].count(True),
     }
-    return CampaignResult("sharpness", config, tuple(rows), aggregates, tuple(counterexamples))
+    return CampaignResult("sharpness", config, columns, aggregates, tuple(counterexamples))
 
 
 def sharpness_suite(q: int, d: int) -> CampaignResult:
@@ -800,53 +798,65 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 # -- report emission -------------------------------------------------------
 
-def _csv_value(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(item) for item in value)
-    return str(value)
+#: CSV text of a report value by its exact type, so a bool is not taken for an int; other types print with str.
+_CSV_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: repr,
+    tuple: lambda value: ";".join(map(str, value)),
+}
+_CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _json_value(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_json_value(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _json_value(item) for key, item in value.items()}
-    return value
+def _csv_cell(value: Any) -> str:
+    text = _CSV_TEXT.get(type(value), str)(value)
+    return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _json_cell(value: Any) -> str:
+    """A row value's text in the indent=2 report: a list as json.dumps lays it out, six spaces in."""
+    if isinstance(value, tuple) and value:
+        return json.dumps(value, indent=2).replace("\n", "\n      ")
+    return json.dumps(str(value) if isinstance(value, Fraction) else value)
+
+
+def _format_column(values: Sequence, render: Callable[[Any], str]) -> list[str]:
+    """render(value) for each value, computed once per distinct object.
+
+    Repeated values of a column are mostly one shared object (a cell's
+    constants, small ints, bools, None), so keying the memo by identity
+    formats each of them once without hashing the values.
+    """
+    ids = list(map(id, values))
+    memo = {key: render(value) for key, value in dict(zip(ids, values)).items()}
+    return list(map(memo.__getitem__, ids))
 
 
 def emit_report(result: CampaignResult, format: str) -> str:
-    """Render the campaign to text; identical results render byte-identically."""
+    """Render the campaign to text; identical results render byte-identically.
+
+    Rows are rendered a column at a time.  The JSON is the text that
+    json.dumps(indent=2) gives the whole document: a row is a template of
+    its keys filled with each value's own encoding, and the entries around
+    rows are encoded whole.
+    """
+    names = _COLUMNS[result.kind]
     if format == "csv":
-        columns = _COLUMNS[result.kind]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in result.rows:
-            writer.writerow([_csv_value(row[col]) for col in columns])
-        return buffer.getvalue()
-    if format == "json":
-        doc = {
-            "kind": result.kind,
-            "config": result.config.to_dict(),
-            "rows": [_json_value(row) for row in result.rows],
-            "aggregates": _json_value(result.aggregates),
-            "counterexamples": [_json_value(c) for c in result.counterexamples],
-            "hard_failure_count": result.hard_failure_count,
-            "soft_flag_count": result.soft_flag_count,
-            "ok": result.ok,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    raise ConfigError(f"unknown report format {format!r}; expected csv or json")
+        cells = [_format_column(result.columns[name], _csv_cell) for name in names]
+        return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+    if format != "json":
+        raise ConfigError(f"unknown report format {format!r}; expected csv or json")
+    cells = [_format_column(result.columns[name], _json_cell) for name in names]
+    row = "{{" + ",".join(f"\n      {json.dumps(name)}: {{}}" for name in names) + "\n    }}"
+    rows = "[\n    " + ",\n    ".join(map(row.format, *cells)) + "\n  ]" if len(result.rows) else "[]"
+    head = json.dumps({"kind": result.kind, "config": result.config.to_dict()}, indent=2)
+    tail = json.dumps(
+        {"aggregates": result.aggregates, "counterexamples": result.counterexamples,
+         "hard_failure_count": result.hard_failure_count, "soft_flag_count": result.soft_flag_count, "ok": result.ok},
+        indent=2, default=str,
+    )
+    # head ends with its closing "\n}" and tail opens with "{": splice rows between them
+    return f'{head[:-2]},\n  "rows": {rows},{tail[1:]}\n'
 
 
 def write_report(result: CampaignResult, format: str, path: str | Path) -> None:

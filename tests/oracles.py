@@ -8,6 +8,11 @@ Tests freeze these as the ground truth the optimized code must reproduce.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
+import json
+from fractions import Fraction
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -102,3 +107,53 @@ def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int, co
     for _ in range(d):
         cube = np.moveaxis(np.matmul(cube, chars.T), -1, len(batch))
     return cube.reshape(values.shape)
+
+
+def _csv_value(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(str(item) for item in value)
+    return str(value)
+
+
+def _json_value(value: Any) -> Any:
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
+
+
+def report_by_rows(result, format: str, columns: Sequence[str]) -> str:
+    """A campaign report rendered a row at a time, every value formatted where it stands.
+
+    CSV goes through csv.writer, JSON is one json.dumps(indent=2) of the
+    whole document; columns is the kind's column order.
+    """
+    if format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in result.rows:
+            writer.writerow([_csv_value(row[col]) for col in columns])
+        return buffer.getvalue()
+    doc = {
+        "kind": result.kind,
+        "config": result.config.to_dict(),
+        "rows": [_json_value(row) for row in result.rows],
+        "aggregates": _json_value(result.aggregates),
+        "counterexamples": [_json_value(c) for c in result.counterexamples],
+        "hard_failure_count": result.hard_failure_count,
+        "soft_flag_count": result.soft_flag_count,
+        "ok": result.ok,
+    }
+    return json.dumps(doc, indent=2) + "\n"

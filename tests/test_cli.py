@@ -199,6 +199,26 @@ def test_sweep_runs_config(runner, tmp_path):
     assert (tmp_path / "rep.csv").read_bytes() == first
 
 
+def test_verify_flags_and_sweep_config_write_identical_reports(runner, tmp_path):
+    config = {
+        "kind": "salem-bounds", "q": [5], "d": [3], "k": [1], "sizes": ["q+1", "2*q"], "trials": 4, "seed": 7,
+        "mode": "random", "generator": "subspace-random", "salem_threshold": 1.5, "ratio_floor": 0.5,
+    }
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps(config))
+    swept = invoke(runner, "sweep", str(cfg_path), "--out", str(tmp_path / "sweep"))
+    verified = invoke(
+        runner, "verify", "--campaign", "salem-bounds", "--q", "5", "--d", "3", "--k", "1",
+        "--size", "q+1", "--size", "2*q", "--trials", "4", "--seed", "7", "--mode", "random",
+        "--generator", "subspace-random", "--salem-threshold", "1.5", "--ratio-floor", "0.5",
+        "--out", str(tmp_path / "verify"),
+    )
+    assert swept.exit_code == verified.exit_code == 0
+    assert swept.output.replace("sweep.", "verify.") == verified.output
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"sweep.{ext}").read_bytes() == (tmp_path / f"verify.{ext}").read_bytes()
+
+
 def test_sweep_bad_config_exits_2(runner, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"kind": "theorem-main"}')

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -206,6 +207,25 @@ def test_salem_bounds_campaign():
     assert all(r["quotient_bound_holds"] for r in res.rows)
 
 
+def test_salem_cell_aggregates_reduce_their_own_rows():
+    # sizes in both orders, so no cell's extremes are those of the cells before it
+    cfg = CampaignConfig(
+        kind="salem-bounds", q_list=(7,), d_list=(2,), sizes=("2*q", "round(q/2)", "q", "q+1"),
+        trials=6, seed=5, mode="random", ratio_floor=0.9,
+    )
+    res = verify_salem_bounds(cfg)
+    for agg in res.aggregates["cells"]:
+        rows = [row for row in res.rows if row["size"] == agg["size"]]
+        assert agg["trials"] == len(rows)
+        for name in ("ratio_ii", "ratio_iii", "ratio_diff"):
+            assert agg[f"min_{name}"] == min(row[name] for row in rows)
+        assert agg["max_salem_constant"] == max(row["salem_constant"] for row in rows)
+        assert agg["mean_direction_count"] == sum(row["direction_count"] for row in rows) / len(rows)
+        assert agg["hard_failures"] == sum(row["hard_fail"] for row in rows)
+        assert agg["soft_flags"] == sum(len(row["soft_flags"]) for row in rows)
+    assert len({agg["soft_flags"] for agg in res.aggregates["cells"]}) > 1
+
+
 def test_salem_bounds_part_i_full_coverage():
     # |E| = 2q > q = q^(d-1): part i forces the whole direction set
     cfg = CampaignConfig(
@@ -231,6 +251,36 @@ def test_salem_bounds_cell_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     assert peak(24) - peak(4) < 1 << 20
+
+
+def _retained_bytes_per_row(mapping: dict) -> float:
+    """Traced memory a campaign's result holds, per row, with the grid's caches warmed first."""
+    config = CampaignConfig.from_mapping(mapping)
+    run_campaign(CampaignConfig.from_mapping({**mapping, "mode": "random", "trials": 2}))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_campaign(config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(result.rows)
+
+
+def test_theorem_main_result_stores_rows_as_columns():
+    # 560 sets; 18 list slots and a trial int come to about 170 bytes a row
+    per_row = _retained_bytes_per_row({"kind": "theorem-main", "q": 2, "d": 4, "k": 1, "mode": "exhaustive"})
+    assert per_row <= 320
+
+
+def test_salem_bounds_result_stores_rows_as_columns():
+    # 24 list slots plus a row's own floats and large ints come to about 450 bytes
+    per_row = _retained_bytes_per_row(
+        {"kind": "salem-bounds", "q": 13, "d": 3, "sizes": ["q+1"], "trials": 400, "mode": "random"}
+    )
+    assert per_row <= 640
 
 
 def test_salem_bounds_ratio_floor_soft_flag():
@@ -301,9 +351,21 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_rows_view_reads_columns():
+    cfg = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(4,))
+    res = run_campaign(cfg)
+    rows = [dict(zip(res.columns, values)) for values in zip(*res.columns.values())]
+    assert len(res.rows) == len(rows) == 3
+    assert list(res.rows) == rows
+    assert [res.rows[i] for i in range(-3, 3)] == rows + rows
+    assert res.rows[1:] == rows[1:] and res.rows[::-1] == rows[::-1]
+    with pytest.raises(IndexError):
+        res.rows[3]
+
+
 def test_empty_result_renders_header_only():
     cfg = CampaignConfig(kind="theorem-main", q_list=(3,), d_list=(2,), k_list=(1,))
-    empty = CampaignResult("theorem-main", cfg, (), {}, ())
+    empty = CampaignResult("theorem-main", cfg, {name: [] for name in _COLUMNS["theorem-main"]}, {}, ())
     text = emit_report(empty, "csv")
     assert text.count("\n") == 1
     assert text.startswith("kind,q,d,k,size,mode,trial,trial_seed,")
@@ -346,8 +408,8 @@ def test_readme_column_lists_match_report_columns():
 
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
-    row = _theorem_block(cell, [0], [None], E.indices()[None])[0][0]
-    return row["literal_subset"]
+    columns, _ = _theorem_block(cell, [0], [None], E.indices()[None])
+    return columns["literal_subset"][0]
 
 
 @pytest.mark.parametrize("q,d,k", [(2, 3, 1), (3, 3, 1), (5, 3, 1), (3, 4, 1), (3, 4, 2), (2, 5, 3)])

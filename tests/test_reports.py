@@ -1,0 +1,69 @@
+"""emit_report renders a column at a time; it must match the row-wise reference byte for byte."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from fqdirections.harness import _COLUMNS, CampaignConfig, CampaignResult, emit_report, run_campaign
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+
+CONFIGS = {
+    **{f"golden-{name}": mapping for name, mapping in GOLDEN_CONFIGS.items()},
+    # auto mode: q = 3 is enumerated, q = 11 sampled, so trial_seed mixes None and int
+    "auto-mixed": {"kind": "theorem-main", "q": [3, 11], "d": 2, "k": 1, "sizes": ["q^k+1"]},
+    # a floor no set reaches: every row flags one or both ratios
+    "salem-flagged": {
+        "kind": "salem-bounds", "q": 5, "d": 3, "k": 1, "sizes": ["q+1", "2*q"], "trials": 8, "seed": 3,
+        "mode": "random", "generator": "subspace-random", "ratio_floor": 2.0,
+    },
+}
+
+
+def _assert_matches_reference(result: CampaignResult) -> None:
+    for format in ("csv", "json"):
+        assert emit_report(result, format) == oracles.report_by_rows(result, format, _COLUMNS[result.kind])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_matches_row_wise_reference(name):
+    result = run_campaign(CampaignConfig.from_mapping(CONFIGS[name]))
+    _assert_matches_reference(result)
+
+
+def test_reference_configs_cover_mixed_and_listed_cells():
+    mixed = run_campaign(CampaignConfig.from_mapping(CONFIGS["auto-mixed"])).columns["trial_seed"]
+    assert None in mixed and any(isinstance(seed, int) for seed in mixed)
+    flags = run_campaign(CampaignConfig.from_mapping(CONFIGS["salem-flagged"])).columns["soft_flags"]
+    assert all(flags) and any(len(f) == 2 for f in flags)
+
+
+def test_hand_built_result_quotes_and_types_like_reference():
+    config = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
+    values = {
+        # strings holding the delimiter, the quote character and a newline
+        "kind": ["plain", "a,b", 'say "hi"', "two\nlines", "x"],
+        "mode": ["", ",", '"', "\n", "x"],
+        "soft_flags": [(), ("one",), ("x,y", 'q"z'), ("a", "b\nc"), ()],
+        # equal values of different types, and the two zeros, in one column
+        "direction_count": [1, True, 1.0, 0.0, -0.0],
+        "expected_count": [Fraction(7, 3), Fraction(6), None, float("nan"), float("inf")],
+    }
+    columns = {name: values.get(name, list(range(5))) for name in _COLUMNS["sharpness"]}
+    result = CampaignResult(
+        "sharpness", config, columns, {"cells_checked": 5, "bound": Fraction(1, 2)},
+        ({"severity": "soft", "reason": "r,\"s\"", "fset": "3 2\n0 1\n"},),
+    )
+    _assert_matches_reference(result)
+    text = emit_report(result, "csv")
+    assert '"a,b"' in text and '"say ""hi"""' in text and '"two\nlines"' in text and '"x,y;q""z"' in text
+
+
+def test_carriage_return_is_quoted():
+    # as csv.writer does from Python 3.12 on; 3.11 quotes only the line terminator's characters
+    config = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
+    columns = {name: ["cr\rhere"] for name in _COLUMNS["sharpness"]}
+    line = emit_report(CampaignResult("sharpness", config, columns, {}, ()), "csv").split("\n")[1]
+    assert line == ",".join(['"cr\rhere"'] * len(columns))

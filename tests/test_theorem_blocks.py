@@ -16,7 +16,7 @@ from fqdirections import grid, harness, incidence
 from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_random, gen_subspace_random
-from fqdirections.harness import CampaignConfig, Cell, _theorem_block, verify_theorem_main
+from fqdirections.harness import CampaignConfig, Cell, Rows, _theorem_block, verify_theorem_main
 from fqdirections.incidence import theorem_main_threshold
 from fqdirections.pointset import PointSet, format_fset
 
@@ -82,7 +82,8 @@ def _blocks(draw):
 def test_block_rows_match_per_set_rows(block):
     cell, picks = block
     trials = range(len(picks))
-    rows = [row for row, _, _ in _theorem_block(cell, trials, list(trials), picks)]
+    columns, _ = _theorem_block(cell, trials, list(trials), picks)
+    rows = list(Rows(columns))
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t) for t, p in zip(trials, picks)
     ]
@@ -132,6 +133,20 @@ def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
     assert [(c["size"], c["trial"], c["fset"]) for c in result.counterexamples] == flagged
     assert {c["reason"] for c in result.counterexamples} == {"nu-threshold"}
     assert all(row["hard_fail"] == (row["size"] > 3) for row in result.rows)
+
+
+def test_cell_aggregates_reduce_their_own_rows(monkeypatch):
+    # fail every slope: the cells above the threshold (sizes 3 and 5) flag every set
+    monkeypatch.setattr(harness, "threshold_failures", lambda nu, size, q, k: nu >= 0)
+    result = verify_theorem_main(CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive"]))
+    for agg in result.aggregates["cells"]:
+        rows = [row for row in result.rows if (row["k"], row["size"]) == (agg["k"], agg["size"])]
+        assert agg["sets_checked"] == len(rows)
+        assert agg["nu_min"] == min(row["nu_min"] for row in rows)
+        assert agg["hard_failures"] == sum(row["hard_fail"] for row in rows)
+        assert agg["literal_subset_failures"] == sum(not row["literal_subset"] for row in rows)
+        assert agg["slope_pattern_failures"] == sum(not row["slope_pattern_covered"] for row in rows)
+    assert [agg["hard_failures"] > 0 for agg in result.aggregates["cells"]] == [False, True, False, True]
 
 
 # -- guard band ------------------------------------------------------------
