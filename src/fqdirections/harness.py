@@ -26,7 +26,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
 from pathlib import Path
@@ -42,13 +42,13 @@ from .grid import decode, difference_multiplicities
 from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, format_fset
 from .rng import mix64
-from .salem import difference_bound_check
+from .salem import bound_shapes, difference_bounds
 from .spectral import DEFAULT_SIZE_CAP, check_size_cap, indicator_power
 
 #: Enumerating all size-n subsets is preferred to sampling up to this count.
 EXHAUSTIVE_LIMIT = 10**7
 
-#: Theorem-main cells are evaluated a block of sets at a time; a block holds
+#: Campaign cells are evaluated a block of sets at a time; a block holds
 #: at most this many pairs (B |E|^2) and grid cells (B q^d), or one set.
 #: They bound a block's memory, not results: B |E|^2 int32 pair codes
 #: (512 KB) and B q^d int64 counts (512 KB), besides the stacked spectra.
@@ -347,36 +347,21 @@ def _expand_cells(config: CampaignConfig) -> list[Cell]:
         if not cells:
             raise ConfigError("no valid cells: sharpness needs d >= 2")
         return cells
-    if config.kind == "theorem-main":
-        sizes = config.sizes or ("q^k+1",)
-        for q in config.q_list:
-            for d in config.d_list:
-                k_values = config.k_list or tuple(range(1, d))
-                for k in k_values:
-                    if not 1 <= k <= d - 1:
-                        continue
-                    for expr in sizes:
-                        size = evaluate_size(expr, q=q, d=d, k=k)
-                        _check_draw_bounds(config, q, d, k, size)
-                        mode, total = _resolve_cell_mode(config, q, d, size)
-                        cells.append(Cell(q, d, k, size, mode, total))
-        if not cells:
-            raise ConfigError("no valid cells: theorem-main needs 1 <= k <= d-1")
-        return cells
-    # salem-bounds: k is optional and only steers the subspace-random generator
-    k_values: tuple[int | None, ...] = config.k_list or (None,)
+    theorem = config.kind == "theorem-main"
     for q in config.q_list:
         for d in config.d_list:
-            for k in k_values:
+            # a salem-bounds k is optional and only steers the subspace-random generator
+            for k in config.k_list or (tuple(range(1, d)) if theorem else (None,)):
                 if k is not None and k > d - 1:
                     continue
-                for expr in config.sizes:
+                for expr in config.sizes or ("q^k+1",):
                     size = evaluate_size(expr, q=q, d=d, k=k)
                     _check_draw_bounds(config, q, d, k, size)
                     mode, total = _resolve_cell_mode(config, q, d, size)
                     cells.append(Cell(q, d, k, size, mode, total))
     if not cells:
-        raise ConfigError("no valid cells: salem-bounds needs k <= d-1 when k is given")
+        need = "1 <= k <= d-1" if theorem else "k <= d-1 when k is given"
+        raise ConfigError(f"no valid cells: {config.kind} needs {need}")
     return cells
 
 
@@ -480,7 +465,7 @@ class CampaignResult:
 
 
 def _flag_records(
-    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, E: PointSet
+    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, E: PointSet | None
 ) -> list[dict]:
     return [
         {
@@ -492,23 +477,22 @@ def _flag_records(
             "size": cell.size,
             "trial": trial,
             "trial_seed": seed,
-            "fset": format_fset(E),
+            "fset": None if E is None else format_fset(E),
         }
         for reason in reasons
     ]
 
 
-# -- theorem-main ----------------------------------------------------------
+# -- block runner ----------------------------------------------------------
 
-def _theorem_blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, np.ndarray]]:
+def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, np.ndarray]]:
     """The cell's sets in trial order, a block at a time: (trials, seeds, (B, size) indices)."""
     per_block = max(1, min(_BLOCK_PAIRS // cell.size**2, _BLOCK_CELLS // cell.q**cell.d))
     if cell.mode == "exhaustive":
         sets = combinations(range(cell.q**cell.d), cell.size)
-        start = 0
-        while picks := list(islice(sets, per_block)):
-            yield range(start, start + len(picks)), [None] * len(picks), np.array(picks, dtype=np.int64)
-            start += len(picks)
+        for start in range(0, cell.total, per_block):
+            picks = np.array(list(islice(sets, per_block)), dtype=np.int64)
+            yield range(start, start + len(picks)), [None] * len(picks), picks
         return
     draw = _index_draw(config, cell)
     for start in range(0, config.trials, per_block):
@@ -516,6 +500,46 @@ def _theorem_blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range,
         seeds = [_trial_seed(config, cell, trial) for trial in trials]
         yield trials, seeds, np.array([draw(seed) for seed in seeds], dtype=np.int64)
 
+
+def _leading_columns(kind: str, cell: Cell, trials: Sequence[int], seeds: Sequence[int | None]) -> dict[str, list]:
+    """The columns every campaign row opens with, for a block of the cell's sets."""
+    constants = {"kind": kind, "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode}
+    columns = {name: [value] * len(trials) for name, value in constants.items()}
+    return {**columns, "trial": list(trials), "trial_seed": list(seeds)}
+
+
+def _run_cells(
+    config: CampaignConfig, kind: str, block: Callable[..., tuple[dict, list]], aggregate: Callable[[dict, int], dict]
+) -> CampaignResult:
+    """A campaign of the block kind, evaluated a block of sets at a time.
+
+    block(cell, trials, seeds, picks) gives a block's report columns and
+    flag records; aggregate(columns, start) reduces a cell's rows, those
+    from row start on.  With threads > 1 the blocks of a cell run in
+    parallel; rows stay in trial order.
+    """
+    config.validate()
+    if config.kind != kind:
+        raise ConfigError(f"verify_{kind.replace('-', '_')} got a {config.kind!r} config")
+    columns = _new_columns(kind)
+    counterexamples: list[dict] = []
+    cell_aggs: list[dict] = []
+    for cell in _expand_cells(config):
+        start = len(columns["trial"])
+        for block_columns, flags in _map_ordered(lambda b: block(cell, *b), _blocks(config, cell), config.threads):
+            for name, values in block_columns.items():
+                columns[name] += values
+            counterexamples += flags
+        cell_aggs.append({
+            "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
+            **aggregate(columns, start),
+        })
+    hard_failures = columns["hard_fail"].count(True)
+    aggregates = {"cells": cell_aggs, "sets_checked": len(columns["trial"]), "hard_failures": hard_failures}
+    return CampaignResult(kind, config, columns, aggregates, tuple(counterexamples))
+
+
+# -- theorem-main ----------------------------------------------------------
 
 def _theorem_block(
     cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
@@ -563,14 +587,7 @@ def _theorem_block(
         flags += _flag_records(cell, trials[b], seeds[b], reasons, "hard", PointSet.from_indices(q, d, picks[b]))
     n = len(picks)
     columns = {
-        "kind": ["theorem-main"] * n,
-        "q": [q] * n,
-        "d": [d] * n,
-        "k": [k] * n,
-        "size": [size] * n,
-        "mode": [cell.mode] * n,
-        "trial": list(trials),
-        "trial_seed": list(seeds),
+        **_leading_columns("theorem-main", cell, trials, seeds),
         "nu_min": nu.min(axis=1).tolist(),
         "lower_bound": [threshold_lower_bound(size, q, k)] * n,
         "threshold_holds": holds.tolist(),
@@ -585,140 +602,89 @@ def _theorem_block(
     return columns, flags
 
 
-def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
-    """Sweep the incidence threshold and direction coverage over the grid.
-
-    Each cell is evaluated a block of sets at a time (_theorem_block); with
-    threads > 1 the blocks of a cell run in parallel, rows in trial order.
-    """
-    config.validate()
-    if config.kind != "theorem-main":
-        raise ConfigError(f"verify_theorem_main got a {config.kind!r} config")
-    columns = _new_columns("theorem-main")
-    counterexamples: list[dict] = []
-    cell_aggs: list[dict] = []
-    for cell in _expand_cells(config):
-        def work(block: tuple, _cell: Cell = cell) -> tuple[dict[str, list], list[dict]]:
-            return _theorem_block(_cell, *block)
-
-        start = len(columns["trial"])
-        for block_columns, flags in _map_ordered(work, _theorem_blocks(config, cell), config.threads):
-            for name, values in block_columns.items():
-                columns[name] += values
-            counterexamples += flags
-        cell_aggs.append({
-            "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
-            "sets_checked": len(columns["trial"]) - start,
-            "nu_min": min(columns["nu_min"][start:]),
-            "hard_failures": columns["hard_fail"][start:].count(True),
-            "literal_subset_failures": columns["literal_subset"][start:].count(False),
-            "slope_pattern_failures": columns["slope_pattern_covered"][start:].count(False),
-        })
-    aggregates = {
-        "cells": cell_aggs,
-        "sets_checked": sum(a["sets_checked"] for a in cell_aggs),
-        "hard_failures": sum(a["hard_failures"] for a in cell_aggs),
+def _theorem_aggregate(columns: dict[str, list], start: int) -> dict:
+    return {
+        "sets_checked": len(columns["trial"]) - start,
+        "nu_min": min(columns["nu_min"][start:]),
+        "hard_failures": columns["hard_fail"][start:].count(True),
+        "literal_subset_failures": columns["literal_subset"][start:].count(False),
+        "slope_pattern_failures": columns["slope_pattern_covered"][start:].count(False),
     }
-    return CampaignResult("theorem-main", config, columns, aggregates, tuple(counterexamples))
+
+
+def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
+    """Sweep the incidence threshold and direction coverage over the grid, a block of sets at a time."""
+    return _run_cells(config, "theorem-main", _theorem_block, _theorem_aggregate)
 
 
 # -- salem-bounds ----------------------------------------------------------
 
-def _salem_outcome(
-    E: PointSet, cell: Cell, trial: int, seed: int | None, config: CampaignConfig
-) -> tuple[tuple, list[dict]]:
-    """(row values in column order, flag records).
+def _salem_block(
+    config: CampaignConfig, cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
+) -> tuple[dict[str, list], list[dict]]:
+    """The block's report columns and flag records, read off one stacked power and one stacked mu.
 
-    An unflagged set is dropped, with its cached spectrum and mu, so a cell
-    keeps only its rows.
+    A PointSet is built only for a flagged set, to format it.
     """
-    rec = difference_bound_check(E)
-    ambient_n = ambient_direction_count(cell.q, cell.d)
-    full = rec.direction_count == ambient_n
-    hard: list[str] = []
-    soft: list[str] = []
-    if rec.set_size > cell.q ** (cell.d - 1) and not full:
-        hard.append("part-i-coverage")
-    if not rec.quotient_bound_holds:
-        hard.append("quotient-bound")
-    if rec.ratio_ii < config.ratio_floor:
-        soft.append("ratio-ii-floor")
-    if rec.ratio_diff < config.ratio_floor:
-        soft.append("ratio-diff-floor")
-    row = (
-        "salem-bounds", cell.q, cell.d, cell.k, cell.size, cell.mode, trial, seed,
-        rec.direction_count, ambient_n, full, rec.diff_size, rec.bound_ii, rec.bound_iii, rec.bound_diff,
-        rec.ratio_ii, rec.ratio_iii, rec.ratio_diff, rec.salem_constant,
-        rec.salem_constant <= config.salem_threshold, rec.parseval_defect_rel, rec.quotient_bound_holds,
-        bool(hard), tuple(soft),
-    )
-    if not (hard or soft):
-        return row, []
-    return row, _flag_records(cell, trial, seed, hard, "hard", E) + _flag_records(cell, trial, seed, soft, "soft", E)
+    q, d, size = cell.q, cell.d, cell.size
+    field = prime_field(q)
+    mu = difference_multiplicities(picks, q, d)
+    bounds = difference_bounds(indicator_power(picks, field, d), mu, size, field, d, trials)
+    ambient_n = ambient_direction_count(q, d)
+    full = bounds["direction_count"] == ambient_n
+    hard = {"part-i-coverage": ~full & (size > q ** (d - 1)), "quotient-bound": ~bounds["quotient_bound_holds"]}
+    floor = config.ratio_floor
+    soft = {"ratio-ii-floor": bounds["ratio_ii"] < floor, "ratio-diff-floor": bounds["ratio_diff"] < floor}
+    hard_fail = hard["part-i-coverage"] | hard["quotient-bound"]
+    n = len(picks)
+    soft_flags = [()] * n
+    flags = []
+    for b in np.flatnonzero(hard_fail | soft["ratio-ii-floor"] | soft["ratio-diff-floor"]).tolist():
+        hard_reasons = [reason for reason, failed in hard.items() if failed[b]]
+        soft_flags[b] = tuple(reason for reason, flagged in soft.items() if flagged[b])
+        E = PointSet.from_indices(q, d, picks[b])
+        flags += _flag_records(cell, trials[b], seeds[b], hard_reasons, "hard", E)
+        flags += _flag_records(cell, trials[b], seeds[b], soft_flags[b], "soft", E)
+    # the runner files a block's columns by name, so their order here is free
+    columns = {
+        **_leading_columns("salem-bounds", cell, trials, seeds),
+        **{name: values.tolist() for name, values in bounds.items()},
+        **{name: [value] * n for name, value in bound_shapes(size, q, d).items()},
+        "ambient_count": [ambient_n] * n,
+        "full_coverage": full.tolist(),
+        "is_salem": (bounds["salem_constant"] <= config.salem_threshold).tolist(),
+        "hard_fail": hard_fail.tolist(),
+        "soft_flags": soft_flags,
+    }
+    return columns, flags
+
+
+def _salem_aggregate(columns: dict[str, list], start: int) -> dict:
+    n = len(columns["trial"]) - start
+    return {
+        "trials": n,
+        "min_ratio_ii": min(columns["ratio_ii"][start:]),
+        "min_ratio_iii": min(columns["ratio_iii"][start:]),
+        "min_ratio_diff": min(columns["ratio_diff"][start:]),
+        "max_salem_constant": max(columns["salem_constant"][start:]),
+        "mean_direction_count": sum(columns["direction_count"][start:]) / n,
+        "hard_failures": columns["hard_fail"][start:].count(True),
+        "soft_flags": sum(map(len, columns["soft_flags"][start:])),
+    }
 
 
 def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
-    """Measure direction and difference counts against the flatness bounds."""
-    config.validate()
-    if config.kind != "salem-bounds":
-        raise ConfigError(f"verify_salem_bounds got a {config.kind!r} config")
-    columns = _new_columns("salem-bounds")
-    counterexamples: list[dict] = []
-    cell_aggs: list[dict] = []
-    for cell in _expand_cells(config):
-        if cell.mode == "exhaustive":
-            outcomes = [
-                _salem_outcome(PointSet.from_indices(cell.q, cell.d, picks), cell, i, None, config)
-                for i, picks in enumerate(combinations(range(cell.q**cell.d), cell.size))
-            ]
-        else:
-            def work(
-                trial: int, _cell: Cell = cell, _draw: Callable = _index_draw(config, cell)
-            ) -> tuple[tuple, list[dict]]:
-                seed = _trial_seed(config, _cell, trial)
-                E = PointSet.from_indices(_cell.q, _cell.d, _draw(seed))
-                return _salem_outcome(E, _cell, trial, seed, config)
-
-            outcomes = _map_ordered(work, range(config.trials), config.threads)
-        start = len(columns["trial"])
-        _extend_rows(columns, (row for row, _ in outcomes))
-        for _, flags in outcomes:
-            counterexamples += flags
-        n = len(columns["trial"]) - start
-        cell_aggs.append({
-            "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
-            "trials": n,
-            "min_ratio_ii": min(columns["ratio_ii"][start:]),
-            "min_ratio_iii": min(columns["ratio_iii"][start:]),
-            "min_ratio_diff": min(columns["ratio_diff"][start:]),
-            "max_salem_constant": max(columns["salem_constant"][start:]),
-            "mean_direction_count": sum(columns["direction_count"][start:]) / n,
-            "hard_failures": columns["hard_fail"][start:].count(True),
-            "soft_flags": sum(map(len, columns["soft_flags"][start:])),
-        })
-    monotonicity = _monotonicity_probe(cell_aggs)
+    """Measure direction and difference counts against the flatness bounds, a block of sets at a time."""
+    result = _run_cells(config, "salem-bounds", functools.partial(_salem_block, config), _salem_aggregate)
+    monotonicity = _monotonicity_probe(result.aggregates["cells"])
+    flags = result.counterexamples
     for probe in monotonicity:
         if not probe["nondecreasing"]:
-            counterexamples.append(
-                {
-                    "severity": "soft",
-                    "reason": "direction-mean-monotonicity",
-                    "q": probe["q"],
-                    "d": probe["d"],
-                    "k": probe["k"],
-                    "size": None,
-                    "trial": None,
-                    "trial_seed": None,
-                    "fset": None,
-                }
-            )
-    aggregates = {
-        "cells": cell_aggs,
-        "monotonicity": monotonicity,
-        "sets_checked": sum(a["trials"] for a in cell_aggs),
-        "hard_failures": sum(a["hard_failures"] for a in cell_aggs),
-    }
-    return CampaignResult("salem-bounds", config, columns, aggregates, tuple(counterexamples))
+            group = Cell(probe["q"], probe["d"], probe["k"], None, "")
+            flags += tuple(_flag_records(group, None, None, ["direction-mean-monotonicity"], "soft", None))
+    # the probe's entry follows the cells' in the report
+    aggregates = {"cells": result.aggregates["cells"], "monotonicity": monotonicity, **result.aggregates}
+    return replace(result, aggregates=aggregates, counterexamples=flags)
 
 
 def _monotonicity_probe(cell_aggs: list[dict]) -> list[dict]:

@@ -33,6 +33,7 @@ import numpy as np
 from . import grid
 from .directions import canonical_codes
 from .errors import NumericalInconsistencyError
+from .field import PrimeField
 from .pointset import PointSet
 from .spectral import GridFunction, empty_table, forward_transform
 
@@ -85,12 +86,15 @@ class DifferenceProfile:
         Summed in int64, which is exact because sum mu^2 <= max mu * sum mu
         <= |E|^3 < 2^63 while |E| < 2^21; larger sets raise OverflowError.
         """
-        if self.total >= _SQUARES_EXACT_TOTAL:
-            raise OverflowError(
-                f"sum of squared multiplicities may overflow int64 for |E|^2 = {self.total} "
-                f"(exact below |E| = 2^21)"
-            )
+        _check_squares_exact(self.total)
         return int(self.counts @ self.counts)
+
+
+def _check_squares_exact(total: int) -> None:
+    if total >= _SQUARES_EXACT_TOTAL:
+        raise OverflowError(
+            f"sum of squared multiplicities may overflow int64 for |E|^2 = {total} (exact below |E| = 2^21)"
+        )
 
 
 def difference_profile(E: PointSet) -> DifferenceProfile:
@@ -164,37 +168,64 @@ class BoundCheckRecord:
     quotient_bound_holds: bool
 
 
+def bound_shapes(size: int, q: int, d: int) -> dict[str, float | int]:
+    """BoundCheckRecord's bound_ii, bound_iii and bound_diff for sets of `size` points in F_q^d."""
+    square = size * size
+    return {"bound_ii": min(square / q, float(q ** (d - 1))), "bound_iii": size, "bound_diff": min(square, q**d)}
+
+
+def difference_bounds(
+    power: np.ndarray, mu: tuple, size: int, field: PrimeField, d: int, trials: Sequence[int] | None = None
+) -> dict[str, np.ndarray]:
+    """BoundCheckRecord's per-set fields for a stack of B sets of `size` points, one length-B array each.
+
+    power is the (B, q^d) stack of |Ehat|^2 and mu the stack's sparse mu,
+    (codes, counts, owner) as grid.difference_multiplicities returns it.  Raises
+    NumericalInconsistencyError for the first set whose fourth-moment
+    identity misses PARSEVAL_TOLERANCE, naming its trial when trials are given.
+    """
+    q = field.q
+    sets = len(power)
+    codes, counts, owner = mu
+    _check_squares_exact(size * size)
+    dirs = np.bincount(canonical_codes(codes, field, d) // q**d, minlength=sets)
+    diff_size = np.bincount(owner, minlength=sets)
+    # a set's run of mu is empty only when the set is
+    runs = np.searchsorted(owner, np.arange(sets))
+    lhs = np.add.reduceat(counts * counts, runs) if size else np.zeros(sets, np.int64)
+    squares = np.square(power, out=empty_table(power.size, np.float64).reshape(power.shape))
+    rhs = float(q) ** (3 * d) * np.sum(squares, axis=1)
+    defect_rel = np.abs(lhs - rhs) / np.maximum(1.0, lhs)
+    bad = np.flatnonzero(~(defect_rel <= PARSEVAL_TOLERANCE))
+    if len(bad):
+        b = bad[0]
+        raise NumericalInconsistencyError(
+            f"fourth-moment identity defect {defect_rel[b]:.3e} exceeds {PARSEVAL_TOLERANCE:g} "
+            f"(sum mu^2 = {int(lhs[b])}, spectral value {float(rhs[b])!r})"
+            + ("" if trials is None else f" in trial {trials[b]}")
+        )
+    # the empty and the full set keep no nonzero coefficient in exact arithmetic
+    flat = size == 0 or size == q**d
+    salem = np.zeros(sets) if flat else np.sqrt(power[:, 1:].max(axis=1)) * float(q) ** d / sqrt(size)
+    shapes = bound_shapes(size, q, d)
+    return {
+        "direction_count": dirs,
+        "diff_size": diff_size,
+        "ratio_ii": dirs / shapes["bound_ii"] if size else np.zeros(sets),
+        "ratio_iii": dirs / shapes["bound_iii"] if size else np.zeros(sets),
+        "ratio_diff": diff_size / shapes["bound_diff"] if size else np.zeros(sets),
+        "salem_constant": salem,
+        "parseval_defect_rel": defect_rel,
+        "quotient_bound_holds": dirs * (q - 1) >= diff_size - 1,
+    }
+
+
 def difference_bound_check(E: PointSet) -> BoundCheckRecord:
     """Measure |D(E)| and |E - E| against the bound shapes; verify the
-    fourth-moment identity along the way."""
-    q, d = E.q, E.dim
-    size = E.cardinality
-    prof = difference_profile(E)
-    dirs = len(canonical_codes(prof.codes, E.field, d))
-    lhs = prof.sum_of_squares()
-    rhs = float(q) ** (3 * d) * float(np.sum(np.square(E.spectrum_power(), out=empty_table(q**d, np.float64))))
-    defect_rel = abs(lhs - rhs) / max(1.0, float(lhs))
-    if defect_rel > PARSEVAL_TOLERANCE:
-        raise NumericalInconsistencyError(
-            f"fourth-moment identity defect {defect_rel:.3e} exceeds {PARSEVAL_TOLERANCE:g} "
-            f"(sum mu^2 = {lhs}, spectral value {rhs!r})"
-        )
-    bound_ii = min(size * size / q, float(q ** (d - 1)))
-    bound_iii = size
-    bound_diff = min(size * size, q**d)
-    return BoundCheckRecord(
-        q=q,
-        dim=d,
-        set_size=size,
-        direction_count=dirs,
-        diff_size=prof.support_size,
-        bound_ii=bound_ii,
-        bound_iii=bound_iii,
-        bound_diff=bound_diff,
-        ratio_ii=dirs / bound_ii if bound_ii else 0.0,
-        ratio_iii=dirs / bound_iii if bound_iii else 0.0,
-        ratio_diff=prof.support_size / bound_diff if bound_diff else 0.0,
-        salem_constant=salem_report(E).salem_constant,
-        parseval_defect_rel=defect_rel,
-        quotient_bound_holds=dirs * (q - 1) >= prof.support_size - 1,
-    )
+    fourth-moment identity along the way (difference_bounds for one set)."""
+    q, d, size = E.q, E.dim, E.cardinality
+    codes, counts = E.difference_multiplicity()
+    mu = codes, counts, np.zeros(len(codes), np.int64)
+    per_set = difference_bounds(E.spectrum_power()[None], mu, size, E.field, d)
+    fields = {name: values.item() for name, values in per_set.items()}
+    return BoundCheckRecord(q=q, dim=d, set_size=size, **bound_shapes(size, q, d), **fields)

@@ -143,7 +143,10 @@ def _axis_by_axis(
     whole cube; zero rows are neither stored nor multiplied.
     """
     q = field.q
-    if len(keys) == 1 and tables * q ** (dim - 1) > 1:
+    if dim == 1:
+        # a table is one row, which alone numpy sends to gemv; so does each (1, q) row of a stack
+        rows = rows[:, None]
+    elif len(keys) == 1 and tables * q ** (dim - 1) > 1:
         # numpy sends a one-row product to gemv, which rounds unlike the gemm
         # that transforms a whole table; a zero row beside it keeps the gemm
         zero = np.zeros((1, q), dtype=np.complex128)
@@ -181,7 +184,7 @@ def _axis_by_axis(
             block[np.cumsum(starts) - 1, digit] = out
         rows = block.transpose(0, *range(2, j + 3), 1)
     # out is (live tables, m_d, ..., m_1): each pass put its frequency last
-    spectra = out.transpose(0, *range(dim, 0, -1))
+    spectra = out.reshape((len(keys),) + (q,) * dim).transpose(0, *range(dim, 0, -1))
     result = spare.reshape((tables,) + (q,) * dim)
     if len(keys) == tables:
         result[...] = spectra

@@ -97,15 +97,17 @@ def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int, co
 
     Every row of every pass is multiplied, zero or not: the last axis of the
     cube goes through the q x q character matrix and the new frequency axis
-    is rotated to the front.  The live-row loop must reproduce it bit for
-    bit, since it runs the same matrix products on the rows it keeps.
-    Unscaled: the forward transform multiplies by q^(-d) afterwards.
+    is rotated to the front.  A stack is transformed a table at a time, as
+    each table is alone.  The live-row loop must reproduce it bit for bit,
+    since it runs the same matrix products on the rows it keeps.  Unscaled:
+    the forward transform multiplies by q^(-d) afterwards.
     """
-    batch = values.shape[:-1]
-    cube = values.reshape(batch + (q,) * d)
+    if values.ndim == 2:
+        return np.array([dense_axis_by_axis(table, roots, q, d, conjugate) for table in values]).reshape(values.shape)
+    cube = values.reshape((q,) * d)
     chars = (np.conj(roots) if conjugate else roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
     for _ in range(d):
-        cube = np.moveaxis(np.matmul(cube, chars.T), -1, len(batch))
+        cube = np.moveaxis(np.matmul(cube, chars.T), -1, 0)
     return cube.reshape(values.shape)
 
 

@@ -237,8 +237,8 @@ def test_salem_bounds_part_i_full_coverage():
 
 
 def test_salem_bounds_cell_memory_does_not_grow_with_trials():
-    # an unflagged set's cached spectrum and mu (about 120 KB at q = 17,
-    # d = 3) must not outlive its row, so 20 more trials add only their rows
+    # a block's stacked power and mu (13 sets of 18 at q = 17, d = 3) must
+    # not outlive its rows, so nine more full blocks add only their rows
     def peak(trials: int) -> int:
         cfg = CampaignConfig(
             kind="salem-bounds", q_list=(17,), d_list=(3,), sizes=("q+1",), trials=trials, seed=5, mode="random"
@@ -250,7 +250,7 @@ def test_salem_bounds_cell_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    assert peak(24) - peak(4) < 1 << 20
+    assert peak(130) - peak(13) < 1 << 20
 
 
 def _retained_bytes_per_row(mapping: dict) -> float:

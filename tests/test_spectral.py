@@ -125,7 +125,9 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-@pytest.mark.parametrize("q,d,n,sets", [(3, 2, 4, 6), (5, 3, 9, 4), (11, 3, 30, 3), (2, 5, 7, 5), (7, 4, 20, 2)])
+@pytest.mark.parametrize(
+    "q,d,n,sets", [(3, 2, 4, 6), (5, 3, 9, 4), (11, 3, 30, 3), (2, 5, 7, 5), (7, 4, 20, 2), (7, 1, 6, 4), (13, 1, 5, 6)]
+)
 def test_indicator_power_rows_equal_single_set_power(q, d, n, sets):
     # a row of the stacked transform is bit-identical to the set's own
     # spectrum, so guard-band errors name the same floats either way
