@@ -12,9 +12,16 @@ Everything here is a view of one primitive, the difference multiplicity
 mu(z) (grid.difference_multiplicities, cached per set by
 PointSet.difference_multiplicity): D(E) is the set of canonical classes of
 the support of mu.  Classing works on flat grid codes rather than on rows:
-the nonzero support codes, distinct already, are canonicalized once each
-and the canonical codes are deduplicated with a 1-D sort; just the |D(E)|
-survivors are decoded back into tuples.
+the support codes, distinct already, are canonicalized once each and the
+canonical codes are deduplicated with a 1-D sort; just the |D(E)| survivors
+are decoded back into tuples.
+
+canonical_of gives the canonical code of vectors of F_q^n: D(E) takes it
+in dimension d, a difference's slope in dimension k+1 on its first k+1
+coordinates (incidence.mu_slope_counts).  On grids of at most _TABLE_CELLS
+cells it is one gather from a cached read-only table of every vector's
+canonical code; above, it computes the codes, since at q = 101, d = 3 a
+table would take about 200 ms and a transient 94 MB to build.
 
 canonical_codes works on a stack of sets at once: set b's codes are offset
 by b q^d, as the stacked mu kernel returns them, so one sort classes every
@@ -35,6 +42,13 @@ from .field import PrimeField, check_modulus, prime_field
 from .pointset import PointSet
 
 Direction = tuple[int, ...]
+
+#: Largest grid whose canonical codes come from a table (4 bytes a cell);
+#: harness._BLOCK_CELLS, so every grid a campaign block stacks sets of.
+_TABLE_CELLS = 1 << 16
+
+# Read-only canonical-code tables, keyed by (q, n).
+_CANONICAL_TABLES: dict[tuple[int, int], np.ndarray] = {}
 
 
 def canonical_direction(z: Sequence[int], q: int) -> Direction:
@@ -60,6 +74,30 @@ def canonicalize_rows(diffs: np.ndarray, field: PrimeField) -> np.ndarray:
     return (diffs * scale[:, None]) % q
 
 
+def _canonical_table(field: PrimeField, n: int) -> np.ndarray:
+    """The canonical code of every vector code of F_q^n, 0 for 0; built once per (q, n), read-only."""
+    q = field.q
+    table = _CANONICAL_TABLES.get((q, n))
+    if table is None:
+        vectors = grid.decode_indices(np.arange(q**n, dtype=np.int64), q, n)
+        table = grid.encode_coords(canonicalize_rows(vectors, field), q).astype(np.int32)
+        table.flags.writeable = False
+        table = _CANONICAL_TABLES.setdefault((q, n), table)
+    return table
+
+
+def canonical_of(local: np.ndarray, field: PrimeField, n: int) -> np.ndarray:
+    """Canonical code of each vector code in [0, q^n); code 0 maps to 0.
+
+    A gather from the cached table when q^n <= _TABLE_CELLS, computed
+    otherwise; both give the same codes.
+    """
+    q = field.q
+    if q**n <= _TABLE_CELLS:
+        return np.take(_canonical_table(field, n), local)
+    return grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, n), field), q)
+
+
 def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
     """Sorted distinct canonical codes of the nonzero vectors among the given codes.
 
@@ -70,12 +108,11 @@ def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
     support of mu is); a repeated code costs one more row but leaves the
     result unchanged.
     """
-    q = field.q
-    local = codes % q**d
-    nonzero = local != 0
-    codes, local = codes[nonzero], local[nonzero]
-    canon = grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, d), field), q)
-    return grid.distinct(canon + (codes - local))
+    cells = field.q**d
+    local = codes % cells
+    canon = grid.distinct(canonical_of(local, field, d) + (codes - local))
+    # vector 0 canonicalizes to itself, set b's to b q^d
+    return canon[canon % cells != 0]
 
 
 def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:

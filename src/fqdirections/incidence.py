@@ -15,14 +15,18 @@ Two independent routes are provided, and each computes nu for every slope
 at once.  The brute route is a read-off of mu, the package's one primitive:
 a difference z with z_1 != 0 satisfies exactly one slope,
 (z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of those slope codes
-gives every count.  The spectral route gathers R(t) for a block of slope
-rows from a stack of spectra in one indexing operation and assembles the
-decomposition, rounding to the nearest integer with a guard band; it never
-builds mu.  The two must agree exactly, and campaigns check that they do in
-every block: `mu_slope_counts` and `slope_counts` run the routes for a stack
-of B equal-size sets.  `theorem_main_threshold` and `nu_sweep` are their
-B = 1 case on one set's cached mu or spectrum, and `nu_brute`, `nu_spectral`
-and `remainder_spectral` read one slope off the same kernels.
+gives every count.  The canonical form of the prefix (z_1, ..., z_{k+1})
+is (1, t_1, ..., t_k), so a slope code is directions.canonical_of in
+dimension k+1, less q^k: one gather from a cached table when q^(k+1) is
+at most directions._TABLE_CELLS.  The spectral route gathers R(t) for a
+block of slope rows from a stack of spectra in one np.take and assembles
+the decomposition, rounding to the nearest integer with a guard band; it
+never builds mu.  The two must agree exactly, and campaigns check that
+they do in every block: `mu_slope_counts` and `slope_counts` run the
+routes for a stack of B equal-size sets.  `theorem_main_threshold` and
+`nu_sweep` are their B = 1 case on one set's cached mu or spectrum, and
+`nu_brute`, `nu_spectral` and `remainder_spectral` read one slope off the
+same kernels.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
+from .directions import canonical_of
 from .errors import NumericalInconsistencyError
 from .field import prime_field
 from .pointset import PointSet
@@ -122,14 +127,15 @@ def mu_slope_counts(
     less the |E| pairs x = y.  The float64 weighted sums are exact below
     |E|^2 = 2^53.
     """
+    qk = q**k
     prefix = (codes - owner * q**d) // q ** (d - k - 1)
-    lead, rest = np.divmod(prefix, q**k)
-    live = lead != 0
-    inverse = prime_field(q).inverse_table[lead[live]]
-    slopes = grid.encode_coords(grid.decode_indices(rest[live], q, k) * inverse[:, None] % q, q)
-    nondegenerate = np.bincount(owner[live] * q**k + slopes, counts[live], minlength=sets * q**k)
+    # z_1 != 0 exactly when the prefix is at least q^k; its canonical
+    # prefix (1, t_1, ..., t_k) then has code q^k + code(t)
+    live = prefix >= qk
+    slopes = canonical_of(prefix[live], prime_field(q), k + 1) - qk
+    nondegenerate = np.bincount(owner[live] * qk + slopes, counts[live], minlength=sets * qk)
     agreeing = np.bincount(owner[prefix == 0], counts[prefix == 0], minlength=sets)
-    return nondegenerate.astype(np.int64).reshape(sets, q**k), agreeing.astype(np.int64) - size
+    return nondegenerate.astype(np.int64).reshape(sets, qk), agreeing.astype(np.int64) - size
 
 
 def _brute_counts(E: PointSet, k: int) -> tuple[np.ndarray, int]:
@@ -187,7 +193,9 @@ def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, .
     for start in range(0, len(T), rows):
         # einsum: numpy's integer matmul runs a slower generic loop
         first = np.einsum("ik,kj->ij", T[start : start + rows], svecs_t) % q
-        sums[:, start : start + rows] = power[:, first * q ** (d - 1) + rest].sum(axis=2)
+        # np.take, not power[:, index], whose result has the set axis
+        # innermost: a row then sums in the order it does alone
+        sums[:, start : start + rows] = np.take(power, first * q ** (d - 1) + rest, axis=1).sum(axis=2)
     return q ** (2 * d - k) * sums
 
 
@@ -220,7 +228,8 @@ def slope_counts(power: np.ndarray, size: int, q: int, d: int, k: int) -> tuple[
 
     power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power).
     Returns (nu, remainders), each (B, q^k) in all_slopes order, from one
-    gather per block of slope rows.
+    gather per block of slope rows.  Row b equals the B = 1 call on set b's
+    power bit for bit, remainders included.
     """
     return _spectral_counts(power, size, q, d, all_slopes(q, k))
 

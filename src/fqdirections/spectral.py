@@ -105,8 +105,9 @@ def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool, o
 
     out[..., m] = sum_x cube[..., x] * chi(-+ m*x), written into out, a
     C-ordered array of cube's shape, with the character read from the
-    field's root table.  Output rows are produced in blocks so the q x q
-    character matrix never exceeds a few MiB even for large q.  Each block's
+    field's root table.  Output rows are produced in blocks of at most 2^18
+    characters (4 MiB complex, 2 MiB of int64 exponents), so the q x q
+    character matrix is built whole only for q <= 512.  Each block's
     product is written straight into the output rather than through a
     full-size temporary: at q = 101, d = 3 that kept 16 MB off the peak
     resident size of a spectrum query.
@@ -114,7 +115,7 @@ def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool, o
     q = field.q
     roots = np.conj(field.roots) if conjugate else field.roots
     xs = np.arange(q)
-    step = max(1, (1 << 22) // q)
+    step = max(1, (1 << 18) // q)
     for start in range(0, q, step):
         ms = np.arange(start, min(start + step, q))
         block = roots[np.multiply.outer(ms, xs) % q]

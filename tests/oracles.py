@@ -17,18 +17,22 @@ from typing import Any, Sequence
 import numpy as np
 
 
-def dft_direct(values: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Forward transform by the defining double sum, O(q^(2d))."""
+def dft_direct(values: np.ndarray, q: int, d: int, frequencies: Sequence[int] | None = None) -> np.ndarray:
+    """Forward transform by the defining double sum, O(q^(2d)).
+
+    With frequencies given, only those entries (flat indices), in that order.
+    """
     n = q**d
-    out = np.zeros(n, dtype=np.complex128)
-    for m_index in range(n):
+    frequencies = range(n) if frequencies is None else frequencies
+    out = np.zeros(len(frequencies), dtype=np.complex128)
+    for i, m_index in enumerate(frequencies):
         m = index_to_point(m_index, q, d)
         acc = 0j
         for x_index in range(n):
             x = index_to_point(x_index, q, d)
             dot = sum(a * b for a, b in zip(x, m)) % q
             acc += values[x_index] * cmath.exp(-2j * cmath.pi * dot / q)
-        out[m_index] = acc / n
+        out[i] = acc / n
     return out
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqdirections import grid
+from fqdirections import directions, grid
 from fqdirections.directions import (
     ambient_direction_count,
     ambient_directions,
+    canonical_codes,
     canonical_direction,
     canonicalize_rows,
     coordinate_subspace_directions,
@@ -13,8 +14,9 @@ from fqdirections.directions import (
     directions_of_codes,
     sort_directions,
 )
-from fqdirections.field import PrimeField
+from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_coordinate_subspace, gen_random
+from fqdirections.incidence import mu_slope_counts
 from fqdirections.pointset import PointSet
 from fqdirections.salem import difference_bound_check
 
@@ -198,3 +200,75 @@ def test_directions_of_codes_skips_zero_and_repeats():
     assert directions_of_codes(codes, F, 2) == {(1, 2), (1, 0)}
     assert directions_of_codes(np.zeros(3, dtype=np.int64), F, 2) == set()
     assert directions_of_codes(np.array([], dtype=np.int64), F, 2) == set()
+
+
+# -- canonical-code tables and the computed path ---------------------------
+
+
+@st.composite
+def _index_stacks(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=max(1, d - 1)))
+    n = draw(st.integers(min_value=0, max_value=min(q**d, 10)))
+    sets = draw(st.integers(min_value=1, max_value=4))
+    points = st.lists(st.integers(min_value=0, max_value=q**d - 1), min_size=n, max_size=n, unique=True)
+    return q, d, k, np.array(draw(st.lists(points, min_size=sets, max_size=sets)), dtype=np.int64).reshape(sets, n)
+
+
+def _pair_differences(indices, q, d):
+    points = [grid.decode(int(i), q, d) for i in indices]
+    return [tuple((a - b) % q for a, b in zip(x, y)) for x in points for y in points if x != y]
+
+
+@pytest.mark.parametrize("side", ["table", "computed"])
+@given(_index_stacks())
+@settings(max_examples=60, deadline=None)
+def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
+    # at the limit q^d both F_q^d and F_q^(k+1) are tabled; just below
+    # q^(k+1) neither is
+    q, d, k, indices = case
+    field = prime_field(q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(directions, "_CANONICAL_TABLES", {})
+        mp.setattr(directions, "_TABLE_CELLS", q**d if side == "table" else q ** min(k + 1, d) - 1)
+        codes, counts, owner = grid.difference_multiplicities(indices, q, d)
+        expected = {
+            b * q**d + grid.encode(canonical_direction(z, q), q)
+            for b, row in enumerate(indices)
+            for z in _pair_differences(row, q, d)
+        }
+        assert canonical_codes(codes, field, d).tolist() == sorted(expected)
+        for b, row in enumerate(indices):
+            points = [grid.decode(int(i), q, d) for i in row]
+            mine = codes[owner == b] - b * q**d
+            assert directions_of_codes(mine, field, d) == oracles.directions_enumerate(points, q)
+        if d >= 2:
+            nondeg, degenerate = mu_slope_counts(codes, counts, owner, len(indices), indices.shape[1], q, d, k)
+            for b, row in enumerate(indices):
+                expected_nondeg = [0] * q**k
+                expected_degenerate = 0
+                for z in _pair_differences(row, q, d):
+                    if z[0]:
+                        expected_nondeg[grid.encode(canonical_direction(z[: k + 1], q)[1:], q)] += 1
+                    elif not any(z[: k + 1]):
+                        expected_degenerate += 1
+                assert nondeg[b].tolist() == expected_nondeg
+                assert degenerate[b] == expected_degenerate
+        built = directions._CANONICAL_TABLES
+        if side == "table":
+            assert (q, d) in built and (d < 2 or (q, k + 1) in built)
+        else:
+            assert not built
+        for table in built.values():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_large_grid_builds_no_table(monkeypatch):
+    # a table for F_101^3 would take about 200 ms and a transient 94 MB to build
+    monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
+    E = gen_random(101, 3, 40, seed=2)
+    assert direction_set(E) == oracles.directions_enumerate(E.points(), 101)
+    assert (101, 3) not in directions._CANONICAL_TABLES

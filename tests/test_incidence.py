@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +15,12 @@ from fqdirections.incidence import (
     nu_sweep,
     pair_differences,
     remainder_spectral,
+    slope_counts,
     theorem_main_threshold,
 )
+from fqdirections.field import prime_field
 from fqdirections.pointset import PointSet
+from fqdirections.spectral import indicator_power
 
 import oracles
 
@@ -204,6 +208,18 @@ def test_sweep_multi_block(monkeypatch):
         assert nu_sweep(E, k, "spectral") == spectral
         assert nu_sweep(E, k, "brute") == brute
         assert [r.nu for r in spectral] == [r.nu for r in brute]
+
+
+@pytest.mark.parametrize("q,d,k,sets", [(11, 3, 2, 8), (11, 3, 1, 5), (7, 4, 2, 3), (5, 3, 1, 6), (3, 4, 3, 4)])
+def test_stacked_slope_counts_rows_equal_one_set_calls(q, d, k, sets):
+    # a campaign block's remainders must be the bits its sets give alone
+    members = [gen_random(q, d, q**k + 1, seed) for seed in range(sets)]
+    power = indicator_power(np.array([E.indices() for E in members]), prime_field(q), d)
+    nu, remainders = slope_counts(power, q**k + 1, q, d, k)
+    for b, E in enumerate(members):
+        alone_nu, alone_remainders = slope_counts(E.spectrum_power()[None], E.cardinality, q, d, k)
+        assert np.array_equal(nu[b], alone_nu[0])
+        assert np.array_equal(remainders[b], alone_remainders[0])
 
 
 def test_threshold_report_above():

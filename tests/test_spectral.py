@@ -265,6 +265,23 @@ def test_dense_transform_peak_memory():
     assert peak <= 2.25 * 16 * q**d
 
 
+def test_large_modulus_character_blocks_stay_small():
+    # at q = 4093 the whole q x q character matrix would be 256 MiB; blocks of
+    # 2^18 characters keep the transform's own scratch to a few MiB
+    q = 4093
+    E = gen_random(q, 1, 60, seed=4)
+    tracemalloc.start()
+    try:
+        spectrum = E.spectrum().values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    frequencies = [0, 1, 2, 63, 64, 2047, 4092]
+    expected = oracles.dft_direct(E.indicator().values, q, 1, frequencies)
+    assert np.allclose(spectrum[frequencies], expected, rtol=0, atol=1e-12)
+
+
 _OWN_PAGES = pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice on this platform")
 
 
