@@ -56,7 +56,7 @@ class PointSet:
         if idx.size:
             if idx.min() < 0 or idx.max() >= n:
                 raise ValueError("point index out of range")
-            if len(np.unique(idx)) != len(idx):
+            if len(grid.distinct(idx)) != len(idx):
                 raise ValueError("duplicate points")
             mask[idx] = True
         return cls(field, dim, mask, size_cap)

@@ -14,10 +14,16 @@ fast-transform algorithm is used; at desk scale none is needed.
 
 A pass only multiplies rows whose untransformed prefix (x_1, ..., x_(d-1-j))
 holds a nonzero value; every other row of its input is zero and is neither
-stored nor multiplied.  Pass j therefore costs q^(j+2) operations per live
-prefix: at most q^(d+1), O(d * q^(d+1)) in all, and for a set of n points at
-most n * q^(j+2).  At q = 101, d = 3 a random set of 102 points leaves 102 of
-10,201 rows live in pass 0, about 64% in pass 1 and all in pass 2.
+stored nor multiplied.  Pass 0 costs q^2 operations per live row.  A later
+pass j multiplies each live parent prefix (x_1, ..., x_(d-1-j)) only at the
+digits x_(d-j) of its live children, padded to the widest parent's count
+(at least 2): q^(j+1) * width operations per parent, q^(j+2) when every
+digit is live, O(d * q^(d+1)) in all.  At q = 101, d = 3 a random set of
+102 points leaves about 102 of 10,201 rows live in pass 0; pass 1 has about
+64 parents with 1.6 live digits each (width 3 to 5), and pass 2 one parent
+with about 64 live digits of 101: about 70 million complex multiply-adds
+where every digit would take 171 million.  Digits are skipped only for
+q <= 128, where a row's whole sum is one block of the BLAS inner loop.
 indicator_spectrum and indicator_power feed the loop straight from point
 indices, for one set or a stack of sets at once (campaigns evaluate a block
 of sets together), so no dense indicator table is built.
@@ -100,22 +106,56 @@ class Spectrum(GridFunction):
     """Fourier coefficients fhat(m) for all m, same layout as the source."""
 
 
-def _transform_last_axis(cube: np.ndarray, field: PrimeField, conjugate: bool, out: np.ndarray) -> np.ndarray:
+#: Most characters the transform builds at once: the q x q matrix is whole,
+#: and cached, only for q <= 512.
+_CHARACTER_BLOCK = 1 << 18
+
+#: Largest q whose rows skip their dead digits.  OpenBLAS's zgemm sums an
+#: inner dimension longer than 128 in blocks and rounds at each block end; a
+#: row of more digits would meet those ends at other digits once its zero
+#: terms were gone, so larger q keep every digit.
+_LIVE_DIGIT_Q = 128
+
+# Read-only q x q character matrices chi(-+ x m), keyed by (q, conjugate).
+_CHARACTERS: dict[tuple[int, bool], np.ndarray] = {}
+
+
+def _characters(field: PrimeField, conjugate: bool) -> np.ndarray:
+    """The matrix chi(-+ x m) over x, m in F_q; built once per (q, conjugate), read-only."""
+    q = field.q
+    chars = _CHARACTERS.get((q, conjugate))
+    if chars is None:
+        roots = np.conj(field.roots) if conjugate else field.roots
+        chars = roots[np.multiply.outer(np.arange(q), np.arange(q)) % q]
+        chars.flags.writeable = False
+        chars = _CHARACTERS.setdefault((q, conjugate), chars)
+    return chars
+
+
+def _transform_last_axis(
+    cube: np.ndarray, field: PrimeField, conjugate: bool, out: np.ndarray, digits: np.ndarray | None = None
+) -> np.ndarray:
     """One-dimensional character transform along the last axis.
 
     out[..., m] = sum_x cube[..., x] * chi(-+ m*x), written into out, a
-    C-ordered array of cube's shape, with the character read from the
-    field's root table.  Output rows are produced in blocks of at most 2^18
-    characters (4 MiB complex, 2 MiB of int64 exponents), so the q x q
-    character matrix is built whole only for q <= 512.  Each block's
-    product is written straight into the output rather than through a
-    full-size temporary: at q = 101, d = 3 that kept 16 MB off the peak
-    resident size of a spectrum query.
+    C-ordered array of cube's shape with its last axis q long.  With digits,
+    a (P, width) array of q <= _LIVE_DIGIT_Q, cube is (P, ..., width) and
+    parent p's last axis holds the digits x = digits[p] only: each parent is
+    multiplied by the rows of the cached q x q matrix at its own digits.
+    Without, the characters come from that matrix for q <= 512 and are
+    built in blocks of at most 2^18 above.  Each product is written straight
+    into the output rather than through a full-size temporary: at q = 101,
+    d = 3 that kept 16 MB off the peak resident size of a spectrum query.
     """
     q = field.q
+    if digits is not None:
+        chars = _characters(field, conjugate)[digits]
+        return np.matmul(cube, chars.reshape(len(chars), *(1,) * (cube.ndim - 3), *chars.shape[1:]), out=out)
+    if q * q <= _CHARACTER_BLOCK:
+        return np.matmul(cube, _characters(field, conjugate).T, out=out)
     roots = np.conj(field.roots) if conjugate else field.roots
     xs = np.arange(q)
-    step = max(1, (1 << 18) // q)
+    step = _CHARACTER_BLOCK // q
     for start in range(0, q, step):
         ms = np.arange(start, min(start + step, q))
         block = roots[np.multiply.outer(ms, xs) % q]
@@ -136,12 +176,29 @@ def _axis_by_axis(
     Pass j (j = 0, ..., d-1) transforms coordinate d-j.  A row of its input
     is fixed by its key (b, x_1, ..., x_(d-1-j)) and the frequencies that
     earlier passes produced, and it is zero unless its key prefixes a live
-    key of pass 0.  So each pass holds only its P live keys, as a
-    (P, q, ..., q) array whose last axis is coordinate d-j, and passes its
-    output, keyed by the distinct key // q, to the next.  Every row meets
-    the same character products as in the whole cube, through the same kind
-    of matrix product, so values are bit-identical to transforming the
-    whole cube; zero rows are neither stored nor multiplied.
+    key of pass 0.  Pass 0 multiplies the live rows by the q x q character
+    matrix.  Each later pass gathers every parent key's live children (the
+    keys that share key // q) into a (P, width, q, ..., q) block, width the
+    largest child count and at least 2, padded with zero rows, and
+    multiplies each parent by the character rows of its own digits only,
+    padding included.  Where every parent has the same count the block is
+    the previous output reshaped, not a copy.  Where the widest parent has
+    all q digits, and for every q > _LIVE_DIGIT_Q, children sit at their
+    digits and the shared matrix serves.
+
+    Values equal those of the whole-cube loop (tests/oracles.
+    dense_axis_by_axis) bit for bit.  Each output value is one gemm sum over
+    the input digits in ascending order; the whole cube adds the same terms
+    plus zero products for the dead digits, and a zero term leaves the sum
+    as it is.  That needs three things, each seen to fail without it:
+    - the sum must be one block of the BLAS inner loop, hence q <= 128;
+    - numpy sends a product with one row to gemv, and a product with one
+      inner term rounds differently too, hence the zero neighbour row of a
+      lone live row and the width-2 pad;
+    - the operand order stays rows @ chars, as in the whole cube: chars @
+      rows accumulates in another order.
+    Only the sign of an exact zero may differ, and only in a table that
+    holds no nonzero value (where a lone live row's zero neighbour lies).
     """
     q = field.q
     if dim == 1:
@@ -156,33 +213,41 @@ def _axis_by_axis(
         else:
             keys, rows = np.array([0, 1]), np.concatenate([rows, zero])
     # Two whole-stack buffers serve every pass: a pass writes its output into
-    # the front of one, its live rows are scattered into the other as the
+    # the front of one, its live rows are gathered into the other as the
     # next pass's input, and the last output is reordered into the spare one.
     spare = empty_table(tables * q**dim, np.complex128)
     work = empty_table(tables * q**dim, np.complex128)
+    digits = None
     for j in range(dim):
-        out = _transform_last_axis(rows, field, conjugate, work[: rows.size].reshape(rows.shape))
+        shape = rows.shape[:-1] + (q,)
+        out = _transform_last_axis(rows, field, conjugate, work[: math.prod(shape)].reshape(shape), digits)
         if j == dim - 1:
             break
         # keys ascend, so a key's parent key // q starts a new parent exactly
         # where it differs from the previous one
         up, digit = np.divmod(keys, q)
-        starts = np.ones(len(up), dtype=bool)
-        starts[1:] = up[1:] != up[:-1]
-        keys = up[starts]
-        # a key's last digit is the coordinate the next pass transforms: give
-        # each key's frequencies their slot under its parent (where every
-        # parent has all q digits that slot is where they already are, and
-        # the buffers swap roles), then view that coordinate last, as the
-        # whole-cube loop's rotation did
-        shape = (len(keys), q) + out.shape[1:]
-        if len(digit) == len(keys) * q:
+        first = np.ones(len(up), dtype=bool)
+        first[1:] = up[1:] != up[:-1]
+        parent = np.cumsum(first) - 1
+        keys = up[first]
+        width = q if q > _LIVE_DIGIT_Q else max(2, int(np.bincount(parent).max(initial=0)))
+        # a key's last digit is the coordinate the next pass transforms:
+        # gather each parent's children by rank (by digit once some parent
+        # has all q, so that the shared matrix serves), then view that
+        # coordinate last, as the whole-cube loop's rotation did
+        slot, digits = digit, None
+        if width < q:
+            slot = np.arange(len(up)) - np.flatnonzero(first)[parent]
+            digits = np.zeros((len(keys), width), dtype=digit.dtype)
+            digits[parent, slot] = digit
+        shape = (len(keys), width) + out.shape[1:]
+        if len(up) == len(keys) * width:
             block = out.reshape(shape)
             work, spare = spare, work
         else:
             block = spare[: math.prod(shape)].reshape(shape)
             block.fill(0)
-            block[np.cumsum(starts) - 1, digit] = out
+            block[parent, slot] = out
         rows = block.transpose(0, *range(2, j + 3), 1)
     # out is (live tables, m_d, ..., m_1): each pass put its frequency last
     spectra = out.reshape((len(keys),) + (q,) * dim).transpose(0, *range(dim, 0, -1))

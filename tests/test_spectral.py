@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqdirections.errors import SizeCapError
-from fqdirections.field import PrimeField, prime_field
+from fqdirections.field import PrimeField, is_prime, prime_field
 from fqdirections.generators import gen_random
 from fqdirections.pointset import PointSet
 from fqdirections.salem import difference_bound_check, difference_profile
 from fqdirections.spectral import (
     GridFunction,
     Spectrum,
+    _LIVE_DIGIT_Q,
     _axis_by_axis,
+    _characters,
     _live_rows,
     check_size_cap,
     empty_table,
@@ -227,6 +229,56 @@ def test_one_live_row_matches_dense_loop(q, d):
         values[row * q : (row + 1) * q] = rng.normal(size=q) + 1j * rng.normal(size=q)
         spec = forward_transform(GridFunction(prime_field(q), d, values))
         assert np.array_equal(spec.values, dense_forward(values, q, d))
+
+
+@pytest.mark.parametrize(
+    "q,d,sets,points,seed",
+    [(3, 2, 5, 1, 0), (3, 2, 5, 1, 1), (5, 3, 4, 1, 0), (5, 3, 4, 1, 1), (3, 4, 3, 2, 0), (3, 4, 3, 2, 1)],
+)
+def test_one_live_child_per_parent_matches_dense_loop(q, d, sets, points, seed):
+    # each parent of a later pass has one live digit; a one-term product
+    # rounds unlike the whole row, so the block is padded to two
+    rng = np.random.default_rng(seed)
+    indices = np.array([rng.choice(q**d, points, replace=False) for _ in range(sets)])
+    masks = np.zeros((sets, q**d), dtype=np.complex128)
+    np.put_along_axis(masks, indices, 1.0, axis=1)
+    assert np.array_equal(indicator_spectrum(indices, prime_field(q), d), dense_forward(masks, q, d))
+    stack = masks * (rng.normal(size=masks.shape) + 1j * rng.normal(size=masks.shape))
+    for conjugate in (True, False):
+        reference = oracles.dense_axis_by_axis(stack, prime_field(q).roots, q, d, conjugate)
+        assert np.array_equal(stack_transform(stack, q, d, conjugate), reference)
+
+
+@pytest.mark.parametrize("q,d", [(101, 3), (131, 2)])
+def test_large_modulus_set_matches_dense_loop(q, d):
+    # q = 101, d = 3, |E| = q + 1 is the benchmark's large set: its later
+    # passes skip most digits.  q = 131 is above _LIVE_DIGIT_Q, where the
+    # BLAS splits a row's sum in two and every digit is kept.
+    E = gen_random(q, d, q + 1, seed=7)
+    assert np.array_equal(E.spectrum().values, dense_forward(E.indicator().values, q, d))
+
+
+@pytest.mark.parametrize("q", [3, 13, 101, max(p for p in range(_LIVE_DIGIT_Q + 1) if is_prime(p))])
+def test_blas_zero_terms_leave_gemm_sums_unchanged(q):
+    # The live-digit passes rest on this property of the installed numpy and
+    # BLAS: a rows @ chars product over the live digits only, zero-padded to
+    # width >= 2, equals the product over all q digits with zeros in place,
+    # in the layouts the transform uses.  If an upgrade breaks it, this test
+    # names the cause.
+    rng = np.random.default_rng(q)
+    chars = _characters(prime_field(q), conjugate=True)
+    assert _characters(prime_field(q), conjugate=True) is chars and not chars.flags.writeable
+    for live in (1, 2, q // 2, q - 1):
+        digits = np.sort(rng.choice(q, live, replace=False))
+        values = rng.normal(size=(live, q)) + 1j * rng.normal(size=(live, q))
+        whole = np.zeros((q, q), dtype=np.complex128)
+        whole[digits] = values
+        width = max(2, live)
+        rows = np.zeros((width, q), dtype=np.complex128)
+        rows[:live] = values
+        padded = np.zeros(width, dtype=np.int64)
+        padded[:live] = digits
+        assert np.array_equal(np.matmul(rows.T, chars[padded]), np.matmul(whole.T, chars.T))
 
 
 @given(_index_stacks())
