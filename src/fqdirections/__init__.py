@@ -54,7 +54,7 @@ from .incidence import (
     theorem_main_threshold,
 )
 from .pointset import PointSet, format_fset, parse_fset, read_fset, write_fset
-from .rng import XorShift64Star, mix64, sample_without_replacement
+from .rng import XorShift64Star, mix64, sample_block, sample_without_replacement
 from .salem import (
     BoundCheckRecord,
     DifferenceProfile,
@@ -126,6 +126,7 @@ __all__ = [
     "write_fset",
     "XorShift64Star",
     "mix64",
+    "sample_block",
     "sample_without_replacement",
     "BoundCheckRecord",
     "DifferenceProfile",

@@ -65,7 +65,7 @@ def _join(vec) -> str:
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, help="Worker thread cap for campaigns.")
+@click.option("--threads", type=int, default=None, help="Accepted and echoed in campaign reports; campaigns run on one thread.")
 @click.pass_context
 def main(ctx: click.Context, threads: int | None) -> None:
     """Exact direction-set and Fourier experiments over prime-field grids."""

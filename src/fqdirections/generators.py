@@ -1,7 +1,8 @@
 """Point-set generator library: random sets, subspaces, paraboloids, embeddings.
 
-Generators are addressable by name from the CLI and from campaign configs,
-either via keyword arguments or via a compact spec string such as
+Generators are addressable by name through FAMILIES.  The CLI's gen command
+takes their parameters as options; build_set, a library call, parses a
+compact spec string such as
 
     random:q=7,d=2,n=10,seed=42
     coordinate-subspace:q=5,d=3,k=2
@@ -10,28 +11,37 @@ either via keyword arguments or via a compact spec string such as
     subspace-random:q=11,d=4,m=2,n=37,seed=3
     embedded:in=low.fset,d=3
 
-Vector-valued parameters use dashes between coordinates.  All generators are
-deterministic in their arguments.
+Vector-valued parameters use dashes between coordinates.  Neither the CLI
+nor campaign configs accept spec strings; a campaign's `generator` key names
+one of its two index draws, random or subspace-random, which campaigns take
+a block of trial seeds at a time (random_index_block,
+subspace_random_index_block).  All generators are deterministic in their
+arguments.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from . import grid
 from .pointset import PointSet, read_fset
-from .rng import sample_without_replacement
+from .rng import sample_block
 from .spectral import DEFAULT_SIZE_CAP, check_size_cap
+
+
+def random_index_block(q: int, d: int, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Flat indices of gen_random's n points for each seed, in draw order: a (B, n) array."""
+    total = check_size_cap(q, d, DEFAULT_SIZE_CAP)
+    if n > total:
+        raise ValueError(f"cannot draw {n} distinct points from a grid of {total}")
+    return sample_block(total, n, seeds)
 
 
 def random_indices(q: int, d: int, n: int, seed: int) -> list[int]:
     """Flat indices of gen_random's n points, in draw order."""
-    total = check_size_cap(q, d, DEFAULT_SIZE_CAP)
-    if n > total:
-        raise ValueError(f"cannot draw {n} distinct points from a grid of {total}")
-    return sample_without_replacement(total, n, seed)
+    return random_index_block(q, d, n, [seed])[0].tolist()
 
 
 def gen_random(q: int, d: int, n: int, seed: int) -> PointSet:
@@ -82,8 +92,8 @@ def gen_embedded(base: PointSet, d: int) -> PointSet:
     return PointSet.from_coords(base.q, d, coords)
 
 
-def subspace_random_indices(q: int, d: int, m: int, n: int, seed: int) -> np.ndarray:
-    """Flat indices of gen_subspace_random's n points, in draw order."""
+def subspace_random_index_block(q: int, d: int, m: int, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Flat indices of gen_subspace_random's n points for each seed, in draw order: a (B, n) array."""
     if not 1 <= m <= d:
         raise ValueError(f"subspace dimension must be in [1, {d}], got {m}")
     check_size_cap(q, d, DEFAULT_SIZE_CAP)
@@ -92,7 +102,12 @@ def subspace_random_indices(q: int, d: int, m: int, n: int, seed: int) -> np.nda
         raise ValueError(f"cannot draw {n} distinct points from a subspace of {total}")
     # the subspace has coordinates m+1..d zero, so its point with index p in
     # F_q^m has index p q^(d-m) in F_q^d
-    return np.asarray(sample_without_replacement(total, n, seed), dtype=np.int64) * q ** (d - m)
+    return sample_block(total, n, seeds) * q ** (d - m)
+
+
+def subspace_random_indices(q: int, d: int, m: int, n: int, seed: int) -> np.ndarray:
+    """Flat indices of gen_subspace_random's n points, in draw order."""
+    return subspace_random_index_block(q, d, m, n, [seed])[0]
 
 
 def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:

@@ -25,7 +25,6 @@ import json
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
@@ -37,7 +36,7 @@ import numpy as np
 from .directions import ambient_direction_count, canonical_codes, direction_set
 from .errors import ConfigError, NumericalInconsistencyError
 from .field import MAX_MODULUS, is_prime, prime_field
-from .generators import gen_coordinate_subspace, random_indices, subspace_random_indices
+from .generators import gen_coordinate_subspace, random_index_block, subspace_random_index_block
 from .grid import decode, difference_multiplicities
 from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, format_fset
@@ -369,18 +368,11 @@ def _trial_seed(config: CampaignConfig, cell: Cell, trial: int) -> int:
     return mix64(config.seed, cell.q, cell.d, cell.k or 0, cell.size or 0, trial)
 
 
-def _index_draw(config: CampaignConfig, cell: Cell) -> Callable[[int], Sequence[int]]:
-    """The configured generator's index draw for the cell's sets, as a function of the trial seed."""
+def _index_draw(config: CampaignConfig, cell: Cell) -> Callable[[Sequence[int]], np.ndarray]:
+    """The configured generator's index draw for a block of the cell's sets, as a function of their trial seeds."""
     if config.generator == "subspace-random":
-        return functools.partial(subspace_random_indices, cell.q, cell.d, cell.k + 1, cell.size)
-    return functools.partial(random_indices, cell.q, cell.d, cell.size)
-
-
-def _map_ordered(work: Callable, items: Iterable, threads: int) -> list:
-    if threads <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, items))
+        return functools.partial(subspace_random_index_block, cell.q, cell.d, cell.k + 1, cell.size)
+    return functools.partial(random_index_block, cell.q, cell.d, cell.size)
 
 
 # -- results ---------------------------------------------------------------
@@ -498,7 +490,7 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, n
     for start in range(0, config.trials, per_block):
         trials = range(start, min(start + per_block, config.trials))
         seeds = [_trial_seed(config, cell, trial) for trial in trials]
-        yield trials, seeds, np.array([draw(seed) for seed in seeds], dtype=np.int64)
+        yield trials, seeds, draw(seeds)
 
 
 def _leading_columns(kind: str, cell: Cell, trials: Sequence[int], seeds: Sequence[int | None]) -> dict[str, list]:
@@ -515,8 +507,8 @@ def _run_cells(
 
     block(cell, trials, seeds, picks) gives a block's report columns and
     flag records; aggregate(columns, start) reduces a cell's rows, those
-    from row start on.  With threads > 1 the blocks of a cell run in
-    parallel; rows stay in trial order.
+    from row start on.  Blocks run in trial order in the calling thread,
+    whatever the config's threads.
     """
     config.validate()
     if config.kind != kind:
@@ -526,7 +518,8 @@ def _run_cells(
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
         start = len(columns["trial"])
-        for block_columns, flags in _map_ordered(lambda b: block(cell, *b), _blocks(config, cell), config.threads):
+        for trials, seeds, picks in _blocks(config, cell):
+            block_columns, flags = block(cell, trials, seeds, picks)
             for name, values in block_columns.items():
                 columns[name] += values
             counterexamples += flags

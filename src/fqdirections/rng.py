@@ -7,13 +7,30 @@ platform, so instead of a platform library RNG the package pins xorshift64*:
 
 with all arithmetic mod 2^64.  A zero seed is remapped to a fixed nonzero
 constant (the all-zero state is a fixed point of the shifts).  Test vectors
-live in the README and the test suite.
+live in the README and the test suite.  XorShift64Star is the scalar
+reference for the stream.
 
 Bounded draws use a plain modulo reduction; the bias is below bound / 2^64,
 irrelevant at desk scale, and keeps the draw count per request fixed.
+
+Index samples are drawn a block of seeds at a time (sample_block).  The
+state update is linear over F_2, so the state i steps after a seed is the
+XOR, over the seed's 16 nibbles, of the state i steps after the seed that
+holds only that nibble.  One read-only jump table of those states for
+i = 1.._TABLE_STEPS gives every draw of every seed in a block by one
+gather, before the shuffle starts; longer samples restart from a chunk's
+last state (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 8(14), 2003;
+Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", INFORMS J. Comput. 20(3), 2008).  The stream is the scalar
+generator's, bit for bit.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
@@ -64,22 +81,83 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def sample_without_replacement(total: int, count: int, seed: int) -> list[int]:
-    """First `count` entries of a seeded partial Fisher-Yates shuffle of range(total).
+#: States per seed that one jump-table gather yields; longer samples chain.
+_TABLE_STEPS = 64
+#: Seeds per gather: bounds its (16, rows, _TABLE_STEPS) uint64 temporary to 512 KB.
+_JUMP_ROWS = 64
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = np.arange(0, 256, 16)[:, None]
 
-    Sparse bookkeeping keeps memory at O(count) even for large totals.
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """T[16 k + v, i]: the state i + 1 steps after the seed whose only nonzero nibble, k, holds v."""
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    units = np.empty((64, _TABLE_STEPS), dtype=np.uint64)
+    for i in range(_TABLE_STEPS):
+        x ^= x >> np.uint64(12)
+        x ^= x << np.uint64(25)
+        x ^= x >> np.uint64(27)
+        units[:, i] = x
+    units = units.reshape(16, 4, _TABLE_STEPS)
+    table = np.zeros((16, 16, _TABLE_STEPS), dtype=np.uint64)
+    for bit in range(4):
+        # nibble values with top bit `bit` are the smaller ones XOR that bit's unit seed
+        table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ units[:, bit, None]
+    table = table.reshape(256, _TABLE_STEPS)
+    table.flags.writeable = False
+    return table
+
+
+def _jump(states: np.ndarray, steps: int) -> np.ndarray:
+    """The states 1..steps (steps <= _TABLE_STEPS) after each nonzero state, as a (B, steps) array."""
+    table = _jump_table()[:, :steps]
+    slots = ((states >> _NIBBLE_SHIFTS) & np.uint64(15)).astype(np.intp) + _NIBBLE_ROWS
+    out = np.empty((len(states), steps), dtype=np.uint64)
+    for row in range(0, len(states), _JUMP_ROWS):
+        rows = slice(row, row + _JUMP_ROWS)
+        np.bitwise_xor.reduce(table.take(slots[:, rows], axis=0), axis=0, out=out[rows])
+    return out
+
+
+def sample_block(total: int, count: int, seeds: Sequence[int]) -> np.ndarray:
+    """sample_without_replacement(total, count, seed) for every seed, as a (B, count) int64 array.
+
+    total may be at most 2^63, so that every index fits int64.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > total:
         raise ValueError(f"cannot sample {count} of {total} values without replacement")
-    rng = XorShift64Star(seed)
-    displaced: dict[int, int] = {}
-    out = []
-    for i in range(count):
-        j = i + rng.below(total - i)
-        vi = displaced.get(i, i)
-        vj = displaced.get(j, j)
-        displaced[j] = vi
-        out.append(vj)
-    return out
+    if total > 1 << 63:
+        raise ValueError(f"cannot sample int64 indices from {total} values")
+    state = np.array([(int(seed) & _MASK64) or _ZERO_SEED_REPLACEMENT for seed in seeds], dtype=np.uint64)
+    outputs = np.empty((len(state), count), dtype=np.uint64)
+    for start in range(0, count, _TABLE_STEPS):
+        states = _jump(state, min(_TABLE_STEPS, count - start))
+        outputs[:, start : start + states.shape[1]] = states
+        state = states[:, -1]
+    outputs *= np.uint64(_MULTIPLIER)
+    # draw i picks j = i + below(total - i) and swaps positions i and j
+    steps = np.arange(count, dtype=np.uint64)
+    outputs %= np.uint64(total) - steps
+    outputs += steps
+    picks = []
+    for row in outputs.tolist():
+        displaced: dict[int, int] = {}
+        get = displaced.get
+        out = [0] * count
+        for i, j in enumerate(row):
+            out[i] = get(j, j)
+            displaced[j] = get(i, i)
+        picks.append(out)
+    return np.array(picks, dtype=np.int64).reshape(len(picks), count)
+
+
+def sample_without_replacement(total: int, count: int, seed: int) -> list[int]:
+    """First `count` entries of a seeded partial Fisher-Yates shuffle of range(total).
+
+    Sparse bookkeeping keeps memory at O(count) even for large totals.
+    The one-seed case of sample_block.
+    """
+    return sample_block(total, count, [seed])[0].tolist()

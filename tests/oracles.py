@@ -16,6 +16,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from fqdirections.rng import XorShift64Star
+
 
 def dft_direct(values: np.ndarray, q: int, d: int, frequencies: Sequence[int] | None = None) -> np.ndarray:
     """Forward transform by the defining double sum, O(q^(2d)).
@@ -113,6 +115,25 @@ def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int, co
     for _ in range(d):
         cube = np.moveaxis(np.matmul(cube, chars.T), -1, 0)
     return cube.reshape(values.shape)
+
+
+def fisher_yates_sample(total: int, count: int, seed: int) -> list[int]:
+    """First count entries of a partial Fisher-Yates shuffle of range(total).
+
+    Step i swaps position i with position i + below(total - i) of a scalar
+    XorShift64Star stream; positions not yet moved hold their own index.
+    """
+    rng = XorShift64Star(seed)
+    moved: dict[int, int] = {}
+    out = []
+    for i in range(count):
+        j = i + rng.below(total - i)
+        value_i = moved.get(i, i)
+        value_j = moved.get(j, j)
+        moved[i] = value_j
+        moved[j] = value_i
+        out.append(value_j)
+    return out
 
 
 def _csv_value(value: Any) -> str:

@@ -1,4 +1,5 @@
-"""Golden reports: one small config per campaign kind, compared byte for byte.
+"""Golden reports: one small config per campaign kind, and sampled theorem-main
+configs through both index draws, compared byte for byte.
 
 The files under tests/golden/ were written by this module from the library
 and are the record behind the README's byte-determinism claim.  A change
@@ -34,6 +35,16 @@ CONFIGS = {
         "trials": 6, "seed": 20260823, "mode": "random", "ratio_floor": 0.8,
     },
     "sharpness": {"kind": "sharpness", "q": 3, "d": 3},
+    # sampled theorem-main with k < d-1, through both index draws; size 70
+    # draws more indices than one jump table holds (rng._TABLE_STEPS)
+    "theorem-main-random": {
+        "kind": "theorem-main", "q": 5, "d": 3, "k": 1, "sizes": ["q^k+1", 70],
+        "trials": 5, "seed": 20261019, "mode": "random",
+    },
+    "theorem-main-subspace-random": {
+        "kind": "theorem-main", "q": 5, "d": 3, "k": 1, "sizes": ["q^k+1", 25],
+        "trials": 5, "seed": 20261019, "mode": "random", "generator": "subspace-random",
+    },
 }
 
 FORMATS = ("csv", "json")
@@ -62,6 +73,15 @@ def test_report_matches_golden_with_two_threads(name, format, monkeypatch):
         assert golden.count(b'"threads": 1,') == 1
         golden = golden.replace(b'"threads": 1,', b'"threads": 2,')
     assert _render(name, format, threads=2) == golden
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize("name", ["theorem-main-random", "theorem-main-subspace-random"])
+def test_sampled_report_matches_golden_across_blocks(name, format, monkeypatch):
+    # two size-6 sets per block and one larger set per block: each cell draws
+    # several blocks of seeds
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+    assert _render(name, format) == (GOLDEN_DIR / f"{name}.{format}").read_bytes()
 
 
 def _rows(text: str, format: str) -> tuple[list[dict], dict]:

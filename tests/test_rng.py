@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fqdirections.rng import XorShift64Star, mix64, sample_without_replacement
+import oracles
+from fqdirections import rng
+from fqdirections.rng import XorShift64Star, mix64, sample_block, sample_without_replacement
 
 # Frozen stream prefixes; recomputed independently from the recurrence
 # x ^= x >> 12; x ^= x << 25; x ^= x >> 27; out = x * 2685821657736338717 mod 2^64.
@@ -78,3 +82,59 @@ def test_sample_covers_all_values_across_seeds():
     for seed in range(60):
         seen.update(sample_without_replacement(25, 3, seed))
     assert seen == set(range(25))
+
+
+# -- block draws against the scalar generator --------------------------------
+
+# 0 is remapped, 2^64 + 7 masks to 7; the rest are ordinary nonzero states
+EDGE_SEEDS = [0, 5, 2**64 - 1, 2**64 + 7]
+W = rng._TABLE_STEPS
+
+
+def _assert_matches_scalar(total, count, seeds):
+    block = sample_block(total, count, seeds)
+    assert block.dtype == np.int64
+    assert block.shape == (len(seeds), count)
+    for seed, row in zip(seeds, block.tolist()):
+        assert row == oracles.fisher_yates_sample(total, count, seed)
+
+
+@st.composite
+def _requests(draw):
+    total = draw(st.one_of(st.integers(1, 3 * W), st.integers(1, 1 << 24)))
+    count = draw(st.integers(0, min(total, 3 * W + 1)))
+    seed = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
+    seeds = draw(st.lists(seed, min_size=1, max_size=5))
+    return total, count, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_requests())
+def test_sample_block_matches_scalar_fisher_yates(request):
+    _assert_matches_scalar(*request)
+
+
+@pytest.mark.parametrize("count", [0, 1, W - 1, W, W + 1, 2 * W, 2 * W + 1, 1000])
+def test_sample_block_across_table_chunks(count):
+    _assert_matches_scalar(5000, count, EDGE_SEEDS)
+    _assert_matches_scalar(5000, count, [EDGE_SEEDS[1]])
+    # a full permutation, the last draw's bound being 1
+    _assert_matches_scalar(max(count, 1), count, EDGE_SEEDS)
+
+
+def test_sample_block_over_several_gathers():
+    seeds = [mix64(11, seed) for seed in range(2 * rng._JUMP_ROWS + 3)] + EDGE_SEEDS
+    _assert_matches_scalar(1 << 24, W + 5, seeds)
+
+
+def test_sample_block_edges():
+    assert sample_block(10, 3, []).shape == (0, 3)
+    assert sample_block(10, 0, [1, 2]).shape == (2, 0)
+    with pytest.raises(ValueError):
+        sample_block(3, 4, [1])
+    with pytest.raises(ValueError):
+        sample_block(3, -1, [1])
+    assert sample_block(1 << 63, 2, [5])[0].tolist() == oracles.fisher_yates_sample(1 << 63, 2, 5)
+    with pytest.raises(ValueError):
+        sample_block((1 << 63) + 1, 2, [5])
+    assert sample_block(10, 4, [7])[0].tolist() == sample_without_replacement(10, 4, 7)
