@@ -20,7 +20,7 @@ from .errors import ConfigError, FsetParseError, NumericalInconsistencyError, Si
 from .generators import FAMILIES, GENERATOR_NAMES
 from .harness import GENERATORS, KINDS, MODES, CampaignConfig, run_campaign, write_report
 from .incidence import nu_brute, nu_spectral, nu_sweep
-from .pointset import format_fset, read_fset
+from .pointset import format_fset, read_fset, write_fset
 from .salem import difference_profile, salem_report
 
 _INPUT_ERRORS = (
@@ -104,12 +104,10 @@ def gen_cmd(family, q, d, k, m, n, seed, shift, in_path, out) -> None:
         raise ConfigError(f"family {family} does not take --{', --'.join(extra)}")
     convert = {"shift": _parse_vector, "in": read_fset}
     E = generate(*(convert.get(p, int)(provided[p]) for p in wanted))
-    text = format_fset(E)
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(format_fset(E), nl=False)
     else:
-        with open(out, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+        write_fset(E, out)
 
 
 @main.command("directions")

@@ -14,7 +14,7 @@ sparse mu, off which D(E), E - E, sum mu^2 and every nu(t) are read.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,9 +112,3 @@ def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.n
         support = ordered[starts].astype(np.int64)
         counts = np.diff(starts, append=len(ordered))
     return support, counts, support // cells
-
-
-def iter_points(q: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All points of F_q^d in ascending index order."""
-    for idx in range(q**d):
-        yield decode(idx, q, d)

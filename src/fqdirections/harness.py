@@ -39,7 +39,7 @@ from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, random_index_block, subspace_random_index_block
 from .grid import decode, difference_multiplicities
 from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
-from .pointset import PointSet, format_fset
+from .pointset import PointSet, _write_in_place, format_fset
 from .rng import mix64
 from .salem import bound_shapes, difference_bounds
 from .spectral import DEFAULT_SIZE_CAP, check_size_cap, indicator_power
@@ -772,8 +772,22 @@ def _csv_cell(value: Any) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
+#: JSON text of a scalar report value by its exact type, as json.dumps gives it;
+#: an int subclass, a numpy scalar, a string or a tuple goes through json.dumps.
+_JSON_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: lambda value: float.__repr__(value) if math.isfinite(value) else json.dumps(value),
+    Fraction: lambda value: json.dumps(str(value)),
+}
+
+
 def _json_cell(value: Any) -> str:
     """A row value's text in the indent=2 report: a list as json.dumps lays it out, six spaces in."""
+    render = _JSON_TEXT.get(type(value))
+    if render is not None:
+        return render(value)
     if isinstance(value, tuple) and value:
         return json.dumps(value, indent=2).replace("\n", "\n      ")
     return json.dumps(str(value) if isinstance(value, Fraction) else value)
@@ -806,8 +820,8 @@ def emit_report(result: CampaignResult, format: str) -> str:
     if format != "json":
         raise ConfigError(f"unknown report format {format!r}; expected csv or json")
     cells = [_format_column(result.columns[name], _json_cell) for name in names]
-    row = "{{" + ",".join(f"\n      {json.dumps(name)}: {{}}" for name in names) + "\n    }}"
-    rows = "[\n    " + ",\n    ".join(map(row.format, *cells)) + "\n  ]" if len(result.rows) else "[]"
+    row = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    rows = "[\n    " + ",\n    ".join(map(row.__mod__, zip(*cells))) + "\n  ]" if len(result.rows) else "[]"
     head = json.dumps({"kind": result.kind, "config": result.config.to_dict()}, indent=2)
     tail = json.dumps(
         {"aggregates": result.aggregates, "counterexamples": result.counterexamples,
@@ -819,6 +833,4 @@ def emit_report(result: CampaignResult, format: str) -> str:
 
 
 def write_report(result: CampaignResult, format: str, path: str | Path) -> None:
-    text = emit_report(result, format)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(text)
+    _write_in_place(path, emit_report(result, format))

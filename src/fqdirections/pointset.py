@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import os
+import stat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,8 +219,24 @@ def format_fset(E: PointSet) -> str:
 
 
 def write_fset(E: PointSet, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_fset(E))
+    _write_in_place(path, format_fset(E))
+
+
+def _write_in_place(path: str | os.PathLike, text: str) -> None:
+    """Write ASCII text over the file at path, then cut the file to the new length.
+
+    The file is opened without O_TRUNC, in the mode open(path, "w") gives a
+    new file.  Truncating a file to zero and rewriting it can wait on the
+    writeback of its old contents (ext4's auto_da_alloc); writing over it
+    and truncating at the end does not.  Neither is an atomic replace: a
+    crash mid-write leaves a partial file.  Only a regular file is cut, so
+    os.devnull and FIFOs work as targets.
+    """
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:

@@ -38,15 +38,6 @@ def test_vectorized_matches_scalar(q, d):
     assert np.array_equal(back, indices)
 
 
-def test_iter_points_order():
-    pts = list(grid.iter_points(3, 2))
-    assert pts[0] == (0, 0)
-    assert pts[1] == (0, 1)
-    assert pts[3] == (1, 0)
-    assert pts == sorted(pts)
-    assert len(pts) == 9
-
-
 @given(
     st.integers(min_value=2, max_value=13),
     st.integers(min_value=1, max_value=4),

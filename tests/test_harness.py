@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -25,6 +26,7 @@ from fqdirections.harness import (
     verify_theorem_main,
     write_report,
 )
+from fqdirections.pointset import format_fset, write_fset
 
 
 # -- size expressions ------------------------------------------------------
@@ -349,6 +351,63 @@ def test_reports_byte_identical_across_runs(tmp_path):
     write_report(first, "csv", tmp_path / "a.csv")
     write_report(second, "csv", tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _report_writer():
+    result = sharpness_suite(3, 3)
+    return lambda path: write_report(result, "csv", path), emit_report(result, "csv").encode("ascii")
+
+
+def _fset_writer():
+    E = gen_random(5, 3, 14, seed=8)
+    return lambda path: write_fset(E, path), format_fset(E).encode("ascii")
+
+
+WRITERS = pytest.mark.parametrize("make_writer", [_report_writer, _fset_writer], ids=["write_report", "write_fset"])
+
+
+@WRITERS
+@pytest.mark.parametrize("old_size", [0, 1, 10, 10**5])
+def test_writer_leaves_exactly_the_new_bytes(tmp_path, make_writer, old_size):
+    write, expected = make_writer()
+    path = tmp_path / "out"
+    path.write_bytes(b"\xff" * old_size)
+    assert 0 < len(expected) < 10**5
+    write(path)
+    assert path.read_bytes() == expected
+    write(path)
+    assert path.read_bytes() == expected
+
+
+@WRITERS
+def test_writer_gives_a_new_file_the_mode_of_open_w(tmp_path, make_writer):
+    write, _ = make_writer()
+    old = os.umask(0o002)
+    try:
+        write(tmp_path / "new")
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+@WRITERS
+def test_writer_through_a_symlink_updates_its_target(tmp_path, make_writer):
+    write, expected = make_writer()
+    target = tmp_path / "target"
+    target.write_bytes(b"old contents " * 10**4)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+@WRITERS
+def test_writer_accepts_devnull(make_writer):
+    write, _ = make_writer()
+    write(os.devnull)
 
 
 def test_rows_view_reads_columns():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+from enum import IntEnum
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from fqdirections.harness import _COLUMNS, CampaignConfig, CampaignResult, emit_report, run_campaign
+from fqdirections.harness import _COLUMNS, CampaignConfig, CampaignResult, _json_cell, emit_report, run_campaign
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 CONFIGS = {
@@ -67,3 +71,51 @@ def test_carriage_return_is_quoted():
     columns = {name: ["cr\rhere"] for name in _COLUMNS["sharpness"]}
     line = emit_report(CampaignResult("sharpness", config, columns, {}, ()), "csv").split("\n")[1]
     assert line == ",".join(['"cr\rhere"'] * len(columns))
+
+
+def _text_in_document(value) -> str:
+    """value's text where a row value stands, cut from json.dumps(indent=2) of a whole document."""
+    text = json.dumps({"rows": [{"v": str(value) if isinstance(value, Fraction) else value}]}, indent=2)
+    head, tail = '{\n  "rows": [\n    {\n      "v": ', "\n    }\n  ]\n}"
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head):-len(tail)]
+
+
+_STRINGS = st.text(max_size=6) | st.sampled_from(['"', "\\", 'a "b"', "\x00", "\x1f\n\t", "\x7f", "é", "\u2028", "\U0001f600"])
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, 0.1]
+)
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63),
+    st.integers(max_value=-(2**63) - 1),
+    _FLOATS,
+    st.fractions(),
+    _STRINGS,
+    st.lists(_STRINGS, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CELLS)
+def test_json_cell_is_the_json_dumps_text(value):
+    assert _json_cell(value) == _text_in_document(value)
+
+
+class _Colour(IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize("value", [_Colour.RED, np.float64(0.5), np.float64("nan")])
+def test_json_cell_sends_other_types_through_json_dumps(value):
+    assert _json_cell(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)])
+def test_json_cell_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        _json_cell(value)
