@@ -20,7 +20,6 @@ from .errors import ConfigError, FsetParseError, NumericalInconsistencyError, Si
 from .field import MAX_MODULUS, PrimeField, is_prime
 from .generators import (
     GENERATOR_NAMES,
-    build_set,
     gen_affine_subspace,
     gen_coordinate_subspace,
     gen_embedded,
@@ -35,7 +34,6 @@ from .harness import (
     emit_report,
     evaluate_size,
     run_campaign,
-    sharpness_suite,
     verify_salem_bounds,
     verify_sharpness,
     verify_theorem_main,
@@ -91,7 +89,6 @@ __all__ = [
     "PrimeField",
     "is_prime",
     "GENERATOR_NAMES",
-    "build_set",
     "gen_affine_subspace",
     "gen_coordinate_subspace",
     "gen_embedded",
@@ -104,7 +101,6 @@ __all__ = [
     "emit_report",
     "evaluate_size",
     "run_campaign",
-    "sharpness_suite",
     "verify_salem_bounds",
     "verify_sharpness",
     "verify_theorem_main",

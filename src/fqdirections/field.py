@@ -40,10 +40,10 @@ def check_modulus(q: int) -> None:
 class PrimeField:
     """The prime field F_q.
 
-    Scalars are plain ints in [0, q).  The additive character
-    chi(a) = exp(2*pi*i*a/q) is read from a table of the q-th roots of unity
-    precomputed at construction, so repeated evaluations are deterministic
-    and cheap.  Instances are immutable and safe to share.
+    Scalars are plain ints in [0, q).  Two read-only tables are built at
+    construction: roots[a] is the additive character chi(a) = exp(2*pi*i*a/q),
+    and inverse_table[a] is a^(-1) for a != 0.  Instances are immutable and
+    safe to share.
     """
 
     __slots__ = ("q", "roots", "inverse_table")
@@ -62,31 +62,12 @@ class PrimeField:
 
     # -- scalar operations -------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero mod q."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         return int(self.inverse_table[a])
-
-    def character(self, a: int) -> complex:
-        """chi(a) = exp(2*pi*i*a/q), a point on the unit circle."""
-        return complex(self.roots[a % self.q])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- identity ----------------------------------------------------------
 

@@ -1,22 +1,11 @@
 """Point-set generator library: random sets, subspaces, paraboloids, embeddings.
 
-Generators are addressable by name through FAMILIES.  The CLI's gen command
-takes their parameters as options; build_set, a library call, parses a
-compact spec string such as
-
-    random:q=7,d=2,n=10,seed=42
-    coordinate-subspace:q=5,d=3,k=2
-    affine-subspace:q=5,d=3,k=1,shift=1-2-0
-    paraboloid:q=5,d=2
-    subspace-random:q=11,d=4,m=2,n=37,seed=3
-    embedded:in=low.fset,d=3
-
-Vector-valued parameters use dashes between coordinates.  Neither the CLI
-nor campaign configs accept spec strings; a campaign's `generator` key names
-one of its two index draws, random or subspace-random, which campaigns take
-a block of trial seeds at a time (random_index_block,
-subspace_random_index_block).  All generators are deterministic in their
-arguments.
+Generators are addressable by name through FAMILIES, which the CLI's gen
+command dispatches through, taking their parameters as options.  A
+campaign's `generator` key names one of the two index draws, random or
+subspace-random, which campaigns take a block of trial seeds at a time
+(random_index_block, subspace_random_index_block).  All generators are
+deterministic in their arguments.
 """
 
 from __future__ import annotations
@@ -26,34 +15,29 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from . import grid
-from .pointset import PointSet, read_fset
+from .pointset import PointSet
 from .rng import sample_block
-from .spectral import DEFAULT_SIZE_CAP, check_size_cap
+from .spectral import check_size_cap
 
 
 def random_index_block(q: int, d: int, n: int, seeds: Sequence[int]) -> np.ndarray:
     """Flat indices of gen_random's n points for each seed, in draw order: a (B, n) array."""
-    total = check_size_cap(q, d, DEFAULT_SIZE_CAP)
+    total = check_size_cap(q, d)
     if n > total:
         raise ValueError(f"cannot draw {n} distinct points from a grid of {total}")
     return sample_block(total, n, seeds)
 
 
-def random_indices(q: int, d: int, n: int, seed: int) -> list[int]:
-    """Flat indices of gen_random's n points, in draw order."""
-    return random_index_block(q, d, n, [seed])[0].tolist()
-
-
 def gen_random(q: int, d: int, n: int, seed: int) -> PointSet:
     """n points drawn uniformly without replacement, deterministic in seed."""
-    return PointSet.from_indices(q, d, random_indices(q, d, n, seed))
+    return PointSet.from_indices(q, d, random_index_block(q, d, n, [seed])[0])
 
 
 def gen_coordinate_subspace(q: int, d: int, k: int) -> PointSet:
     """The k-dimensional coordinate subspace: first k coordinates free, rest zero."""
     if not 0 <= k <= d:
         raise ValueError(f"subspace dimension must be in [0, {d}], got {k}")
-    check_size_cap(q, d, DEFAULT_SIZE_CAP)
+    check_size_cap(q, d)
     if k == 0:
         return PointSet.from_points(q, d, [(0,) * d])
     coords = np.zeros((q**k, d), dtype=np.int64)
@@ -74,7 +58,7 @@ def gen_paraboloid(q: int, d: int) -> PointSet:
     """
     if d < 2:
         raise ValueError(f"paraboloid needs dimension >= 2, got {d}")
-    check_size_cap(q, d, DEFAULT_SIZE_CAP)
+    check_size_cap(q, d)
     base = grid.decode_indices(np.arange(q ** (d - 1), dtype=np.int64), q, d - 1)
     coords = np.empty((len(base), d), dtype=np.int64)
     coords[:, : d - 1] = base
@@ -86,7 +70,7 @@ def gen_embedded(base: PointSet, d: int) -> PointSet:
     """base lifted into F_q^d by padding trailing zero coordinates."""
     if base.dim >= d:
         raise ValueError(f"embedding target dimension must exceed {base.dim}, got {d}")
-    check_size_cap(base.q, d, DEFAULT_SIZE_CAP)
+    check_size_cap(base.q, d)
     coords = np.zeros((base.cardinality, d), dtype=np.int64)
     coords[:, : base.dim] = base.coords()
     return PointSet.from_coords(base.q, d, coords)
@@ -96,7 +80,7 @@ def subspace_random_index_block(q: int, d: int, m: int, n: int, seeds: Sequence[
     """Flat indices of gen_subspace_random's n points for each seed, in draw order: a (B, n) array."""
     if not 1 <= m <= d:
         raise ValueError(f"subspace dimension must be in [1, {d}], got {m}")
-    check_size_cap(q, d, DEFAULT_SIZE_CAP)
+    check_size_cap(q, d)
     total = q**m
     if n > total:
         raise ValueError(f"cannot draw {n} distinct points from a subspace of {total}")
@@ -105,18 +89,13 @@ def subspace_random_index_block(q: int, d: int, m: int, n: int, seeds: Sequence[
     return sample_block(total, n, seeds) * q ** (d - m)
 
 
-def subspace_random_indices(q: int, d: int, m: int, n: int, seed: int) -> np.ndarray:
-    """Flat indices of gen_subspace_random's n points, in draw order."""
-    return subspace_random_index_block(q, d, m, n, [seed])[0]
-
-
 def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:
     """n random points inside the m-dimensional coordinate subspace of F_q^d."""
-    return PointSet.from_indices(q, d, subspace_random_indices(q, d, m, n, seed))
+    return PointSet.from_indices(q, d, subspace_random_index_block(q, d, m, n, [seed])[0])
 
 
 #: Every generator family: its function and its parameters, in call order.
-#: The CLI and build_set both dispatch through this table.
+#: The CLI dispatches through this table.
 FAMILIES: dict[str, tuple[Callable[..., PointSet], tuple[str, ...]]] = {
     "random": (gen_random, ("q", "d", "n", "seed")),
     "coordinate-subspace": (gen_coordinate_subspace, ("q", "d", "k")),
@@ -128,45 +107,3 @@ FAMILIES: dict[str, tuple[Callable[..., PointSet], tuple[str, ...]]] = {
 
 GENERATOR_NAMES = tuple(FAMILIES)
 
-
-def _parse_params(blob: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    if not blob:
-        return params
-    for item in blob.split(","):
-        if "=" not in item:
-            raise ValueError(f"malformed generator parameter {item!r}, expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key in params:
-            raise ValueError(f"duplicate generator parameter {key!r}")
-        params[key] = value.strip()
-    return params
-
-
-def _take(params: dict[str, str], key: str) -> int | tuple[int, ...] | PointSet:
-    """Pop one spec parameter: 'in' reads a .fset, 'shift' is dash-separated integers, the rest integers."""
-    if key not in params:
-        raise ValueError(f"missing generator parameter {key!r}")
-    raw = params.pop(key)
-    if key == "in":
-        return read_fset(raw)
-    try:
-        return tuple(int(part) for part in raw.split("-")) if key == "shift" else int(raw)
-    except ValueError:
-        shape = "dash-separated integers" if key == "shift" else "an integer"
-        raise ValueError(f"generator parameter {key!r} must be {shape}") from None
-
-
-def build_set(spec: str) -> PointSet:
-    """Build a point set from a compact name:params spec string."""
-    name, _, blob = spec.partition(":")
-    name = name.strip()
-    params = _parse_params(blob)
-    if name not in FAMILIES:
-        raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
-    generate, wanted = FAMILIES[name]
-    args = [_take(params, key) for key in wanted]
-    if params:
-        raise ValueError(f"unused generator parameters: {', '.join(sorted(params))}")
-    return generate(*args)

@@ -42,7 +42,7 @@ from .incidence import mu_slope_counts, slope_counts, threshold_failures, thresh
 from .pointset import PointSet, _write_in_place, format_fset
 from .rng import mix64
 from .salem import bound_shapes, difference_bounds
-from .spectral import DEFAULT_SIZE_CAP, check_size_cap, indicator_power
+from .spectral import check_size_cap, indicator_power
 
 #: Enumerating all size-n subsets is preferred to sampling up to this count.
 EXHAUSTIVE_LIMIT = 10**7
@@ -275,7 +275,7 @@ class CampaignConfig:
                 raise ConfigError(f"dimension must be >= 1, got {d}")
         for q in self.q_list:
             for d in self.d_list:
-                check_size_cap(q, d, DEFAULT_SIZE_CAP)
+                check_size_cap(q, d)
         for k in self.k_list:
             if k < 1:
                 raise ConfigError(f"k must be >= 1, got {k}")
@@ -735,12 +735,6 @@ def verify_sharpness(config: CampaignConfig) -> CampaignResult:
         "hard_failures": columns["hard_fail"].count(True),
     }
     return CampaignResult("sharpness", config, columns, aggregates, tuple(counterexamples))
-
-
-def sharpness_suite(q: int, d: int) -> CampaignResult:
-    """Convenience wrapper: the sharpness campaign for a single (q, d)."""
-    config = CampaignConfig(kind="sharpness", q_list=(q,), d_list=(d,))
-    return verify_sharpness(config)
 
 
 _RUNNERS = {

@@ -1,4 +1,4 @@
-"""Point sets E in F_q^d: dense indicators, .fset serialization, linear maps.
+"""Point sets E in F_q^d as ascending flat indices: .fset serialization, linear maps.
 
 The .fset text format (used by the CLI and by campaign replay files):
 
@@ -21,27 +21,31 @@ import numpy as np
 from . import grid
 from .errors import FsetParseError, SizeCapError
 from .field import PrimeField, prime_field
-from .spectral import DEFAULT_SIZE_CAP, GridFunction, Spectrum, check_size_cap, empty_table, indicator_spectrum
+from .spectral import GridFunction, Spectrum, check_size_cap, empty_table, indicator_spectrum
+
+
+def _check_point(point: Sequence[int], q: int, dim: int) -> None:
+    if len(point) != dim:
+        raise ValueError(f"point {tuple(point)} does not have {dim} coordinates")
+    if any(not (0 <= int(c) < q) for c in point):
+        raise ValueError(f"point {tuple(point)} has coordinates outside [0, {q})")
 
 
 class PointSet:
-    """A subset E of F_q^d stored as a dense bit indicator.
+    """A subset E of F_q^d stored as its ascending flat point indices.
 
     Treat instances as immutable: operations return new sets.  The Fourier
     spectrum of the indicator and the sparse difference multiplicity mu are
     computed lazily and cached: one transform and one pair sweep per set.
+    Build sets through the classmethods, which check their input.
     """
 
-    def __init__(self, field: PrimeField, dim: int, mask: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP):
-        n = check_size_cap(field.q, dim, size_cap)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError(f"indicator must have shape ({n},), got {mask.shape}")
+    def __init__(self, field: PrimeField, dim: int, indices: np.ndarray):
+        """indices must be distinct, ascending and in [0, q^dim); they are made read-only."""
+        indices.setflags(write=False)
         self.field = field
         self.dim = dim
-        self.mask = mask
-        self.size_cap = size_cap
-        self._indices: np.ndarray | None = None
+        self._indices = indices
         self._spectrum: Spectrum | None = None
         self._spectrum_power: np.ndarray | None = None
         self._mu: tuple[np.ndarray, np.ndarray] | None = None
@@ -49,45 +53,39 @@ class PointSet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_indices(cls, q: int, dim: int, indices: Iterable[int], size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
+    def from_indices(cls, q: int, dim: int, indices: Iterable[int]) -> "PointSet":
         field = prime_field(q)
-        n = check_size_cap(q, dim, size_cap)
-        mask = np.zeros(n, dtype=bool)
+        n = check_size_cap(q, dim)
         idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= n:
-                raise ValueError("point index out of range")
-            if len(grid.distinct(idx)) != len(idx):
-                raise ValueError("duplicate points")
-            mask[idx] = True
-        return cls(field, dim, mask, size_cap)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError("point index out of range")
+        ordered = grid.distinct(idx)
+        if len(ordered) != len(idx):
+            raise ValueError("duplicate points")
+        return cls(field, dim, ordered)
 
     @classmethod
-    def from_points(cls, q: int, dim: int, points: Iterable[Sequence[int]], size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
+    def from_points(cls, q: int, dim: int, points: Iterable[Sequence[int]]) -> "PointSet":
         pts = list(points)
         for p in pts:
-            if len(p) != dim:
-                raise ValueError(f"point {tuple(p)} does not have {dim} coordinates")
-            if any(not (0 <= int(c) < q) for c in p):
-                raise ValueError(f"point {tuple(p)} has coordinates outside [0, {q})")
-        return cls.from_indices(q, dim, (grid.encode(p, q) for p in pts), size_cap)
+            _check_point(p, q, dim)
+        return cls.from_indices(q, dim, (grid.encode(p, q) for p in pts))
 
     @classmethod
-    def from_coords(cls, q: int, dim: int, coords: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
+    def from_coords(cls, q: int, dim: int, coords: np.ndarray) -> "PointSet":
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
-            return cls.from_indices(q, dim, [], size_cap)
-        return cls.from_indices(q, dim, grid.encode_coords(coords, q), size_cap)
+            return cls.from_indices(q, dim, [])
+        return cls.from_indices(q, dim, grid.encode_coords(coords, q))
 
     @classmethod
-    def empty(cls, q: int, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
-        return cls.from_indices(q, dim, [], size_cap)
+    def empty(cls, q: int, dim: int) -> "PointSet":
+        return cls.from_indices(q, dim, [])
 
     @classmethod
-    def full(cls, q: int, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> "PointSet":
+    def full(cls, q: int, dim: int) -> "PointSet":
         field = prime_field(q)
-        n = check_size_cap(q, dim, size_cap)
-        return cls(field, dim, np.ones(n, dtype=bool), size_cap)
+        return cls(field, dim, np.arange(check_size_cap(q, dim), dtype=np.int64))
 
     # -- basic queries -----------------------------------------------------
 
@@ -97,22 +95,25 @@ class PointSet:
 
     @property
     def cardinality(self) -> int:
-        return len(self.indices())
+        return len(self._indices)
 
     def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._indices = np.flatnonzero(self.mask)
+        """Flat point indices, ascending and read-only."""
         return self._indices
 
     def coords(self) -> np.ndarray:
         """Member points as an (|E|, d) array, ascending index order."""
-        return grid.decode_indices(self.indices(), self.q, self.dim)
+        return grid.decode_indices(self._indices, self.q, self.dim)
 
     def points(self) -> list[tuple[int, ...]]:
         return [tuple(int(c) for c in row) for row in self.coords()]
 
     def contains(self, point: Sequence[int]) -> bool:
-        return bool(self.mask[grid.encode(point, self.q)])
+        """Whether point is in E; ValueError unless it has d coordinates in [0, q)."""
+        _check_point(point, self.q, self.dim)
+        index = grid.encode(point, self.q)
+        pos = int(np.searchsorted(self._indices, index))
+        return pos < len(self._indices) and int(self._indices[pos]) == index
 
     def __len__(self) -> int:
         return self.cardinality
@@ -122,7 +123,7 @@ class PointSet:
             isinstance(other, PointSet)
             and other.q == self.q
             and other.dim == self.dim
-            and bool(np.array_equal(other.mask, self.mask))
+            and bool(np.array_equal(other._indices, self._indices))
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -136,16 +137,18 @@ class PointSet:
         if len(shift) != self.dim:
             raise ValueError(f"shift must have {self.dim} coordinates")
         coords = (self.coords() + np.asarray(shift, dtype=np.int64)) % self.q
-        return PointSet.from_coords(self.q, self.dim, coords, self.size_cap)
+        return PointSet.from_coords(self.q, self.dim, coords)
 
     def indicator(self) -> GridFunction:
-        return GridFunction(self.field, self.dim, self.mask.astype(np.complex128), self.size_cap)
+        values = np.zeros(self.q**self.dim, dtype=np.complex128)
+        values[self._indices] = 1.0
+        return GridFunction(self.field, self.dim, values)
 
     def spectrum(self) -> Spectrum:
         """Fourier coefficients of the indicator, cached after the first call."""
         if self._spectrum is None:
-            values = indicator_spectrum(self.indices()[None], self.field, self.dim)[0]
-            self._spectrum = Spectrum(self.field, self.dim, values, self.size_cap)
+            values = indicator_spectrum(self._indices[None], self.field, self.dim)[0]
+            self._spectrum = Spectrum(self.field, self.dim, values)
         return self._spectrum
 
     def spectrum_power(self) -> np.ndarray:
@@ -160,7 +163,7 @@ class PointSet:
     def difference_multiplicity(self) -> tuple[np.ndarray, np.ndarray]:
         """Sparse mu, cached and read-only: ascending codes of E - E, their multiplicities; O(|E|^2)."""
         if self._mu is None:
-            codes, counts, _ = grid.difference_multiplicities(self.indices()[None], self.q, self.dim)
+            codes, counts, _ = grid.difference_multiplicities(self._indices[None], self.q, self.dim)
             codes.setflags(write=False)
             counts.setflags(write=False)
             self._mu = codes, counts
@@ -206,7 +209,7 @@ def apply_linear_map(E: PointSet, matrix: Sequence[Sequence[int]]) -> PointSet:
     if matrix_rank_mod(A, E.q) != E.dim:
         raise ValueError(f"matrix is singular over F_{E.q}")
     coords = (E.coords() @ A.T) % E.q
-    return PointSet.from_coords(E.q, E.dim, coords, E.size_cap)
+    return PointSet.from_coords(E.q, E.dim, coords)
 
 
 # -- .fset serialization ---------------------------------------------------
@@ -239,7 +242,7 @@ def _write_in_place(path: str | os.PathLike, text: str) -> None:
             fh.truncate()
 
 
-def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
+def parse_fset(text: str) -> PointSet:
     lines = text.splitlines()
     header_line = None
     q = dim = 0
@@ -261,7 +264,7 @@ def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
                 raise FsetParseError(f"dimension must be >= 1, got {dim}", lineno)
             try:
                 prime_field(q)
-                check_size_cap(q, dim, size_cap)
+                check_size_cap(q, dim)
             except (ValueError, SizeCapError) as exc:
                 raise FsetParseError(str(exc), lineno) from None
             header_line = lineno
@@ -280,9 +283,9 @@ def parse_fset(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
         points.append(point)
     if header_line is None:
         raise FsetParseError("empty input, expected a 'q d' header")
-    return PointSet.from_points(q, dim, points, size_cap)
+    return PointSet.from_points(q, dim, points)
 
 
-def read_fset(path: str | os.PathLike, size_cap: int = DEFAULT_SIZE_CAP) -> PointSet:
+def read_fset(path: str | os.PathLike) -> PointSet:
     with io.open(path, "r", encoding="ascii") as fh:
-        return parse_fset(fh.read(), size_cap)
+        return parse_fset(fh.read())

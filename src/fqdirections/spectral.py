@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +41,17 @@ from . import grid
 from .errors import SizeCapError
 from .field import PrimeField
 
-#: Default cap on dense table entries (q^d); configurable per grid.
+#: Cap on dense table entries (q^d).
 DEFAULT_SIZE_CAP = 1 << 24
 
 
-def check_size_cap(q: int, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Return q**dim, or raise SizeCapError if it exceeds the cap."""
+def check_size_cap(q: int, dim: int) -> int:
+    """Return q**dim, or raise SizeCapError if it exceeds DEFAULT_SIZE_CAP."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     n = q**dim
-    if n > size_cap:
-        raise SizeCapError(f"grid of {q}^{dim} = {n} entries exceeds the cap {size_cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"grid of {q}^{dim} = {n} entries exceeds the cap {DEFAULT_SIZE_CAP}")
     return n
 
 
@@ -77,10 +77,9 @@ class GridFunction:
     field: PrimeField
     dim: int
     values: np.ndarray
-    size_cap: int = dataclass_field(default=DEFAULT_SIZE_CAP, repr=False)
 
     def __post_init__(self) -> None:
-        n = check_size_cap(self.field.q, self.dim, self.size_cap)
+        n = check_size_cap(self.field.q, self.dim)
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (n,):
             raise ValueError(
@@ -88,18 +87,6 @@ class GridFunction:
                 f"got shape {values.shape}"
             )
         self.values = values
-
-    @classmethod
-    def zeros(cls, field: PrimeField, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> "GridFunction":
-        n = check_size_cap(field.q, dim, size_cap)
-        return cls(field, dim, np.zeros(n, dtype=np.complex128), size_cap)
-
-    def reshaped(self) -> np.ndarray:
-        """View of the table as a d-dimensional cube, axis 0 = coordinate 1."""
-        return self.values.reshape((self.field.q,) * self.dim)
-
-    def copy(self) -> "GridFunction":
-        return type(self)(self.field, self.dim, self.values.copy(), self.size_cap)
 
 
 class Spectrum(GridFunction):
@@ -277,7 +264,7 @@ def _forward_values(rows: np.ndarray, keys: np.ndarray, tables: int, field: Prim
 def forward_transform(f: GridFunction) -> Spectrum:
     """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x)."""
     rows, keys = _live_rows(f.values, f.field.q)
-    return Spectrum(f.field, f.dim, _forward_values(rows, keys, 1, f.field, f.dim)[0], f.size_cap)
+    return Spectrum(f.field, f.dim, _forward_values(rows, keys, 1, f.field, f.dim)[0])
 
 
 def indicator_spectrum(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
@@ -310,7 +297,7 @@ def inverse_transform(spec: GridFunction) -> GridFunction:
     """Inverse transform: f(x) = sum_m chi(x.m) fhat(m)."""
     rows, keys = _live_rows(spec.values, spec.field.q)
     vals = _axis_by_axis(rows, keys, 1, spec.field, spec.dim, conjugate=False)
-    return GridFunction(spec.field, spec.dim, vals[0], spec.size_cap)
+    return GridFunction(spec.field, spec.dim, vals[0])
 
 
 def plancherel_defect(f: GridFunction) -> float:

@@ -2,18 +2,16 @@ import pytest
 
 from fqdirections.generators import (
     GENERATOR_NAMES,
-    build_set,
     gen_affine_subspace,
     gen_coordinate_subspace,
     gen_embedded,
     gen_paraboloid,
     gen_random,
     gen_subspace_random,
-    random_indices,
-    subspace_random_indices,
+    random_index_block,
+    subspace_random_index_block,
 )
 from fqdirections.grid import decode_indices
-from fqdirections.pointset import write_fset
 from fqdirections.rng import sample_without_replacement
 
 
@@ -82,9 +80,9 @@ def test_gen_subspace_random():
 
 
 def test_index_draws():
-    assert random_indices(7, 2, 10, seed=42) == sample_without_replacement(49, 10, 42)
+    assert random_index_block(7, 2, 10, [42])[0].tolist() == sample_without_replacement(49, 10, 42)
     # point j of the draw is the j-th sampled point of F_11^2, padded with zeros
-    picks = subspace_random_indices(11, 4, 2, 37, seed=3)
+    picks = subspace_random_index_block(11, 4, 2, 37, [3])[0]
     coords = decode_indices(picks, 11, 4)
     assert (coords[:, 2:] == 0).all()
     assert (coords[:, :2] == decode_indices(sample_without_replacement(121, 37, 3), 11, 2)).all()
@@ -99,39 +97,3 @@ def test_generator_names_frozen():
         "embedded",
         "subspace-random",
     )
-
-
-# -- spec strings ----------------------------------------------------------
-
-def test_build_set_random():
-    assert build_set("random:q=7,d=2,n=10,seed=42") == gen_random(7, 2, 10, 42)
-
-
-def test_build_set_subspaces():
-    assert build_set("coordinate-subspace:q=5,d=3,k=2") == gen_coordinate_subspace(5, 3, 2)
-    assert build_set("affine-subspace:q=5,d=2,k=1,shift=1-2") == gen_affine_subspace(5, 2, 1, (1, 2))
-    assert build_set("paraboloid:q=5,d=2") == gen_paraboloid(5, 2)
-    assert build_set("subspace-random:q=11,d=4,m=2,n=37,seed=3") == gen_subspace_random(11, 4, 2, 37, 3)
-
-
-def test_build_set_embedded(tmp_path):
-    base = gen_paraboloid(5, 2)
-    path = tmp_path / "base.fset"
-    write_fset(base, path)
-    assert build_set(f"embedded:in={path},d=3") == gen_embedded(base, 3)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "unknown:q=5,d=2",
-        "random:q=5,d=2,n=3",  # missing seed
-        "random:q=5,d=2,n=3,seed=1,extra=2",  # unused parameter
-        "random:q=5,d=2,n=x,seed=1",  # non-integer
-        "paraboloid:q=5,d=2,q=7",  # duplicate key
-        "paraboloid",  # no parameters at all
-    ],
-)
-def test_build_set_rejects_bad_specs(spec):
-    with pytest.raises(ValueError):
-        build_set(spec)

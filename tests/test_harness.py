@@ -21,8 +21,8 @@ from fqdirections.harness import (
     emit_report,
     evaluate_size,
     run_campaign,
-    sharpness_suite,
     verify_salem_bounds,
+    verify_sharpness,
     verify_theorem_main,
     write_report,
 )
@@ -312,7 +312,7 @@ def test_salem_bounds_subspace_generator_reproduces_counterexample():
 
 
 def test_sharpness_campaign():
-    res = sharpness_suite(5, 3)
+    res = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(5,), d_list=(3,)))
     assert res.ok
     ks = [row["k"] for row in res.rows]
     assert ks == [1, 2]
@@ -354,7 +354,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def _report_writer():
-    result = sharpness_suite(3, 3)
+    result = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
     return lambda path: write_report(result, "csv", path), emit_report(result, "csv").encode("ascii")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +47,41 @@ def test_empty_and_full():
 
 def test_size_cap_enforced():
     with pytest.raises(SizeCapError):
-        PointSet.empty(5, 3, size_cap=100)
+        PointSet.empty(257, 3)
+    with pytest.raises(SizeCapError):
+        PointSet.full(2, 25)
+
+
+def test_contains_validates_the_point():
+    E = PointSet.from_points(5, 2, [(4, 4)])
+    assert E.contains((4, 4))
+    assert not E.contains((0, 0))
+    assert not PointSet.from_points(5, 2, [(0, 0)]).contains((4, 4))
+    assert not PointSet.empty(5, 2).contains((0, 0))
+    for bad in ((0, -1), (5, 0), (4,), (4, 4, 0)):
+        with pytest.raises(ValueError):
+            E.contains(bad)
+
+
+def test_indices_are_ascending_read_only_and_small():
+    q, d = 101, 3
+    picks = np.random.default_rng(5).choice(q**d, size=q + 1, replace=False)
+    tracemalloc.start()
+    try:
+        E = PointSet.from_indices(q, d, picks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense q^d indicator would take 1 MB
+    assert peak < 64 * 1024
+    idx = E.indices()
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, np.sort(picks))
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0] = 1
+    assert np.array_equal(PointSet.full(3, 2).indices(), np.arange(9))
+    assert not PointSet.full(3, 2).indices().flags.writeable
 
 
 def test_coords_ascending_order():
@@ -164,7 +200,7 @@ def test_parse_errors_name_line_numbers(text, lineno, fragment):
 
 def test_parse_respects_size_cap():
     with pytest.raises(FsetParseError) as err:
-        parse_fset("5 3\n", size_cap=100)
+        parse_fset("257 3\n")
     assert "line 1:" in str(err.value)
 
 

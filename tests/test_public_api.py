@@ -1,0 +1,101 @@
+"""The package's public surface: `fqdirections.__all__` and the README's library example."""
+
+import ast
+import re
+from pathlib import Path
+
+import fqdirections
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+EXPORTS = [
+    "BoundCheckRecord",
+    "CampaignConfig",
+    "CampaignResult",
+    "ConfigError",
+    "DEFAULT_SIZE_CAP",
+    "DifferenceProfile",
+    "EXHAUSTIVE_LIMIT",
+    "FsetParseError",
+    "GENERATOR_NAMES",
+    "GridFunction",
+    "IncidenceReport",
+    "MAX_MODULUS",
+    "NumericalInconsistencyError",
+    "PointSet",
+    "PrimeField",
+    "SalemReport",
+    "SizeCapError",
+    "SlopeOutcome",
+    "Spectrum",
+    "ThresholdReport",
+    "XorShift64Star",
+    "__version__",
+    "all_slopes",
+    "ambient_direction_count",
+    "ambient_directions",
+    "canonical_direction",
+    "check_size_cap",
+    "coordinate_subspace_directions",
+    "degenerate_pair_count",
+    "difference_bound_check",
+    "difference_profile",
+    "direction_set",
+    "emit_report",
+    "evaluate_size",
+    "format_fset",
+    "forward_transform",
+    "gen_affine_subspace",
+    "gen_coordinate_subspace",
+    "gen_embedded",
+    "gen_paraboloid",
+    "gen_random",
+    "gen_subspace_random",
+    "inverse_transform",
+    "is_prime",
+    "mix64",
+    "mu_spectrum_identity_defect",
+    "nu_brute",
+    "nu_spectral",
+    "nu_sweep",
+    "parse_fset",
+    "plancherel_defect",
+    "read_fset",
+    "remainder_spectral",
+    "run_campaign",
+    "salem_report",
+    "sample_block",
+    "sample_without_replacement",
+    "sort_directions",
+    "theorem_main_threshold",
+    "verify_salem_bounds",
+    "verify_sharpness",
+    "verify_theorem_main",
+    "write_fset",
+    "write_report",
+]
+
+
+def test_all_is_unique_and_resolves():
+    names = fqdirections.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(fqdirections, name), name
+
+
+def test_all_is_pinned():
+    assert sorted(fqdirections.__all__) == EXPORTS
+
+
+def test_readme_library_example_imports_only_exports():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "fqdirections"
+        for alias in node.names
+    ]
+    assert imported
+    assert set(imported) <= set(fqdirections.__all__)
