@@ -21,7 +21,7 @@ import numpy as np
 from . import grid
 from .errors import FsetParseError, SizeCapError
 from .field import PrimeField, prime_field
-from .spectral import GridFunction, Spectrum, check_size_cap, empty_table, indicator_spectrum
+from .spectral import GridFunction, Spectrum, check_size_cap, indicator_power, indicator_spectrum
 
 
 def _check_point(point: Sequence[int], q: int, dim: int) -> None:
@@ -34,9 +34,10 @@ def _check_point(point: Sequence[int], q: int, dim: int) -> None:
 class PointSet:
     """A subset E of F_q^d stored as its ascending flat point indices.
 
-    Treat instances as immutable: operations return new sets.  The Fourier
-    spectrum of the indicator and the sparse difference multiplicity mu are
-    computed lazily and cached: one transform and one pair sweep per set.
+    Treat instances as immutable: operations return new sets.  The indicator's
+    spectrum, its power |Ehat|^2 (which does not build the complex spectrum:
+    a caller of both pays for two transforms) and the sparse difference
+    multiplicity mu are computed lazily and cached.
     Build sets through the classmethods, which check their input.
     """
 
@@ -152,10 +153,9 @@ class PointSet:
         return self._spectrum
 
     def spectrum_power(self) -> np.ndarray:
-        """|Ehat(m)|^2 for all m, cached; read-only."""
+        """|Ehat(m)|^2 for all m, cached; read-only; read off the last transform pass, no complex spectrum."""
         if self._spectrum_power is None:
-            power = np.abs(self.spectrum().values, out=empty_table(self.q**self.dim, np.float64))
-            np.square(power, out=power)
+            power = indicator_power(self._indices[None], self.field, self.dim)[0]
             power.setflags(write=False)
             self._spectrum_power = power
         return self._spectrum_power
@@ -246,8 +246,7 @@ def parse_fset(text: str) -> PointSet:
     lines = text.splitlines()
     header_line = None
     q = dim = 0
-    points: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
@@ -272,18 +271,20 @@ def parse_fset(text: str) -> PointSet:
         if len(fields) != dim:
             raise FsetParseError(f"expected {dim} coordinates, got {len(fields)}", lineno)
         try:
-            point = tuple(int(f) for f in fields)
+            point = tuple(map(int, fields))
         except ValueError:
             raise FsetParseError("coordinates must be integers", lineno) from None
-        if any(not (0 <= c < q) for c in point):
-            raise FsetParseError(f"coordinate outside [0, {q})", lineno)
-        if point in seen:
+        index = 0
+        for c in point:
+            if not 0 <= c < q:
+                raise FsetParseError(f"coordinate outside [0, {q})", lineno)
+            index = index * q + c
+        if index in seen:
             raise FsetParseError(f"duplicate point {point}", lineno)
-        seen.add(point)
-        points.append(point)
+        seen.add(index)
     if header_line is None:
         raise FsetParseError("empty input, expected a 'q d' header")
-    return PointSet.from_points(q, dim, points)
+    return PointSet.from_indices(q, dim, seen)
 
 
 def read_fset(path: str | os.PathLike) -> PointSet:

@@ -26,7 +26,9 @@ where every digit would take 171 million.  Digits are skipped only for
 q <= 128, where a row's whole sum is one block of the BLAS inner loop.
 indicator_spectrum and indicator_power feed the loop straight from point
 indices, for one set or a stack of sets at once (campaigns evaluate a block
-of sets together), so no dense indicator table is built.
+of sets together), so no dense indicator table is built.  indicator_power
+reads |Ehat|^2 off the last pass and keeps no complex spectrum; a row
+equals |indicator_spectrum row|^2 bit for bit.
 """
 
 from __future__ import annotations
@@ -151,14 +153,15 @@ def _transform_last_axis(
 
 
 def _axis_by_axis(
-    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, conjugate: bool
+    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, conjugate: bool, power: bool = False
 ) -> np.ndarray:
     """Transform a stack of `tables` flat q^d tables, given only their live rows.
 
     View the stack as (tables * q^(d-1), q) rows along coordinate d.  rows
     holds the rows with a nonzero value and keys their ascending row numbers
     b q^(d-1) + (x_1, ..., x_(d-1)) in mixed radix; every other row is
-    zero.  Returns the (tables, q^d) transform.
+    zero.  Returns the (tables, q^d) transform, or with power the float
+    |q^-d transform|^2 of a forward one, read off the last pass's output.
 
     Pass j (j = 0, ..., d-1) transforms coordinate d-j.  A row of its input
     is fixed by its key (b, x_1, ..., x_(d-1-j)) and the frequencies that
@@ -201,7 +204,7 @@ def _axis_by_axis(
             keys, rows = np.array([0, 1]), np.concatenate([rows, zero])
     # Two whole-stack buffers serve every pass: a pass writes its output into
     # the front of one, its live rows are gathered into the other as the
-    # next pass's input, and the last output is reordered into the spare one.
+    # next pass's input, and the last output (or its power) is reordered.
     spare = empty_table(tables * q**dim, np.complex128)
     work = empty_table(tables * q**dim, np.complex128)
     digits = None
@@ -236,15 +239,22 @@ def _axis_by_axis(
             block.fill(0)
             block[parent, slot] = out
         rows = block.transpose(0, *range(2, j + 3), 1)
+    target = spare
+    if power:
+        # the complex ending's elementwise ops in out's own order; then reorder floats
+        out *= float(q) ** (-dim)
+        out = np.abs(out, out=spare.view(np.float64)[: out.size].reshape(out.shape))
+        np.square(out, out=out)
+        target = work.view(np.float64)[: tables * q**dim]
     # out is (live tables, m_d, ..., m_1): each pass put its frequency last
     spectra = out.reshape((len(keys),) + (q,) * dim).transpose(0, *range(dim, 0, -1))
-    result = spare.reshape((tables,) + (q,) * dim)
+    result = target.reshape((tables,) + (q,) * dim)
     if len(keys) == tables:
         result[...] = spectra
     else:
         result.fill(0)
         result[keys] = spectra
-    return spare.reshape(tables, q**dim)
+    return target.reshape(tables, q**dim)
 
 
 def _live_rows(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +277,16 @@ def forward_transform(f: GridFunction) -> Spectrum:
     return Spectrum(f.field, f.dim, _forward_values(rows, keys, 1, f.field, f.dim)[0])
 
 
+def _indicator_rows(indices: np.ndarray, q: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-pass rows with a point, and their keys, of a (B, n) stack of sets' flat point indices."""
+    prefixes, last = np.divmod(indices, q)
+    point_keys = (q ** (dim - 1) * np.arange(len(indices))[:, None] + prefixes).ravel()
+    keys = grid.distinct(point_keys)
+    rows = np.zeros((len(keys), q), dtype=np.complex128)
+    rows[np.searchsorted(keys, point_keys), last.ravel()] = 1.0
+    return rows, keys
+
+
 def indicator_spectrum(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
     """Ehat(m) for a stack of sets, one row per row of flat point indices.
 
@@ -275,22 +295,16 @@ def indicator_spectrum(indices: np.ndarray, field: PrimeField, dim: int) -> np.n
     is built.  Row b equals forward_transform of set b's indicator bit for
     bit.
     """
-    q = field.q
-    prefixes, last = np.divmod(indices, q)
-    point_keys = (q ** (dim - 1) * np.arange(len(indices))[:, None] + prefixes).ravel()
-    keys = grid.distinct(point_keys)
-    rows = np.zeros((len(keys), q), dtype=np.complex128)
-    rows[np.searchsorted(keys, point_keys), last.ravel()] = 1.0
-    return _forward_values(rows, keys, len(indices), field, dim)
+    return _forward_values(*_indicator_rows(indices, field.q, dim), len(indices), field, dim)
 
 
 def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
-    """|Ehat(m)|^2 for a stack of sets, one row per row of flat point indices.
+    """|Ehat(m)|^2 for a stack of sets, read off the last transform pass.
 
-    indices is (B, n): B sets of n distinct points each.  Row b equals
-    PointSet.spectrum_power() of set b bit for bit.
+    indices is (B, n): B sets of n distinct points each.  Float rows in a
+    transform buffer; row b is np.abs(indicator_spectrum row b) ** 2 bit for bit.
     """
-    return np.abs(indicator_spectrum(indices, field, dim)) ** 2
+    return _axis_by_axis(*_indicator_rows(indices, field.q, dim), len(indices), field, dim, True, power=True)
 
 
 def inverse_transform(spec: GridFunction) -> GridFunction:

@@ -16,6 +16,7 @@ from fqdirections.spectral import (
     _LIVE_DIGIT_Q,
     _axis_by_axis,
     _characters,
+    _forward_values,
     _live_rows,
     check_size_cap,
     empty_table,
@@ -151,6 +152,22 @@ def stack_transform(stack, q, d, conjugate):
     return _axis_by_axis(rows, keys, len(stack), prime_field(q), d, conjugate)
 
 
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_power_matches_spectrum(q, d, indices):
+    # the power read off the last pass is the complex ending's |Ehat|^2 byte
+    # for byte, signs of zero included
+    field = prime_field(q)
+    power = indicator_power(indices, field, d)
+    spectrum = indicator_spectrum(indices, field, d)
+    for b in range(len(indices)):
+        assert_same_bytes(power[b], np.abs(spectrum[b]) ** 2)
+    E = PointSet.from_indices(q, d, indices[0])
+    assert_same_bytes(E.spectrum_power(), np.abs(E.spectrum().values) ** 2)
+
+
 @st.composite
 def _index_stacks(draw):
     q = draw(st.sampled_from([2, 3, 5, 7]))
@@ -167,9 +184,8 @@ def test_indicator_stack_matches_dense_loop(case):
     q, d, indices = case
     masks = np.zeros((len(indices), q**d), dtype=np.complex128)
     np.put_along_axis(masks, indices, 1.0, axis=1)
-    spectrum = indicator_spectrum(indices, prime_field(q), d)
-    assert np.array_equal(spectrum, dense_forward(masks, q, d))
-    assert np.array_equal(indicator_power(indices, prime_field(q), d), np.abs(spectrum) ** 2)
+    assert np.array_equal(indicator_spectrum(indices, prime_field(q), d), dense_forward(masks, q, d))
+    assert_power_matches_spectrum(q, d, indices)
 
 
 @given(_index_stacks(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -184,6 +200,30 @@ def test_general_stack_matches_dense_loop(case, seed):
     for conjugate in (True, False):
         reference = oracles.dense_axis_by_axis(stack, prime_field(q).roots, q, d, conjugate)
         assert np.array_equal(stack_transform(stack, q, d, conjugate), reference)
+    rows, keys = _live_rows(stack, q)
+    power = _axis_by_axis(rows, keys, len(stack), prime_field(q), d, True, power=True)
+    assert_same_bytes(power, np.abs(_forward_values(rows, keys, len(stack), prime_field(q), d)) ** 2)
+
+
+@pytest.mark.parametrize(
+    "q,d,points",
+    [
+        (3, 3, list(range(27))),  # full grid
+        (5, 3, list(range(125))),
+        (7, 1, [0, 3, 6]),
+        (101, 1, [2, 50, 99]),
+        (5, 3, [5, 6, 9]),  # one live row
+        (7, 2, [14, 17, 20]),
+        (101, 3, None),
+        (131, 2, None),  # above _LIVE_DIGIT_Q
+    ],
+)
+def test_power_ending_fixed_cases(q, d, points):
+    if points is None:
+        indices = np.array([gen_random(q, d, q + 1, seed).indices() for seed in range(2)])
+    else:
+        indices = np.array([points])
+    assert_power_matches_spectrum(q, d, indices)
 
 
 @pytest.mark.parametrize(
@@ -289,8 +329,8 @@ def test_pointset_spectrum_equals_transform_of_indicator(case):
 
 
 def test_spectrum_power_peak_memory():
-    # the transform holds two complex tables, one of which becomes the cached
-    # spectrum; the power (float) is built after the other is freed
+    # the transform holds its two complex buffers and nothing else of q^d
+    # size: the power is squared into one and reordered into the other
     q, d = 61, 3
     E = gen_random(q, d, q + 1, seed=5)
     tracemalloc.start()
@@ -300,6 +340,21 @@ def test_spectrum_power_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 16 * q**d
+
+
+def test_spectrum_power_retains_one_table():
+    # the cached power is a float view of one transform buffer; no complex
+    # spectrum is cached beside it
+    q, d = 61, 3
+    E = gen_random(q, d, q + 1, seed=5)
+    tracemalloc.start()
+    try:
+        E.spectrum_power()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.25 * 16 * q**d
+    assert E._spectrum is None
 
 
 def test_dense_transform_peak_memory():
