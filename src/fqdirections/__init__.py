@@ -8,6 +8,8 @@ together.  A campaign harness sweeps (q, d, k, |E|) grids and emits
 deterministic CSV/JSON reports; the `fqdirections` CLI fronts everything.
 """
 
+from types import ModuleType as _ModuleType
+
 from .directions import (
     ambient_direction_count,
     ambient_directions,
@@ -74,69 +76,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ambient_direction_count",
-    "ambient_directions",
-    "canonical_direction",
-    "coordinate_subspace_directions",
-    "direction_set",
-    "sort_directions",
-    "ConfigError",
-    "FsetParseError",
-    "NumericalInconsistencyError",
-    "SizeCapError",
-    "MAX_MODULUS",
-    "PrimeField",
-    "is_prime",
-    "GENERATOR_NAMES",
-    "gen_affine_subspace",
-    "gen_coordinate_subspace",
-    "gen_embedded",
-    "gen_paraboloid",
-    "gen_random",
-    "gen_subspace_random",
-    "EXHAUSTIVE_LIMIT",
-    "CampaignConfig",
-    "CampaignResult",
-    "emit_report",
-    "evaluate_size",
-    "run_campaign",
-    "verify_salem_bounds",
-    "verify_sharpness",
-    "verify_theorem_main",
-    "write_report",
-    "IncidenceReport",
-    "SlopeOutcome",
-    "ThresholdReport",
-    "all_slopes",
-    "degenerate_pair_count",
-    "nu_brute",
-    "nu_spectral",
-    "nu_sweep",
-    "remainder_spectral",
-    "theorem_main_threshold",
-    "PointSet",
-    "format_fset",
-    "parse_fset",
-    "read_fset",
-    "write_fset",
-    "XorShift64Star",
-    "mix64",
-    "sample_block",
-    "sample_without_replacement",
-    "BoundCheckRecord",
-    "DifferenceProfile",
-    "SalemReport",
-    "difference_bound_check",
-    "difference_profile",
-    "mu_spectrum_identity_defect",
-    "salem_report",
-    "DEFAULT_SIZE_CAP",
-    "GridFunction",
-    "Spectrum",
-    "check_size_cap",
-    "forward_transform",
-    "inverse_transform",
-    "plancherel_defect",
-    "__version__",
-]
+# the public names are those imported above: every non-module name without a leading underscore
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]
+__all__.append("__version__")

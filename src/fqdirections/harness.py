@@ -8,11 +8,13 @@ are byte-identical for identical configs:
     salem-bounds   direction/difference counts against the flatness bounds
     sharpness      exact direction counts of coordinate subspaces
 
-Two failure severities are kept apart throughout.  Hard failures contradict
-an exact statement (the nu lower bound above threshold, full coverage for
-k = d-1, the (q-1)-to-1 quotient bound, subspace direction counts) and make
-the campaign report not-ok; soft flags mark measured quantities that missed
-a configured expectation (ratio floors, mean-direction monotonicity) and
+All three kinds run through one cell runner: a kind's block measures a
+block of sets and names the checks each set fails, and the runner alone
+builds the rows and assigns severities.  Hard failures contradict an exact
+statement (the nu lower bound above threshold, full coverage for k = d-1,
+the (q-1)-to-1 quotient bound, subspace direction counts) and make the
+campaign report not-ok; soft flags mark measured quantities that missed a
+configured expectation (ratio floors, mean-direction monotonicity) and
 never fail the run on their own.  Every flagged set is recorded in full
 .fset form for replay.
 """
@@ -24,7 +26,7 @@ import functools
 import json
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
@@ -33,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .directions import ambient_direction_count, canonical_codes, direction_set
+from .directions import ambient_direction_count, canonical_codes
 from .errors import ConfigError, NumericalInconsistencyError
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, random_index_block, subspace_random_index_block
@@ -93,13 +95,18 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
     if isinstance(expr, bool) or not isinstance(expr, (int, str)):
         raise ConfigError(f"set size must be an int or an expression string, got {expr!r}")
     if isinstance(expr, int):
-        value: int | float = expr
+        value: int | float | complex = expr
     else:
         try:
-            tree = ast.parse(expr.replace("^", "**"), mode="eval")
+            value = _eval_size_node(ast.parse(expr.replace("^", "**"), mode="eval").body, variables, expr)
         except SyntaxError as exc:
             raise ConfigError(f"bad size expression {expr!r}: {exc.msg}") from None
-        value = _eval_size_node(tree.body, variables, expr)
+        except ZeroDivisionError:
+            raise ConfigError(f"division by zero in size expression {expr!r}") from None
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ConfigError(f"bad size expression {expr!r}: {exc}") from None
+    if isinstance(value, complex):
+        raise ConfigError(f"size expression {expr!r} evaluates to non-real {value!r}")
     if isinstance(value, float):
         if not value.is_integer():
             raise ConfigError(f"size expression {expr!r} evaluates to non-integer {value!r}")
@@ -122,10 +129,7 @@ def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: st
     if isinstance(node, ast.BinOp) and type(node.op) in _SIZE_BINOPS:
         left = _eval_size_node(node.left, variables, expr)
         right = _eval_size_node(node.right, variables, expr)
-        try:
-            return _SIZE_BINOPS[type(node.op)](left, right)
-        except ZeroDivisionError:
-            raise ConfigError(f"division by zero in size expression {expr!r}") from None
+        return _SIZE_BINOPS[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_size_node(node.operand, variables, expr)
         return -operand if isinstance(node.op, ast.USub) else operand
@@ -338,11 +342,9 @@ def _check_draw_bounds(config: CampaignConfig, q: int, d: int, k: int | None, si
 def _expand_cells(config: CampaignConfig) -> list[Cell]:
     cells: list[Cell] = []
     if config.kind == "sharpness":
-        for q in config.q_list:
-            for d in config.d_list:
-                if d < 2:
-                    continue
-                cells.append(Cell(q, d, None, None, "deterministic"))
+        cells = [
+            Cell(q, d, k, q**k, "deterministic") for q in config.q_list for d in config.d_list for k in range(1, d)
+        ]
         if not cells:
             raise ConfigError("no valid cells: sharpness needs d >= 2")
         return cells
@@ -377,36 +379,26 @@ def _index_draw(config: CampaignConfig, cell: Cell) -> Callable[[Sequence[int]],
 
 # -- results ---------------------------------------------------------------
 
+#: Each kind's report columns: the leading columns and the severities, both
+#: filled by _block_rows, around the measured columns of the kind's block.
 _COLUMNS: dict[str, tuple[str, ...]] = {
-    "theorem-main": (
-        "kind", "q", "d", "k", "size", "mode", "trial", "trial_seed",
-        "nu_min", "lower_bound", "threshold_holds", "slope_pattern_covered",
-        "literal_subset", "direction_count", "ambient_count", "full_coverage",
-        "hard_fail", "soft_flags",
-    ),
-    "salem-bounds": (
-        "kind", "q", "d", "k", "size", "mode", "trial", "trial_seed",
-        "direction_count", "ambient_count", "full_coverage", "diff_size",
-        "bound_ii", "bound_iii", "bound_diff", "ratio_ii", "ratio_iii",
-        "ratio_diff", "salem_constant", "is_salem", "parseval_defect_rel",
-        "quotient_bound_holds", "hard_fail", "soft_flags",
-    ),
-    "sharpness": (
-        "kind", "q", "d", "k", "size", "mode", "trial", "trial_seed",
-        "direction_count", "expected_count", "next_subspace_count",
-        "exact_match", "strictly_fewer", "hard_fail", "soft_flags",
-    ),
+    kind: ("kind", "q", "d", "k", "size", "mode", "trial", "trial_seed", *measured, "hard_fail", "soft_flags")
+    for kind, measured in {
+        "theorem-main": (
+            "nu_min", "lower_bound", "threshold_holds", "slope_pattern_covered",
+            "literal_subset", "direction_count", "ambient_count", "full_coverage",
+        ),
+        "salem-bounds": (
+            "direction_count", "ambient_count", "full_coverage", "diff_size",
+            "bound_ii", "bound_iii", "bound_diff", "ratio_ii", "ratio_iii",
+            "ratio_diff", "salem_constant", "is_salem", "parseval_defect_rel",
+            "quotient_bound_holds",
+        ),
+        "sharpness": (
+            "direction_count", "expected_count", "next_subspace_count", "exact_match", "strictly_fewer",
+        ),
+    }.items()
 }
-
-
-def _new_columns(kind: str) -> dict[str, list]:
-    return {name: [] for name in _COLUMNS[kind]}
-
-
-def _extend_rows(columns: dict[str, list], rows: Iterable[tuple]) -> None:
-    """Append rows, each a tuple of values in column order, to the columns."""
-    for column, values in zip(columns.values(), zip(*rows)):
-        column += values
 
 
 class Rows(Sequence):
@@ -457,28 +449,22 @@ class CampaignResult:
 
 
 def _flag_records(
-    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, E: PointSet | None
+    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, fset: str | None
 ) -> list[dict]:
-    return [
-        {
-            "severity": severity,
-            "reason": reason,
-            "q": cell.q,
-            "d": cell.d,
-            "k": cell.k,
-            "size": cell.size,
-            "trial": trial,
-            "trial_seed": seed,
-            "fset": None if E is None else format_fset(E),
-        }
-        for reason in reasons
-    ]
+    where = {"q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "trial": trial, "trial_seed": seed}
+    return [{"severity": severity, "reason": reason, **where, "fset": fset} for reason in reasons]
 
 
 # -- block runner ----------------------------------------------------------
 
-def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, np.ndarray]]:
-    """The cell's sets in trial order, a block at a time: (trials, seeds, (B, size) indices)."""
+def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list, np.ndarray]]:
+    """The cell's sets in trial order, a block at a time: (trials, seeds, (B, size) indices).
+
+    A sharpness cell is the one set H_k, with no trial or seed.
+    """
+    if cell.mode == "deterministic":
+        yield [None], [None], gen_coordinate_subspace(cell.q, cell.d, cell.k).indices()[None]
+        return
     per_block = max(1, min(_BLOCK_PAIRS // cell.size**2, _BLOCK_CELLS // cell.q**cell.d))
     if cell.mode == "exhaustive":
         sets = combinations(range(cell.q**cell.d), cell.size)
@@ -493,33 +479,55 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[range, list, n
         yield trials, seeds, draw(seeds)
 
 
-def _leading_columns(kind: str, cell: Cell, trials: Sequence[int], seeds: Sequence[int | None]) -> dict[str, list]:
-    """The columns every campaign row opens with, for a block of the cell's sets."""
+def _block_rows(
+    kind: str, block: Callable, cell: Cell, trials: Sequence, seeds: Sequence, picks: np.ndarray
+) -> tuple[dict[str, list], list[dict]]:
+    """A block's report columns and flag records; the one place severities are assigned.
+
+    block(cell, trials, picks) gives the kind's measured columns, its hard
+    checks (at least one) and its soft checks, each a dict from reason tag
+    to the (B,) bool mask of the sets that fail it.  A set failing any hard
+    check has hard_fail set; soft_flags names the soft checks it fails.
+    Each flagged set is formatted once, in .fset form, and recorded under
+    every reason it fails, hard reasons then soft.
+    """
+    measured, hard, soft = block(cell, trials, picks)
+    n = len(picks)
+    hard_fail = functools.reduce(operator.or_, hard.values())
+    soft_flags = [()] * n
+    flags: list[dict] = []
+    for b in np.flatnonzero(functools.reduce(operator.or_, soft.values(), hard_fail)).tolist():
+        soft_flags[b] = tuple(reason for reason, flagged in soft.items() if flagged[b])
+        fset = format_fset(PointSet.from_indices(cell.q, cell.d, picks[b]))
+        flags += _flag_records(cell, trials[b], seeds[b], [r for r, failed in hard.items() if failed[b]], "hard", fset)
+        flags += _flag_records(cell, trials[b], seeds[b], soft_flags[b], "soft", fset)
     constants = {"kind": kind, "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode}
-    columns = {name: [value] * len(trials) for name, value in constants.items()}
-    return {**columns, "trial": list(trials), "trial_seed": list(seeds)}
+    columns = {name: [value] * n for name, value in constants.items()}
+    columns.update(trial=list(trials), trial_seed=list(seeds), **measured)
+    columns.update(hard_fail=hard_fail.tolist(), soft_flags=soft_flags)
+    return columns, flags
 
 
 def _run_cells(
-    config: CampaignConfig, kind: str, block: Callable[..., tuple[dict, list]], aggregate: Callable[[dict, int], dict]
+    config: CampaignConfig, kind: str, block: Callable, aggregate: Callable[[dict, int], dict]
 ) -> CampaignResult:
-    """A campaign of the block kind, evaluated a block of sets at a time.
+    """A campaign of the given kind, evaluated a block of sets at a time.
 
-    block(cell, trials, seeds, picks) gives a block's report columns and
-    flag records; aggregate(columns, start) reduces a cell's rows, those
-    from row start on.  Blocks run in trial order in the calling thread,
-    whatever the config's threads.
+    block(cell, trials, picks) measures a block (see _block_rows);
+    aggregate(columns, start) reduces a cell's rows, those from row start
+    on.  Blocks run in trial order in the calling thread, whatever the
+    config's threads.
     """
     config.validate()
     if config.kind != kind:
         raise ConfigError(f"verify_{kind.replace('-', '_')} got a {config.kind!r} config")
-    columns = _new_columns(kind)
+    columns: dict[str, list] = {name: [] for name in _COLUMNS[kind]}
     counterexamples: list[dict] = []
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
         start = len(columns["trial"])
         for trials, seeds, picks in _blocks(config, cell):
-            block_columns, flags = block(cell, trials, seeds, picks)
+            block_columns, flags = _block_rows(kind, block, cell, trials, seeds, picks)
             for name, values in block_columns.items():
                 columns[name] += values
             counterexamples += flags
@@ -534,16 +542,13 @@ def _run_cells(
 
 # -- theorem-main ----------------------------------------------------------
 
-def _theorem_block(
-    cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
-) -> tuple[dict[str, list], list[dict]]:
-    """The block's report columns and hard-failure records, read off stacked arrays.
+def _theorem_block(cell: Cell, trials: Sequence[int], picks: np.ndarray) -> tuple[dict[str, list], dict, dict]:
+    """The block's measured columns and hard checks, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
     slope of every set; one stacked mu gives every D(E) and the pair-count
     nu.  After the guard band, a disagreement of the two raises, naming the
-    first such slope of the first such set.  A PointSet is built only for a
-    flagged set, to format it.
+    first such slope of the first such set.
     """
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
@@ -567,20 +572,14 @@ def _theorem_block(
     literal = tails == ambient_direction_count(q, k + 1)
     ambient_n = ambient_direction_count(q, d)
     full = dir_counts == ambient_n
-    fails = {
+    hard = {
         "nu-threshold": ~holds & (size > q**k),
         # full coverage is exact for k = d-1; below that the subset claim and
         # the slope-pattern coverage are open questions, recorded per row only
         "ambient-coverage": ~full & (size > q**k and k == d - 1),
     }
-    hard_fail = fails["nu-threshold"] | fails["ambient-coverage"]
-    flags = []
-    for b in np.flatnonzero(hard_fail).tolist():
-        reasons = [reason for reason, failed in fails.items() if failed[b]]
-        flags += _flag_records(cell, trials[b], seeds[b], reasons, "hard", PointSet.from_indices(q, d, picks[b]))
     n = len(picks)
-    columns = {
-        **_leading_columns("theorem-main", cell, trials, seeds),
+    measured = {
         "nu_min": nu.min(axis=1).tolist(),
         "lower_bound": [threshold_lower_bound(size, q, k)] * n,
         "threshold_holds": holds.tolist(),
@@ -589,10 +588,8 @@ def _theorem_block(
         "direction_count": dir_counts.tolist(),
         "ambient_count": [ambient_n] * n,
         "full_coverage": full.tolist(),
-        "hard_fail": hard_fail.tolist(),
-        "soft_flags": [()] * n,
     }
-    return columns, flags
+    return measured, hard, {}
 
 
 def _theorem_aggregate(columns: dict[str, list], start: int) -> dict:
@@ -613,12 +610,9 @@ def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
 # -- salem-bounds ----------------------------------------------------------
 
 def _salem_block(
-    config: CampaignConfig, cell: Cell, trials: Sequence[int], seeds: Sequence[int | None], picks: np.ndarray
-) -> tuple[dict[str, list], list[dict]]:
-    """The block's report columns and flag records, read off one stacked power and one stacked mu.
-
-    A PointSet is built only for a flagged set, to format it.
-    """
+    config: CampaignConfig, cell: Cell, trials: Sequence[int], picks: np.ndarray
+) -> tuple[dict[str, list], dict, dict]:
+    """The block's measured columns and checks, read off one stacked power and one stacked mu."""
     q, d, size = cell.q, cell.d, cell.size
     field = prime_field(q)
     mu = difference_multiplicities(picks, q, d)
@@ -628,28 +622,16 @@ def _salem_block(
     hard = {"part-i-coverage": ~full & (size > q ** (d - 1)), "quotient-bound": ~bounds["quotient_bound_holds"]}
     floor = config.ratio_floor
     soft = {"ratio-ii-floor": bounds["ratio_ii"] < floor, "ratio-diff-floor": bounds["ratio_diff"] < floor}
-    hard_fail = hard["part-i-coverage"] | hard["quotient-bound"]
     n = len(picks)
-    soft_flags = [()] * n
-    flags = []
-    for b in np.flatnonzero(hard_fail | soft["ratio-ii-floor"] | soft["ratio-diff-floor"]).tolist():
-        hard_reasons = [reason for reason, failed in hard.items() if failed[b]]
-        soft_flags[b] = tuple(reason for reason, flagged in soft.items() if flagged[b])
-        E = PointSet.from_indices(q, d, picks[b])
-        flags += _flag_records(cell, trials[b], seeds[b], hard_reasons, "hard", E)
-        flags += _flag_records(cell, trials[b], seeds[b], soft_flags[b], "soft", E)
     # the runner files a block's columns by name, so their order here is free
-    columns = {
-        **_leading_columns("salem-bounds", cell, trials, seeds),
+    measured = {
         **{name: values.tolist() for name, values in bounds.items()},
         **{name: [value] * n for name, value in bound_shapes(size, q, d).items()},
         "ambient_count": [ambient_n] * n,
         "full_coverage": full.tolist(),
         "is_salem": (bounds["salem_constant"] <= config.salem_threshold).tolist(),
-        "hard_fail": hard_fail.tolist(),
-        "soft_flags": soft_flags,
     }
-    return columns, flags
+    return measured, hard, soft
 
 
 def _salem_aggregate(columns: dict[str, list], start: int) -> dict:
@@ -704,37 +686,31 @@ def _monotonicity_probe(cell_aggs: list[dict]) -> list[dict]:
 
 # -- sharpness -------------------------------------------------------------
 
+def _sharpness_block(cell: Cell, trials: Sequence, picks: np.ndarray) -> tuple[dict[str, list], dict, dict]:
+    """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
+    q, d, k = cell.q, cell.d, cell.k
+    codes, _, _ = difference_multiplicities(picks, q, d)
+    dir_counts = np.bincount(canonical_codes(codes, prime_field(q), d) // q**d, minlength=len(picks))
+    expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
+    exact = (dir_counts == expected) & (picks.shape[1] == cell.size)
+    fewer = dir_counts < next_count
+    n = len(picks)
+    measured = {
+        "direction_count": dir_counts.tolist(),
+        "expected_count": [expected] * n,
+        "next_subspace_count": [next_count] * n,
+        "exact_match": exact.tolist(),
+        "strictly_fewer": fewer.tolist(),
+    }
+    return measured, {"sharpness-count": ~(exact & fewer)}, {}
+
+
 def verify_sharpness(config: CampaignConfig) -> CampaignResult:
     """Exact direction counts of H_k: the threshold |E| > q^k cannot weaken to >=."""
-    config.validate()
-    if config.kind != "sharpness":
-        raise ConfigError(f"verify_sharpness got a {config.kind!r} config")
-    rows: list[tuple] = []
-    counterexamples: list[dict] = []
-    for cell in _expand_cells(config):
-        q, d = cell.q, cell.d
-        for k in range(1, d):
-            E = gen_coordinate_subspace(q, d, k)
-            n_dirs = len(direction_set(E))
-            expected = (q**k - 1) // (q - 1)
-            next_count = (q ** (k + 1) - 1) // (q - 1)
-            exact = n_dirs == expected and E.cardinality == q**k
-            fewer = n_dirs < next_count
-            hard = [] if exact and fewer else ["sharpness-count"]
-            rows.append(
-                ("sharpness", q, d, k, q**k, cell.mode, None, None, n_dirs, expected, next_count, exact, fewer,
-                 bool(hard), ())
-            )
-            if hard:
-                k_cell = Cell(q, d, k, q**k, cell.mode)
-                counterexamples.extend(_flag_records(k_cell, None, None, hard, "hard", E))
-    columns = _new_columns("sharpness")
-    _extend_rows(columns, rows)
-    aggregates = {
-        "cells_checked": len(rows),
-        "hard_failures": columns["hard_fail"].count(True),
-    }
-    return CampaignResult("sharpness", config, columns, aggregates, tuple(counterexamples))
+    result = _run_cells(config, "sharpness", _sharpness_block, lambda columns, start: {})
+    totals = result.aggregates
+    aggregates = {"cells_checked": totals["sets_checked"], "hard_failures": totals["hard_failures"]}
+    return replace(result, aggregates=aggregates)
 
 
 _RUNNERS = {

@@ -176,6 +176,12 @@ def test_verify_bad_grid_exits_2(runner):
     assert "not prime" in result.output
 
 
+def test_verify_bad_size_expression_exits_2(runner):
+    result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "2", "--size", "ceil(1e400)")
+    assert result.exit_code == 2
+    assert result.output == "error: bad size expression 'ceil(1e400)': cannot convert float infinity to integer\n"
+
+
 def test_sweep_runs_config(runner, tmp_path):
     config = {
         "kind": "salem-bounds",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fqdirections import harness
 from fqdirections.directions import coordinate_subspace_directions, direction_set
 from fqdirections.errors import ConfigError
 from fqdirections.generators import gen_coordinate_subspace, gen_random
@@ -17,6 +18,7 @@ from fqdirections.harness import (
     CampaignConfig,
     CampaignResult,
     Cell,
+    _block_rows,
     _theorem_block,
     emit_report,
     evaluate_size,
@@ -26,7 +28,7 @@ from fqdirections.harness import (
     verify_theorem_main,
     write_report,
 )
-from fqdirections.pointset import format_fset, write_fset
+from fqdirections.pointset import PointSet, format_fset, write_fset
 
 
 # -- size expressions ------------------------------------------------------
@@ -63,6 +65,10 @@ def test_evaluate_size_rejects_bad_input():
         evaluate_size("1/0", q=5, d=2, k=1)
     with pytest.raises(ConfigError):
         evaluate_size(True, q=5, d=2, k=1)
+    # errors of the functions and operators themselves, and non-real values
+    for expr in ("min()", "max(q)", "ceil(1e400)", "2.0^2000", "sqrt(-1)", "round(q, 1, 2)", "(-1)^0.5"):
+        with pytest.raises(ConfigError, match=re.escape(repr(expr))):
+            evaluate_size(expr, q=5, d=2, k=1)
 
 
 # -- config ----------------------------------------------------------------
@@ -322,6 +328,23 @@ def test_sharpness_campaign():
         assert row["exact_match"] and row["strictly_fewer"]
 
 
+def test_sharpness_flag_record_names_the_set(monkeypatch):
+    # H_k plus the point (0, ..., 0, 1) determines more than H_k's directions
+    def subspace_plus_point(q, d, k):
+        return PointSet.from_indices(q, d, [*gen_coordinate_subspace(q, d, k).indices().tolist(), 1])
+
+    monkeypatch.setattr(harness, "gen_coordinate_subspace", subspace_plus_point)
+    result = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
+    records = [
+        (c["severity"], c["reason"], c["q"], c["d"], c["k"], c["size"], c["trial"], c["trial_seed"])
+        for c in result.counterexamples
+    ]
+    assert records == [("hard", "sharpness-count", 3, 3, k, 3**k, None, None) for k in (1, 2)]
+    assert [c["fset"] for c in result.counterexamples] == [format_fset(subspace_plus_point(3, 3, k)) for k in (1, 2)]
+    assert [row["hard_fail"] for row in result.rows] == [True, True]
+    assert not result.ok
+
+
 def test_run_campaign_dispatch():
     cfg = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
     assert run_campaign(cfg).kind == "sharpness"
@@ -467,7 +490,7 @@ def test_readme_column_lists_match_report_columns():
 
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
-    columns, _ = _theorem_block(cell, [0], [None], E.indices()[None])
+    columns, _ = _block_rows("theorem-main", _theorem_block, cell, [0], [None], E.indices()[None])
     return columns["literal_subset"][0]
 
 

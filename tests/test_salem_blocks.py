@@ -7,6 +7,8 @@ out as the per-set loop they replace.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fqdirections import grid, harness
 from fqdirections.directions import ambient_direction_count
 from fqdirections.errors import NumericalInconsistencyError
-from fqdirections.harness import CampaignConfig, Cell, Rows, _salem_block, verify_salem_bounds
+from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, _salem_block, verify_salem_bounds
 from fqdirections.pointset import PointSet, format_fset
 from fqdirections.salem import difference_bound_check
 
@@ -72,7 +74,8 @@ def test_block_rows_match_per_set_rows(block, floor):
     config = CampaignConfig(kind="salem-bounds", q_list=(cell.q,), d_list=(cell.d,), sizes=(cell.size,),
                             ratio_floor=floor)
     trials = range(len(picks))
-    columns, _ = _salem_block(config, cell, trials, list(trials), picks)
+    block = functools.partial(_salem_block, config)
+    columns, _ = _block_rows("salem-bounds", block, cell, trials, list(trials), picks)
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t, config) for t, p in zip(trials, picks)
     ]

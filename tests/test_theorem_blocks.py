@@ -16,7 +16,7 @@ from fqdirections import grid, harness, incidence
 from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_random, gen_subspace_random
-from fqdirections.harness import CampaignConfig, Cell, Rows, _theorem_block, verify_theorem_main
+from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, _theorem_block, verify_theorem_main
 from fqdirections.incidence import theorem_main_threshold
 from fqdirections.pointset import PointSet, format_fset
 
@@ -82,7 +82,7 @@ def _blocks(draw):
 def test_block_rows_match_per_set_rows(block):
     cell, picks = block
     trials = range(len(picks))
-    columns, _ = _theorem_block(cell, trials, list(trials), picks)
+    columns, _ = _block_rows("theorem-main", _theorem_block, cell, trials, list(trials), picks)
     rows = list(Rows(columns))
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t) for t, p in zip(trials, picks)
