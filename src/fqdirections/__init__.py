@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 
 from .directions import (
     ambient_direction_count,
-    ambient_directions,
     canonical_direction,
     coordinate_subspace_directions,
     direction_set,
@@ -64,15 +63,7 @@ from .salem import (
     mu_spectrum_identity_defect,
     salem_report,
 )
-from .spectral import (
-    DEFAULT_SIZE_CAP,
-    GridFunction,
-    Spectrum,
-    check_size_cap,
-    forward_transform,
-    inverse_transform,
-    plancherel_defect,
-)
+from .spectral import DEFAULT_SIZE_CAP, GridFunction, check_size_cap, forward_transform, plancherel_defect
 
 __version__ = "0.1.0"
 

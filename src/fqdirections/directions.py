@@ -137,11 +137,6 @@ def ambient_direction_count(q: int, d: int) -> int:
     return (q**d - 1) // (q - 1)
 
 
-def ambient_directions(q: int, d: int) -> set[Direction]:
-    """All canonical representatives in F_q^d."""
-    return coordinate_subspace_directions(q, d, d)
-
-
 def coordinate_subspace_directions(q: int, d: int, n: int) -> set[Direction]:
     """Directions of the n-dimensional coordinate subspace (last d-n coords zero)."""
     field = prime_field(q)

@@ -83,6 +83,19 @@ _SIZE_BINOPS = {
 }
 
 
+#: Integers of more digits than this are not printed in error text.
+_ERROR_DIGITS = 30
+
+
+def _brief(value: int | str) -> str:
+    """A size expression or an integer for error text; an integer over 10^30 in magnitude is not spelled out."""
+    if isinstance(value, str):
+        return repr(value)
+    if abs(value) < 10**_ERROR_DIGITS:
+        return str(value)
+    return f"{'under -' if value < 0 else 'over '}10^{_ERROR_DIGITS}"
+
+
 def evaluate_size(expr: int | str, **variables: int | None) -> int:
     """Evaluate a set-size expression such as "q^k+1" or "ceil(q^1.5)".
 
@@ -112,7 +125,7 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
             raise ConfigError(f"size expression {expr!r} evaluates to non-integer {value!r}")
         value = int(value)
     if value < 1:
-        raise ConfigError(f"size expression {expr!r} evaluates to {value}, need >= 1")
+        raise ConfigError(f"size expression {_brief(expr)} evaluates to {_brief(value)}, need >= 1")
     return value
 
 
@@ -317,12 +330,13 @@ class Cell:
     total: int | None = None
 
 
-def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int) -> tuple[str, int]:
+def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int, expr: int | str) -> tuple[str, int]:
     total = math.comb(q**d, size)
     if config.mode == "exhaustive":
         if total > EXHAUSTIVE_LIMIT:
             raise ConfigError(
-                f"exhaustive enumeration of C({q**d}, {size}) = {total} sets exceeds the {EXHAUSTIVE_LIMIT} limit"
+                f"exhaustive enumeration of C({_brief(q**d)}, {_brief(size)}) = {_brief(total)} sets "
+                f"(size expression {_brief(expr)}, q={q}, d={d}) exceeds the {EXHAUSTIVE_LIMIT} limit"
             )
         return "exhaustive", total
     if config.mode == "auto" and config.generator == "random" and total <= EXHAUSTIVE_LIMIT:
@@ -330,13 +344,12 @@ def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int) -> tup
     return "random", total
 
 
-def _check_draw_bounds(config: CampaignConfig, q: int, d: int, k: int | None, size: int) -> None:
+def _check_draw_bounds(config: CampaignConfig, q: int, d: int, k: int | None, size: int, expr: int | str) -> None:
+    given = f"size expression {_brief(expr)} gives {_brief(size)} points"
     if size > q**d:
-        raise ConfigError(f"size {size} exceeds the {q**d} points of the grid (q={q}, d={d})")
+        raise ConfigError(f"{given}, more than the {_brief(q**d)} of the grid (q={q}, d={d})")
     if config.generator == "subspace-random" and size > q ** (k + 1):
-        raise ConfigError(
-            f"size {size} exceeds the {q ** (k + 1)} points of H_{k + 1} (q={q}, d={d}, k={k})"
-        )
+        raise ConfigError(f"{given}, more than the {_brief(q ** (k + 1))} of H_{k + 1} (q={q}, d={d}, k={k})")
 
 
 def _expand_cells(config: CampaignConfig) -> list[Cell]:
@@ -357,8 +370,8 @@ def _expand_cells(config: CampaignConfig) -> list[Cell]:
                     continue
                 for expr in config.sizes or ("q^k+1",):
                     size = evaluate_size(expr, q=q, d=d, k=k)
-                    _check_draw_bounds(config, q, d, k, size)
-                    mode, total = _resolve_cell_mode(config, q, d, size)
+                    _check_draw_bounds(config, q, d, k, size, expr)
+                    mode, total = _resolve_cell_mode(config, q, d, size, expr)
                     cells.append(Cell(q, d, k, size, mode, total))
     if not cells:
         need = "1 <= k <= d-1" if theorem else "k <= d-1 when k is given"

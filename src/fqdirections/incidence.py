@@ -102,17 +102,10 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     These satisfy every slope constraint vacuously (their difference vanishes
     in the constrained coordinates), so they inflate nu for every t when
     k < d-1.  For k = d-1 the count is zero: agreement everywhere forces x = y.
-    Read off E's cached mu.
+    One bincount of the points' first k+1 coordinates, a point's index //
+    q^(d-k-1); needs no mu.
     """
     _check_k(E, k)
-    return _brute_counts(E, k)[1]
-
-
-def _prefix_degenerate_count(E: PointSet, k: int) -> int:
-    """degenerate_pair_count from one bincount of the points' first k+1 coordinates; needs no mu.
-
-    The first k+1 coordinates of a point are its index // q^(d-k-1).
-    """
     groups = np.bincount(E.indices() // E.q ** (E.dim - k - 1))
     return int((groups * (groups - 1)).sum())
 
@@ -255,7 +248,7 @@ def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, [slope])
     main, diag = _terms(E.cardinality, E.q, k)
     n = int(nu[0, 0])
-    deg = _prefix_degenerate_count(E, k)
+    deg = degenerate_pair_count(E, k)
     return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0, 0]))
 
 
@@ -273,7 +266,7 @@ def _sweep(
     slopes = all_slopes(E.q, k)
     if method == "spectral":
         nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, k)
-        return slopes, nu[0], nu[0] - _prefix_degenerate_count(E, k), remainders[0]
+        return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
     nondegenerate, degenerate = _brute_counts(E, k)
     return slopes, nondegenerate + degenerate, nondegenerate, None
 

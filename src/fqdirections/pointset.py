@@ -21,7 +21,7 @@ import numpy as np
 from . import grid
 from .errors import FsetParseError, SizeCapError
 from .field import PrimeField, prime_field
-from .spectral import GridFunction, Spectrum, check_size_cap, indicator_power, indicator_spectrum
+from .spectral import GridFunction, check_size_cap, forward_transform, indicator_power
 
 
 def _check_point(point: Sequence[int], q: int, dim: int) -> None:
@@ -47,7 +47,7 @@ class PointSet:
         self.field = field
         self.dim = dim
         self._indices = indices
-        self._spectrum: Spectrum | None = None
+        self._spectrum: GridFunction | None = None
         self._spectrum_power: np.ndarray | None = None
         self._mu: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -145,11 +145,10 @@ class PointSet:
         values[self._indices] = 1.0
         return GridFunction(self.field, self.dim, values)
 
-    def spectrum(self) -> Spectrum:
-        """Fourier coefficients of the indicator, cached after the first call."""
+    def spectrum(self) -> GridFunction:
+        """Fourier coefficients of the dense indicator, cached after the first call."""
         if self._spectrum is None:
-            values = indicator_spectrum(self._indices[None], self.field, self.dim)[0]
-            self._spectrum = Spectrum(self.field, self.dim, values)
+            self._spectrum = forward_transform(self.indicator())
         return self._spectrum
 
     def spectrum_power(self) -> np.ndarray:

@@ -48,7 +48,7 @@ _SQUARES_EXACT_TOTAL = 1 << 42
 class DifferenceProfile:
     """Sparse difference multiplicities (ascending support codes, counts) with their exact invariants."""
 
-    field: "object"
+    field: PrimeField
     dim: int
     codes: np.ndarray
     counts: np.ndarray
@@ -77,9 +77,6 @@ class DifferenceProfile:
     def max_multiplicity(self) -> int:
         return int(self.counts.max()) if len(self.counts) else 0
 
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.field, self.dim, self.mu.astype(np.complex128))
-
     def sum_of_squares(self) -> int:
         """sum_z mu(z)^2 as an exact Python integer.
 
@@ -105,8 +102,8 @@ def difference_profile(E: PointSet) -> DifferenceProfile:
 
 def mu_spectrum_identity_defect(E: PointSet) -> float:
     """max_m |muhat(m) - q^d |Ehat(m)|^2|; callers assert < 1e-6 * |E|^2."""
-    prof = difference_profile(E)
-    mu_hat = forward_transform(prof.as_grid_function())
+    mu = difference_profile(E).mu.astype(np.complex128)
+    mu_hat = forward_transform(GridFunction(E.field, E.dim, mu))
     target = float(E.q) ** E.dim * E.spectrum_power()
     return float(np.max(np.abs(mu_hat.values - target)))
 
@@ -125,19 +122,23 @@ class SalemReport:
         return self.salem_constant <= threshold
 
 
-def salem_report(E: PointSet) -> SalemReport:
-    """Scan the spectrum away from m = 0 and report the measured constant.
+def _flatness(power: np.ndarray, size: int, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """max_(m != 0) |Ehat(m)| and C_E of each set of a (B, q^d) power stack of size-`size` sets.
 
-    The constant is defined as 0 for the empty and the full set (no nonzero
-    coefficient survives in exact arithmetic).
+    Both are 0 for the empty and the full set (no nonzero coefficient
+    survives in exact arithmetic).
     """
-    q, d = E.q, E.dim
-    size = E.cardinality
     if size == 0 or size == q**d:
-        return SalemReport(q, d, size, 0.0, 0.0)
-    power = E.spectrum_power()
-    max_coeff = sqrt(float(power[1:].max()))
-    return SalemReport(q, d, size, max_coeff, max_coeff * float(q) ** d / sqrt(size))
+        return np.zeros(len(power)), np.zeros(len(power))
+    max_coeff = np.sqrt(power[:, 1:].max(axis=1))
+    return max_coeff, max_coeff * float(q) ** d / sqrt(size)
+
+
+def salem_report(E: PointSet) -> SalemReport:
+    """Scan the spectrum away from m = 0 and report the measured constant (_flatness for one set)."""
+    q, d, size = E.q, E.dim, E.cardinality
+    max_coeff, salem = _flatness(E.spectrum_power()[None], size, q, d)
+    return SalemReport(q, d, size, max_coeff.item(), salem.item())
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,6 @@ def difference_bounds(
             f"(sum mu^2 = {int(lhs[b])}, spectral value {float(rhs[b])!r})"
             + ("" if trials is None else f" in trial {trials[b]}")
         )
-    # the empty and the full set keep no nonzero coefficient in exact arithmetic
-    flat = size == 0 or size == q**d
-    salem = np.zeros(sets) if flat else np.sqrt(power[:, 1:].max(axis=1)) * float(q) ** d / sqrt(size)
     shapes = bound_shapes(size, q, d)
     return {
         "direction_count": dirs,
@@ -214,7 +212,7 @@ def difference_bounds(
         "ratio_ii": dirs / shapes["bound_ii"] if size else np.zeros(sets),
         "ratio_iii": dirs / shapes["bound_iii"] if size else np.zeros(sets),
         "ratio_diff": diff_size / shapes["bound_diff"] if size else np.zeros(sets),
-        "salem_constant": salem,
+        "salem_constant": _flatness(power, size, q, d)[1],
         "parseval_defect_rel": defect_rel,
         "quotient_bound_holds": dirs * (q - 1) >= diff_size - 1,
     }

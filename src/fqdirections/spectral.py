@@ -1,16 +1,12 @@
-"""Fourier transforms of complex-valued functions on F_q^d.
+"""The Fourier transform of complex-valued functions on F_q^d.
 
-The forward transform is
+The transform is
 
-    fhat(m) = q^(-d) * sum_x chi(-x . m) f(x)
+    fhat(m) = q^(-d) * sum_x chi(-x . m) f(x),
 
-and by character orthogonality the inverse carries no normalization:
-
-    f(x) = sum_m chi(x . m) fhat(m).
-
-Both are computed axis by axis: d successive length-q one-dimensional
-transforms, pass j (j = 0, ..., d-1) along coordinate d-j.  No
-fast-transform algorithm is used; at desk scale none is needed.
+computed axis by axis: d successive length-q one-dimensional transforms,
+pass j (j = 0, ..., d-1) along coordinate d-j.  No fast-transform
+algorithm is used; at desk scale none is needed.
 
 A pass only multiplies rows whose untransformed prefix (x_1, ..., x_(d-1-j))
 holds a nonzero value; every other row of its input is zero and is neither
@@ -24,11 +20,11 @@ digit is live, O(d * q^(d+1)) in all.  At q = 101, d = 3 a random set of
 with about 64 live digits of 101: about 70 million complex multiply-adds
 where every digit would take 171 million.  Digits are skipped only for
 q <= 128, where a row's whole sum is one block of the BLAS inner loop.
-indicator_spectrum and indicator_power feed the loop straight from point
-indices, for one set or a stack of sets at once (campaigns evaluate a block
-of sets together), so no dense indicator table is built.  indicator_power
-reads |Ehat|^2 off the last pass and keeps no complex spectrum; a row
-equals |indicator_spectrum row|^2 bit for bit.
+indicator_power feeds the loop straight from point indices, for one set or
+a stack of sets at once (campaigns evaluate a block of sets together), so
+no dense indicator table is built.  It reads |Ehat|^2 off the last pass and
+keeps no complex spectrum; a row equals |forward_transform of the set's
+indicator|^2 bit for bit.
 """
 
 from __future__ import annotations
@@ -91,10 +87,6 @@ class GridFunction:
         self.values = values
 
 
-class Spectrum(GridFunction):
-    """Fourier coefficients fhat(m) for all m, same layout as the source."""
-
-
 #: Most characters the transform builds at once: the q x q matrix is whole,
 #: and cached, only for q <= 512.
 _CHARACTER_BLOCK = 1 << 18
@@ -105,28 +97,27 @@ _CHARACTER_BLOCK = 1 << 18
 #: terms were gone, so larger q keep every digit.
 _LIVE_DIGIT_Q = 128
 
-# Read-only q x q character matrices chi(-+ x m), keyed by (q, conjugate).
-_CHARACTERS: dict[tuple[int, bool], np.ndarray] = {}
+# Read-only q x q character matrices chi(-x m), keyed by q.
+_CHARACTERS: dict[int, np.ndarray] = {}
 
 
-def _characters(field: PrimeField, conjugate: bool) -> np.ndarray:
-    """The matrix chi(-+ x m) over x, m in F_q; built once per (q, conjugate), read-only."""
+def _characters(field: PrimeField) -> np.ndarray:
+    """The matrix chi(-x m) over x, m in F_q; built once per q, read-only."""
     q = field.q
-    chars = _CHARACTERS.get((q, conjugate))
+    chars = _CHARACTERS.get(q)
     if chars is None:
-        roots = np.conj(field.roots) if conjugate else field.roots
-        chars = roots[np.multiply.outer(np.arange(q), np.arange(q)) % q]
+        chars = np.conj(field.roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
         chars.flags.writeable = False
-        chars = _CHARACTERS.setdefault((q, conjugate), chars)
+        chars = _CHARACTERS.setdefault(q, chars)
     return chars
 
 
 def _transform_last_axis(
-    cube: np.ndarray, field: PrimeField, conjugate: bool, out: np.ndarray, digits: np.ndarray | None = None
+    cube: np.ndarray, field: PrimeField, out: np.ndarray, digits: np.ndarray | None = None
 ) -> np.ndarray:
-    """One-dimensional character transform along the last axis.
+    """One-dimensional character transform along the last axis, unscaled.
 
-    out[..., m] = sum_x cube[..., x] * chi(-+ m*x), written into out, a
+    out[..., m] = sum_x cube[..., x] * chi(-m*x), written into out, a
     C-ordered array of cube's shape with its last axis q long.  With digits,
     a (P, width) array of q <= _LIVE_DIGIT_Q, cube is (P, ..., width) and
     parent p's last axis holds the digits x = digits[p] only: each parent is
@@ -138,11 +129,11 @@ def _transform_last_axis(
     """
     q = field.q
     if digits is not None:
-        chars = _characters(field, conjugate)[digits]
+        chars = _characters(field)[digits]
         return np.matmul(cube, chars.reshape(len(chars), *(1,) * (cube.ndim - 3), *chars.shape[1:]), out=out)
     if q * q <= _CHARACTER_BLOCK:
-        return np.matmul(cube, _characters(field, conjugate).T, out=out)
-    roots = np.conj(field.roots) if conjugate else field.roots
+        return np.matmul(cube, _characters(field).T, out=out)
+    roots = np.conj(field.roots)
     xs = np.arange(q)
     step = _CHARACTER_BLOCK // q
     for start in range(0, q, step):
@@ -153,15 +144,15 @@ def _transform_last_axis(
 
 
 def _axis_by_axis(
-    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, conjugate: bool, power: bool = False
+    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, power: bool = False
 ) -> np.ndarray:
     """Transform a stack of `tables` flat q^d tables, given only their live rows.
 
     View the stack as (tables * q^(d-1), q) rows along coordinate d.  rows
     holds the rows with a nonzero value and keys their ascending row numbers
     b q^(d-1) + (x_1, ..., x_(d-1)) in mixed radix; every other row is
-    zero.  Returns the (tables, q^d) transform, or with power the float
-    |q^-d transform|^2 of a forward one, read off the last pass's output.
+    zero.  Returns the (tables, q^d) forward transform, or with power the
+    float |transform|^2, read off the last pass's output.
 
     Pass j (j = 0, ..., d-1) transforms coordinate d-j.  A row of its input
     is fixed by its key (b, x_1, ..., x_(d-1-j)) and the frequencies that
@@ -177,7 +168,7 @@ def _axis_by_axis(
     digits and the shared matrix serves.
 
     Values equal those of the whole-cube loop (tests/oracles.
-    dense_axis_by_axis) bit for bit.  Each output value is one gemm sum over
+    dense_axis_by_axis) times q^-d bit for bit.  Each output value is one gemm sum over
     the input digits in ascending order; the whole cube adds the same terms
     plus zero products for the dead digits, and a zero term leaves the sum
     as it is.  That needs three things, each seen to fail without it:
@@ -210,7 +201,7 @@ def _axis_by_axis(
     digits = None
     for j in range(dim):
         shape = rows.shape[:-1] + (q,)
-        out = _transform_last_axis(rows, field, conjugate, work[: math.prod(shape)].reshape(shape), digits)
+        out = _transform_last_axis(rows, field, work[: math.prod(shape)].reshape(shape), digits)
         if j == dim - 1:
             break
         # keys ascend, so a key's parent key // q starts a new parent exactly
@@ -239,10 +230,10 @@ def _axis_by_axis(
             block.fill(0)
             block[parent, slot] = out
         rows = block.transpose(0, *range(2, j + 3), 1)
+    # elementwise ops run in out's own order; only the ending's result is reordered
+    out *= float(q) ** (-dim)
     target = spare
     if power:
-        # the complex ending's elementwise ops in out's own order; then reorder floats
-        out *= float(q) ** (-dim)
         out = np.abs(out, out=spare.view(np.float64)[: out.size].reshape(out.shape))
         np.square(out, out=out)
         target = work.view(np.float64)[: tables * q**dim]
@@ -265,16 +256,9 @@ def _live_rows(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return (table if len(keys) == len(table) else table[keys]), keys
 
 
-def _forward_values(rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int) -> np.ndarray:
-    vals = _axis_by_axis(rows, keys, tables, field, dim, conjugate=True)
-    vals *= float(field.q) ** (-dim)
-    return vals
-
-
-def forward_transform(f: GridFunction) -> Spectrum:
-    """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x)."""
-    rows, keys = _live_rows(f.values, f.field.q)
-    return Spectrum(f.field, f.dim, _forward_values(rows, keys, 1, f.field, f.dim)[0])
+def forward_transform(f: GridFunction) -> GridFunction:
+    """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x), in the layout of f."""
+    return GridFunction(f.field, f.dim, _axis_by_axis(*_live_rows(f.values, f.field.q), 1, f.field, f.dim)[0])
 
 
 def _indicator_rows(indices: np.ndarray, q: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,31 +271,14 @@ def _indicator_rows(indices: np.ndarray, q: int, dim: int) -> tuple[np.ndarray, 
     return rows, keys
 
 
-def indicator_spectrum(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
-    """Ehat(m) for a stack of sets, one row per row of flat point indices.
-
-    indices is (B, n): B sets of n distinct points each.  The transform is
-    fed the sets' live rows straight from the indices, so no dense indicator
-    is built.  Row b equals forward_transform of set b's indicator bit for
-    bit.
-    """
-    return _forward_values(*_indicator_rows(indices, field.q, dim), len(indices), field, dim)
-
-
 def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
     """|Ehat(m)|^2 for a stack of sets, read off the last transform pass.
 
     indices is (B, n): B sets of n distinct points each.  Float rows in a
-    transform buffer; row b is np.abs(indicator_spectrum row b) ** 2 bit for bit.
+    transform buffer; row b is np.abs(forward_transform(indicator).values) ** 2
+    bit for bit, for set b's dense indicator, which is never built here.
     """
-    return _axis_by_axis(*_indicator_rows(indices, field.q, dim), len(indices), field, dim, True, power=True)
-
-
-def inverse_transform(spec: GridFunction) -> GridFunction:
-    """Inverse transform: f(x) = sum_m chi(x.m) fhat(m)."""
-    rows, keys = _live_rows(spec.values, spec.field.q)
-    vals = _axis_by_axis(rows, keys, 1, spec.field, spec.dim, conjugate=False)
-    return GridFunction(spec.field, spec.dim, vals[0])
+    return _axis_by_axis(*_indicator_rows(indices, field.q, dim), len(indices), field, dim, power=True)
 
 
 def plancherel_defect(f: GridFunction) -> float:

@@ -98,20 +98,20 @@ def mu_direct(points, q: int) -> dict[tuple[int, ...], int]:
     return table
 
 
-def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int, conjugate: bool) -> np.ndarray:
-    """The whole-cube axis-by-axis transform of a flat table or a (B, q^d) stack.
+def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int) -> np.ndarray:
+    """The whole-cube axis-by-axis forward transform of a flat table or a (B, q^d) stack.
 
     Every row of every pass is multiplied, zero or not: the last axis of the
     cube goes through the q x q character matrix and the new frequency axis
     is rotated to the front.  A stack is transformed a table at a time, as
     each table is alone.  The live-row loop must reproduce it bit for bit,
-    since it runs the same matrix products on the rows it keeps.  Unscaled:
-    the forward transform multiplies by q^(-d) afterwards.
+    since it runs the same matrix products on the rows it keeps, once both
+    are scaled by q^(-d).  Unscaled: callers multiply by q^(-d) afterwards.
     """
     if values.ndim == 2:
-        return np.array([dense_axis_by_axis(table, roots, q, d, conjugate) for table in values]).reshape(values.shape)
+        return np.array([dense_axis_by_axis(table, roots, q, d) for table in values]).reshape(values.shape)
     cube = values.reshape((q,) * d)
-    chars = (np.conj(roots) if conjugate else roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
+    chars = np.conj(roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
     for _ in range(d):
         cube = np.moveaxis(np.matmul(cube, chars.T), -1, 0)
     return cube.reshape(values.shape)

@@ -182,6 +182,28 @@ def test_verify_bad_size_expression_exits_2(runner):
     assert result.output == "error: bad size expression 'ceil(1e400)': cannot convert float infinity to integer\n"
 
 
+def test_verify_huge_size_exits_2(runner):
+    # a size of 5001 digits is named by its expression, not spelled out
+    result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "2", "--size", "10^5000")
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: size expression '10^5000' gives over 10^30 points, more than the 9 of the grid (q=3, d=2)\n"
+    )
+
+
+def test_verify_huge_exhaustive_count_exits_2(runner):
+    # C(101^3, 10202) has about 25,000 digits
+    result = invoke(
+        runner, "verify", "--campaign", "theorem-main", "--q", "101", "--d", "3", "--k", "2",
+        "--size", "q^2+1", "--mode", "exhaustive",
+    )
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: exhaustive enumeration of C(1030301, 10202) = over 10^30 sets "
+        "(size expression 'q^2+1', q=101, d=3) exceeds the 10000000 limit\n"
+    )
+
+
 def test_sweep_runs_config(runner, tmp_path):
     config = {
         "kind": "salem-bounds",

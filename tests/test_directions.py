@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from fqdirections import directions, grid
 from fqdirections.directions import (
     ambient_direction_count,
-    ambient_directions,
     canonical_codes,
     canonical_direction,
     canonicalize_rows,
@@ -103,7 +102,7 @@ def test_ambient_direction_count_rejects_modulus_like_prime_field(q):
 
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (5, 2), (3, 3)])
 def test_ambient_directions_enumeration(q, d):
-    dirs = ambient_directions(q, d)
+    dirs = coordinate_subspace_directions(q, d, d)
     assert len(dirs) == ambient_direction_count(q, d)
     # every nonzero vector canonicalizes into the set
     for idx in range(1, q**d):
@@ -113,7 +112,7 @@ def test_ambient_directions_enumeration(q, d):
 
 def test_full_grid_determines_everything():
     E = PointSet.full(3, 2)
-    assert direction_set(E) == ambient_directions(3, 2)
+    assert direction_set(E) == coordinate_subspace_directions(3, 2, 2)
 
 
 @pytest.mark.parametrize("q,d,n", [(3, 3, 2), (5, 3, 1), (5, 4, 2)])

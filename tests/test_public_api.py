@@ -1,6 +1,8 @@
-"""The package's public surface: `fqdirections.__all__` and the README's library example."""
+"""The package's public surface: `fqdirections.__all__`, the README's library example and its citations."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -27,13 +29,11 @@ EXPORTS = [
     "SalemReport",
     "SizeCapError",
     "SlopeOutcome",
-    "Spectrum",
     "ThresholdReport",
     "XorShift64Star",
     "__version__",
     "all_slopes",
     "ambient_direction_count",
-    "ambient_directions",
     "canonical_direction",
     "check_size_cap",
     "coordinate_subspace_directions",
@@ -51,7 +51,6 @@ EXPORTS = [
     "gen_paraboloid",
     "gen_random",
     "gen_subspace_random",
-    "inverse_transform",
     "is_prime",
     "mix64",
     "mu_spectrum_identity_defect",
@@ -99,3 +98,14 @@ def test_readme_library_example_imports_only_exports():
     ]
     assert imported
     assert set(imported) <= set(fqdirections.__all__)
+
+
+def test_readme_cited_names_resolve():
+    # every `module.name` of a package module and every `PointSet.name` the README cites exists
+    modules = {info.name for info in pkgutil.iter_modules(fqdirections.__path__)}
+    cited = re.findall(r"`(\w+)\.(\w+)", README.read_text(encoding="utf-8"))
+    checked = [(owner, name) for owner, name in cited if owner in modules or owner == "PointSet"]
+    assert checked
+    for owner, name in checked:
+        target = fqdirections.PointSet if owner == "PointSet" else importlib.import_module(f"fqdirections.{owner}")
+        assert hasattr(target, name), f"README cites {owner}.{name}, which does not exist"

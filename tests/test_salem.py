@@ -120,6 +120,29 @@ def test_salem_degenerate_sets():
     assert abs(single.salem_constant - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PointSet.empty(5, 2),
+        lambda: PointSet.full(5, 2),
+        lambda: PointSet.from_points(5, 2, [(1, 1)]),
+        lambda: gen_paraboloid(7, 2),
+        lambda: gen_random(101, 3, 102, seed=3),
+    ],
+    ids=["empty", "full", "singleton", "paraboloid", "random-101-3"],
+)
+def test_salem_constant_has_one_route(make):
+    # salem_report and difference_bound_check share one flatness helper: the
+    # same bits, and the largest coefficient is read off the cached power
+    E = make()
+    rep = salem_report(E)
+    assert rep.salem_constant.hex() == difference_bound_check(E).salem_constant.hex()
+    if 0 < len(E) < E.q**E.dim:
+        assert rep.max_nonzero_coeff.hex() == math.sqrt(float(E.spectrum_power()[1:].max())).hex()
+    else:
+        assert rep.max_nonzero_coeff == rep.salem_constant == 0.0
+
+
 def test_bound_check_fields():
     E = gen_random(7, 2, 7, seed=1)
     rec = difference_bound_check(E)
