@@ -35,9 +35,6 @@ from .harness import (
     emit_report,
     evaluate_size,
     run_campaign,
-    verify_salem_bounds,
-    verify_sharpness,
-    verify_theorem_main,
     write_report,
 )
 from .incidence import (

@@ -207,12 +207,13 @@ def _finish_campaign(result, out_prefix: str | None) -> None:
     sys.exit(0 if result.ok else 1)
 
 
+# The options that set a config key are named by that key.
 @main.command("verify")
 @click.option("--campaign", "kind", type=click.Choice(KINDS), required=True)
-@click.option("--q", "q_values", type=int, multiple=True, required=True)
-@click.option("--d", "d_values", type=int, multiple=True, required=True)
-@click.option("--k", "k_values", type=int, multiple=True)
-@click.option("--size", "size_values", multiple=True, help="Size or expression in q, d, k; repeatable.")
+@click.option("--q", type=int, multiple=True, required=True)
+@click.option("--d", type=int, multiple=True, required=True)
+@click.option("--k", type=int, multiple=True)
+@click.option("--size", "sizes", multiple=True, help="Size or expression in q, d, k; repeatable.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(MODES), default="auto", show_default=True)
@@ -223,16 +224,11 @@ def _finish_campaign(result, out_prefix: str | None) -> None:
 @click.option("--out", "out_prefix", type=click.Path(), default=None, help="Report path prefix.")
 @click.pass_context
 @_guarded
-def verify_cmd(
-    ctx, kind, q_values, d_values, k_values, size_values, trials, seed, mode,
-    exhaustive_flag, generator, salem_threshold, ratio_floor, out_prefix,
-) -> None:
+def verify_cmd(ctx, exhaustive_flag, out_prefix, **keys) -> None:
     """Run one verification campaign from command-line flags."""
-    config = CampaignConfig.from_mapping({
-        "kind": kind, "q": q_values, "d": d_values, "k": k_values, "sizes": size_values, "trials": trials,
-        "seed": seed, "mode": "exhaustive" if exhaustive_flag else mode, "generator": generator,
-        "salem_threshold": salem_threshold, "ratio_floor": ratio_floor, "threads": ctx.obj["threads"] or 1,
-    })
+    if exhaustive_flag:
+        keys["mode"] = "exhaustive"
+    config = CampaignConfig.from_mapping({**keys, "threads": ctx.obj["threads"] or 1})
     _finish_campaign(run_campaign(config), out_prefix)
 
 
@@ -246,7 +242,6 @@ def sweep_cmd(ctx, config_file, out_prefix) -> None:
     config = CampaignConfig.from_file(config_file)
     if ctx.obj["threads"] is not None:
         config = replace(config, threads=ctx.obj["threads"])
-        config.validate()
     _finish_campaign(run_campaign(config), out_prefix or config.output)
 
 

@@ -142,10 +142,8 @@ def coordinate_subspace_directions(q: int, d: int, n: int) -> set[Direction]:
     field = prime_field(q)
     if not 1 <= n <= d:
         raise ValueError(f"subspace dimension must be in [1, {d}], got {n}")
-    vecs = grid.decode_indices(np.arange(1, q**n, dtype=np.int64), q, n)
-    canon = np.unique(canonicalize_rows(vecs, field), axis=0)
-    pad = (0,) * (d - n)
-    return {tuple(int(c) for c in row) + pad for row in canon}
+    # H_n is its own difference set: its codes are those of F_q^n times q^(d-n)
+    return directions_of_codes(np.arange(q**n, dtype=np.int64) * q ** (d - n), field, d)
 
 
 def sort_directions(dirs: set[Direction], q: int) -> list[Direction]:

@@ -26,3 +26,22 @@ class FsetParseError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid campaign configuration."""
+
+
+#: Integers of this many digits or more are not spelled out in error text.
+_ERROR_DIGITS = 30
+
+
+def brief(value: int | str, exponent: int = 1) -> str:
+    """value**exponent for error text, not spelled out from 10^30 in magnitude on, or a string value quoted.
+
+    For value >= 2 a power of at least 2^100 > 10^30 is not taken, however large the exponent.
+    """
+    if isinstance(value, str):
+        return repr(value)
+    if value >= 2 and (value.bit_length() - 1) * exponent >= 100:
+        return f"over 10^{_ERROR_DIGITS}"
+    value **= exponent
+    if abs(value) < 10**_ERROR_DIGITS:
+        return str(value)
+    return f"{'under -' if value < 0 else 'over '}10^{_ERROR_DIGITS}"

@@ -2,10 +2,10 @@
 
 Generators are addressable by name through FAMILIES, which the CLI's gen
 command dispatches through, taking their parameters as options.  A
-campaign's `generator` key names one of the two index draws, random or
-subspace-random, which campaigns take a block of trial seeds at a time
-(random_index_block, subspace_random_index_block).  All generators are
-deterministic in their arguments.
+campaign's `generator` key names one of the two draws, random or
+subspace-random; both are index_block, which draws inside the coordinate
+subspace H_m for a block of trial seeds at a time, m = d being the whole
+grid.  All generators are deterministic in their arguments.
 """
 
 from __future__ import annotations
@@ -20,17 +20,25 @@ from .rng import sample_block
 from .spectral import check_size_cap
 
 
-def random_index_block(q: int, d: int, n: int, seeds: Sequence[int]) -> np.ndarray:
-    """Flat indices of gen_random's n points for each seed, in draw order: a (B, n) array."""
-    total = check_size_cap(q, d)
+def index_block(q: int, d: int, m: int, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Flat indices of n points drawn inside H_m, the m-dimensional coordinate subspace of F_q^d.
+
+    A (B, n) array, a row per seed in draw order; m = d draws from the whole grid.
+    """
+    check_size_cap(q, d)
+    if not 1 <= m <= d:
+        raise ValueError(f"subspace dimension must be in [1, {d}], got {m}")
+    total = q**m
     if n > total:
-        raise ValueError(f"cannot draw {n} distinct points from a grid of {total}")
-    return sample_block(total, n, seeds)
+        raise ValueError(f"cannot draw {n} distinct points from a {'grid' if m == d else 'subspace'} of {total}")
+    # H_m has coordinates m+1..d zero, so its point with index p in F_q^m
+    # has index p q^(d-m) in F_q^d
+    return sample_block(total, n, seeds) * q ** (d - m)
 
 
 def gen_random(q: int, d: int, n: int, seed: int) -> PointSet:
     """n points drawn uniformly without replacement, deterministic in seed."""
-    return PointSet.from_indices(q, d, random_index_block(q, d, n, [seed])[0])
+    return PointSet.from_indices(q, d, index_block(q, d, d, n, [seed])[0])
 
 
 def gen_coordinate_subspace(q: int, d: int, k: int) -> PointSet:
@@ -76,22 +84,9 @@ def gen_embedded(base: PointSet, d: int) -> PointSet:
     return PointSet.from_coords(base.q, d, coords)
 
 
-def subspace_random_index_block(q: int, d: int, m: int, n: int, seeds: Sequence[int]) -> np.ndarray:
-    """Flat indices of gen_subspace_random's n points for each seed, in draw order: a (B, n) array."""
-    if not 1 <= m <= d:
-        raise ValueError(f"subspace dimension must be in [1, {d}], got {m}")
-    check_size_cap(q, d)
-    total = q**m
-    if n > total:
-        raise ValueError(f"cannot draw {n} distinct points from a subspace of {total}")
-    # the subspace has coordinates m+1..d zero, so its point with index p in
-    # F_q^m has index p q^(d-m) in F_q^d
-    return sample_block(total, n, seeds) * q ** (d - m)
-
-
 def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:
     """n random points inside the m-dimensional coordinate subspace of F_q^d."""
-    return PointSet.from_indices(q, d, subspace_random_index_block(q, d, m, n, [seed])[0])
+    return PointSet.from_indices(q, d, index_block(q, d, m, n, [seed])[0])
 
 
 #: Every generator family: its function and its parameters, in call order.

@@ -8,15 +8,17 @@ are byte-identical for identical configs:
     salem-bounds   direction/difference counts against the flatness bounds
     sharpness      exact direction counts of coordinate subspaces
 
-All three kinds run through one cell runner: a kind's block measures a
-block of sets and names the checks each set fails, and the runner alone
-builds the rows and assigns severities.  Hard failures contradict an exact
-statement (the nu lower bound above threshold, full coverage for k = d-1,
-the (q-1)-to-1 quotient bound, subspace direction counts) and make the
-campaign report not-ok; soft flags mark measured quantities that missed a
-configured expectation (ratio floors, mean-direction monotonicity) and
-never fail the run on their own.  Every flagged set is recorded in full
-.fset form for replay.
+run_campaign is the one way to run a campaign.  A kind is one row of
+_KINDS: its block measures a block of sets and names the checks each set
+fails, its cell aggregate reduces a cell's rows, and its finish step
+completes the campaign's aggregates (salem-bounds' monotonicity probe,
+sharpness's totals).  The runner alone builds the rows and assigns
+severities.  Hard failures contradict an exact statement (the nu lower
+bound above threshold, full coverage for k = d-1, the (q-1)-to-1 quotient
+bound, subspace direction counts) and make the campaign report not-ok;
+soft flags mark measured quantities that missed a configured expectation
+(ratio floors, mean-direction monotonicity) and never fail the run on
+their own.  Every flagged set is recorded in full .fset form for replay.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import math
 import operator
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from pathlib import Path
@@ -36,9 +38,9 @@ from typing import Any
 import numpy as np
 
 from .directions import ambient_direction_count, canonical_codes
-from .errors import ConfigError, NumericalInconsistencyError
+from .errors import ConfigError, NumericalInconsistencyError, brief
 from .field import MAX_MODULUS, is_prime, prime_field
-from .generators import gen_coordinate_subspace, random_index_block, subspace_random_index_block
+from .generators import gen_coordinate_subspace, index_block
 from .grid import decode, difference_multiplicities
 from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, _write_in_place, format_fset
@@ -56,7 +58,6 @@ EXHAUSTIVE_LIMIT = 10**7
 _BLOCK_PAIRS = 1 << 17
 _BLOCK_CELLS = 1 << 16
 
-KINDS = ("theorem-main", "salem-bounds", "sharpness")
 MODES = ("auto", "random", "exhaustive")
 GENERATORS = ("random", "subspace-random")
 
@@ -81,19 +82,6 @@ _SIZE_BINOPS = {
     ast.Mod: operator.mod,
     ast.Pow: operator.pow,
 }
-
-
-#: Integers of more digits than this are not printed in error text.
-_ERROR_DIGITS = 30
-
-
-def _brief(value: int | str) -> str:
-    """A size expression or an integer for error text; an integer over 10^30 in magnitude is not spelled out."""
-    if isinstance(value, str):
-        return repr(value)
-    if abs(value) < 10**_ERROR_DIGITS:
-        return str(value)
-    return f"{'under -' if value < 0 else 'over '}10^{_ERROR_DIGITS}"
 
 
 def evaluate_size(expr: int | str, **variables: int | None) -> int:
@@ -125,7 +113,7 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
             raise ConfigError(f"size expression {expr!r} evaluates to non-integer {value!r}")
         value = int(value)
     if value < 1:
-        raise ConfigError(f"size expression {_brief(expr)} evaluates to {_brief(value)}, need >= 1")
+        raise ConfigError(f"size expression {brief(expr)} evaluates to {brief(value)}, need >= 1")
     return value
 
 
@@ -155,37 +143,62 @@ def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: st
 
 # -- configuration ---------------------------------------------------------
 
-def _as_int_tuple(value: Any, name: str) -> tuple[int, ...]:
+def _is(value: Any, types: type | tuple[type, ...]) -> bool:
+    """isinstance, with a bool never taken for an int."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _field(types: type | tuple[type, ...], what: str, items: str = "", convert: Callable | None = None) -> Callable:
+    """The parser of a config value of the given types; given items, also of a list of them, as a tuple."""
+
+    def parse(value: Any, key: str) -> Any:
+        if items and isinstance(value, (list, tuple)):
+            for item in value:
+                if not _is(item, types):
+                    raise ConfigError(f"config field {key!r} {items}, got {item!r}")
+            return tuple(value)
+        if not _is(value, types):
+            raise ConfigError(f"config field {key!r} {what}")
+        return convert(value) if convert else (value,) if items else value
+
+    return parse
+
+
+_int_list = _field(int, "must be an integer or a list of integers", "must hold integers")
+
+
+def _ints(value: Any, key: str) -> tuple[int, ...]:
     if isinstance(value, bool):
-        raise ConfigError(f"config field {name!r} must hold integers")
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"config field {name!r} must hold integers, got {item!r}")
-            out.append(item)
-        return tuple(out)
-    raise ConfigError(f"config field {name!r} must be an integer or a list of integers")
+        raise ConfigError(f"config field {key!r} must hold integers")
+    return _int_list(value, key)
 
 
-def _as_size_tuple(value: Any) -> tuple[int | str, ...]:
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, str)):
-                raise ConfigError(f"config field 'sizes' entries must be ints or strings, got {item!r}")
-            out.append(item)
-        return tuple(out)
-    raise ConfigError("config field 'sizes' must be a size or a list of sizes")
+#: Every config key, in report order: the CampaignConfig attribute it sets
+#: and the parser of its JSON value.
+_FIELDS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
+    "kind": ("kind", lambda value, key: value),
+    "q": ("q_list", _ints),
+    "d": ("d_list", _ints),
+    "k": ("k_list", _ints),
+    "sizes": ("sizes", _field((int, str), "must be a size or a list of sizes", "entries must be ints or strings")),
+    "trials": ("trials", _field(int, "must be an integer")),
+    "seed": ("seed", _field(int, "must be an integer")),
+    "mode": ("mode", _field(str, "must be a string")),
+    "generator": ("generator", _field(str, "must be a string")),
+    "salem_threshold": ("salem_threshold", _field((int, float), "must be a number", convert=float)),
+    "ratio_floor": ("ratio_floor", _field((int, float), "must be a number", convert=float)),
+    "threads": ("threads", _field(int, "must be an integer")),
+    "output": ("output", _field((str, type(None)), "must be a string path")),
+}
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Full description of one campaign; equal configs give identical reports."""
+    """Full description of one campaign; equal configs give identical reports.
+
+    A config is checked when it is built, dataclasses.replace included, so
+    an invalid one cannot exist.
+    """
 
     kind: str
     q_list: tuple[int, ...]
@@ -201,63 +214,20 @@ class CampaignConfig:
     threads: int = 1
     output: str | None = None
 
-    _JSON_KEYS = {
-        "kind": "kind",
-        "q": "q_list",
-        "d": "d_list",
-        "k": "k_list",
-        "sizes": "sizes",
-        "trials": "trials",
-        "seed": "seed",
-        "mode": "mode",
-        "generator": "generator",
-        "salem_threshold": "salem_threshold",
-        "ratio_floor": "ratio_floor",
-        "threads": "threads",
-        "output": "output",
-    }
+    def __post_init__(self) -> None:
+        self.validate()
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "CampaignConfig":
         if not isinstance(data, Mapping):
             raise ConfigError("campaign config must be a JSON object")
-        unknown = sorted(set(data) - set(cls._JSON_KEYS))
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key in ("kind", "q", "d"):
             if key not in data:
                 raise ConfigError(f"config key {key!r} is required")
-        kwargs: dict[str, Any] = {"kind": data["kind"]}
-        kwargs["q_list"] = _as_int_tuple(data["q"], "q")
-        kwargs["d_list"] = _as_int_tuple(data["d"], "d")
-        if "k" in data:
-            kwargs["k_list"] = _as_int_tuple(data["k"], "k")
-        if "sizes" in data:
-            kwargs["sizes"] = _as_size_tuple(data["sizes"])
-        for key in ("trials", "seed", "threads"):
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"config field {key!r} must be an integer")
-                kwargs[key] = value
-        for key in ("salem_threshold", "ratio_floor"):
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"config field {key!r} must be a number")
-                kwargs[key] = float(value)
-        for key in ("mode", "generator"):
-            if key in data:
-                if not isinstance(data[key], str):
-                    raise ConfigError(f"config field {key!r} must be a string")
-                kwargs[key] = data[key]
-        if "output" in data and data["output"] is not None:
-            if not isinstance(data["output"], str):
-                raise ConfigError("config field 'output' must be a string path")
-            kwargs["output"] = data["output"]
-        config = cls(**kwargs)
-        config.validate()
-        return config
+        return cls(**{attr: parse(data[key], key) for key, (attr, parse) in _FIELDS.items() if key in data})
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
@@ -314,7 +284,7 @@ class CampaignConfig:
             raise ConfigError("exhaustive mode enumerates all sets; it requires the random generator")
 
     def to_dict(self) -> dict[str, Any]:
-        values = {key: getattr(self, attr) for key, attr in self._JSON_KEYS.items()}
+        values = {key: getattr(self, attr) for key, (attr, _) in _FIELDS.items()}
         return {key: list(value) if isinstance(value, tuple) else value for key, value in values.items()}
 
 
@@ -335,8 +305,8 @@ def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int, expr: 
     if config.mode == "exhaustive":
         if total > EXHAUSTIVE_LIMIT:
             raise ConfigError(
-                f"exhaustive enumeration of C({_brief(q**d)}, {_brief(size)}) = {_brief(total)} sets "
-                f"(size expression {_brief(expr)}, q={q}, d={d}) exceeds the {EXHAUSTIVE_LIMIT} limit"
+                f"exhaustive enumeration of C({brief(q, d)}, {brief(size)}) = {brief(total)} sets "
+                f"(size expression {brief(expr)}, q={q}, d={d}) exceeds the {EXHAUSTIVE_LIMIT} limit"
             )
         return "exhaustive", total
     if config.mode == "auto" and config.generator == "random" and total <= EXHAUSTIVE_LIMIT:
@@ -345,11 +315,11 @@ def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int, expr: 
 
 
 def _check_draw_bounds(config: CampaignConfig, q: int, d: int, k: int | None, size: int, expr: int | str) -> None:
-    given = f"size expression {_brief(expr)} gives {_brief(size)} points"
+    given = f"size expression {brief(expr)} gives {brief(size)} points"
     if size > q**d:
-        raise ConfigError(f"{given}, more than the {_brief(q**d)} of the grid (q={q}, d={d})")
+        raise ConfigError(f"{given}, more than the {brief(q, d)} of the grid (q={q}, d={d})")
     if config.generator == "subspace-random" and size > q ** (k + 1):
-        raise ConfigError(f"{given}, more than the {_brief(q ** (k + 1))} of H_{k + 1} (q={q}, d={d}, k={k})")
+        raise ConfigError(f"{given}, more than the {brief(q, k + 1)} of H_{k + 1} (q={q}, d={d}, k={k})")
 
 
 def _expand_cells(config: CampaignConfig) -> list[Cell]:
@@ -381,13 +351,6 @@ def _expand_cells(config: CampaignConfig) -> list[Cell]:
 
 def _trial_seed(config: CampaignConfig, cell: Cell, trial: int) -> int:
     return mix64(config.seed, cell.q, cell.d, cell.k or 0, cell.size or 0, trial)
-
-
-def _index_draw(config: CampaignConfig, cell: Cell) -> Callable[[Sequence[int]], np.ndarray]:
-    """The configured generator's index draw for a block of the cell's sets, as a function of their trial seeds."""
-    if config.generator == "subspace-random":
-        return functools.partial(subspace_random_index_block, cell.q, cell.d, cell.k + 1, cell.size)
-    return functools.partial(random_index_block, cell.q, cell.d, cell.size)
 
 
 # -- results ---------------------------------------------------------------
@@ -485,26 +448,27 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list
             picks = np.array(list(islice(sets, per_block)), dtype=np.int64)
             yield range(start, start + len(picks)), [None] * len(picks), picks
         return
-    draw = _index_draw(config, cell)
+    # the generator draws inside H_m: H_(k+1) for subspace-random, the whole grid (m = d) for random
+    m = cell.k + 1 if config.generator == "subspace-random" else cell.d
     for start in range(0, config.trials, per_block):
         trials = range(start, min(start + per_block, config.trials))
         seeds = [_trial_seed(config, cell, trial) for trial in trials]
-        yield trials, seeds, draw(seeds)
+        yield trials, seeds, index_block(cell.q, cell.d, m, cell.size, seeds)
 
 
 def _block_rows(
-    kind: str, block: Callable, cell: Cell, trials: Sequence, seeds: Sequence, picks: np.ndarray
+    config: CampaignConfig, cell: Cell, trials: Sequence, seeds: Sequence, picks: np.ndarray
 ) -> tuple[dict[str, list], list[dict]]:
     """A block's report columns and flag records; the one place severities are assigned.
 
-    block(cell, trials, picks) gives the kind's measured columns, its hard
-    checks (at least one) and its soft checks, each a dict from reason tag
-    to the (B,) bool mask of the sets that fail it.  A set failing any hard
-    check has hard_fail set; soft_flags names the soft checks it fails.
-    Each flagged set is formatted once, in .fset form, and recorded under
-    every reason it fails, hard reasons then soft.
+    The kind's block(config, cell, trials, picks) gives its measured
+    columns, its hard checks (at least one) and its soft checks, each a dict
+    from reason tag to the (B,) bool mask of the sets that fail it.  A set
+    failing any hard check has hard_fail set; soft_flags names the soft
+    checks it fails.  Each flagged set is formatted once, in .fset form, and
+    recorded under every reason it fails, hard reasons then soft.
     """
-    measured, hard, soft = block(cell, trials, picks)
+    measured, hard, soft = _KINDS[config.kind][0](config, cell, trials, picks)
     n = len(picks)
     hard_fail = functools.reduce(operator.or_, hard.values())
     soft_flags = [()] * n
@@ -514,48 +478,18 @@ def _block_rows(
         fset = format_fset(PointSet.from_indices(cell.q, cell.d, picks[b]))
         flags += _flag_records(cell, trials[b], seeds[b], [r for r, failed in hard.items() if failed[b]], "hard", fset)
         flags += _flag_records(cell, trials[b], seeds[b], soft_flags[b], "soft", fset)
-    constants = {"kind": kind, "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode}
+    constants = {"kind": config.kind, "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode}
     columns = {name: [value] * n for name, value in constants.items()}
     columns.update(trial=list(trials), trial_seed=list(seeds), **measured)
     columns.update(hard_fail=hard_fail.tolist(), soft_flags=soft_flags)
     return columns, flags
 
 
-def _run_cells(
-    config: CampaignConfig, kind: str, block: Callable, aggregate: Callable[[dict, int], dict]
-) -> CampaignResult:
-    """A campaign of the given kind, evaluated a block of sets at a time.
-
-    block(cell, trials, picks) measures a block (see _block_rows);
-    aggregate(columns, start) reduces a cell's rows, those from row start
-    on.  Blocks run in trial order in the calling thread, whatever the
-    config's threads.
-    """
-    config.validate()
-    if config.kind != kind:
-        raise ConfigError(f"verify_{kind.replace('-', '_')} got a {config.kind!r} config")
-    columns: dict[str, list] = {name: [] for name in _COLUMNS[kind]}
-    counterexamples: list[dict] = []
-    cell_aggs: list[dict] = []
-    for cell in _expand_cells(config):
-        start = len(columns["trial"])
-        for trials, seeds, picks in _blocks(config, cell):
-            block_columns, flags = _block_rows(kind, block, cell, trials, seeds, picks)
-            for name, values in block_columns.items():
-                columns[name] += values
-            counterexamples += flags
-        cell_aggs.append({
-            "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
-            **aggregate(columns, start),
-        })
-    hard_failures = columns["hard_fail"].count(True)
-    aggregates = {"cells": cell_aggs, "sets_checked": len(columns["trial"]), "hard_failures": hard_failures}
-    return CampaignResult(kind, config, columns, aggregates, tuple(counterexamples))
-
-
 # -- theorem-main ----------------------------------------------------------
 
-def _theorem_block(cell: Cell, trials: Sequence[int], picks: np.ndarray) -> tuple[dict[str, list], dict, dict]:
+def _theorem_block(
+    config: CampaignConfig, cell: Cell, trials: Sequence[int], picks: np.ndarray
+) -> tuple[dict[str, list], dict, dict]:
     """The block's measured columns and hard checks, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
@@ -615,11 +549,6 @@ def _theorem_aggregate(columns: dict[str, list], start: int) -> dict:
     }
 
 
-def verify_theorem_main(config: CampaignConfig) -> CampaignResult:
-    """Sweep the incidence threshold and direction coverage over the grid, a block of sets at a time."""
-    return _run_cells(config, "theorem-main", _theorem_block, _theorem_aggregate)
-
-
 # -- salem-bounds ----------------------------------------------------------
 
 def _salem_block(
@@ -661,45 +590,41 @@ def _salem_aggregate(columns: dict[str, list], start: int) -> dict:
     }
 
 
-def verify_salem_bounds(config: CampaignConfig) -> CampaignResult:
-    """Measure direction and difference counts against the flatness bounds, a block of sets at a time."""
-    result = _run_cells(config, "salem-bounds", functools.partial(_salem_block, config), _salem_aggregate)
-    monotonicity = _monotonicity_probe(result.aggregates["cells"])
-    flags = result.counterexamples
-    for probe in monotonicity:
-        if not probe["nondecreasing"]:
-            group = Cell(probe["q"], probe["d"], probe["k"], None, "")
-            flags += tuple(_flag_records(group, None, None, ["direction-mean-monotonicity"], "soft", None))
-    # the probe's entry follows the cells' in the report
-    aggregates = {"cells": result.aggregates["cells"], "monotonicity": monotonicity, **result.aggregates}
-    return replace(result, aggregates=aggregates, counterexamples=flags)
+def _salem_finish(aggregates: dict) -> tuple[dict, list[dict]]:
+    """The monotonicity probe: mean |D(E)| should not drop as |E| grows within a (q, d, k) group.
 
-
-def _monotonicity_probe(cell_aggs: list[dict]) -> list[dict]:
-    """Mean |D(E)| should not drop as |E| grows within a (q, d, k) group."""
+    A group that drops is a soft flag of its own.
+    """
     groups: dict[tuple, list[dict]] = {}
-    for agg in cell_aggs:
+    for agg in aggregates["cells"]:
         groups.setdefault((agg["q"], agg["d"], agg["k"]), []).append(agg)
     probes = []
+    flags: list[dict] = []
     for (q, d, k), aggs in groups.items():
         if len(aggs) < 2:
             continue
         ordered = sorted(aggs, key=lambda a: a["size"])
         means = [a["mean_direction_count"] for a in ordered]
+        nondecreasing = all(means[i] <= means[i + 1] for i in range(len(means) - 1))
         probes.append(
             {
                 "q": q, "d": d, "k": k,
                 "sizes": [a["size"] for a in ordered],
                 "mean_direction_count": means,
-                "nondecreasing": all(means[i] <= means[i + 1] for i in range(len(means) - 1)),
+                "nondecreasing": nondecreasing,
             }
         )
-    return probes
+        if not nondecreasing:
+            flags += _flag_records(Cell(q, d, k, None, ""), None, None, ["direction-mean-monotonicity"], "soft", None)
+    # the probe's entry follows the cells' in the report
+    return {"cells": aggregates["cells"], "monotonicity": probes, **aggregates}, flags
 
 
 # -- sharpness -------------------------------------------------------------
 
-def _sharpness_block(cell: Cell, trials: Sequence, picks: np.ndarray) -> tuple[dict[str, list], dict, dict]:
+def _sharpness_block(
+    config: CampaignConfig, cell: Cell, trials: Sequence, picks: np.ndarray
+) -> tuple[dict[str, list], dict, dict]:
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
     codes, _, _ = difference_multiplicities(picks, q, d)
@@ -718,24 +643,47 @@ def _sharpness_block(cell: Cell, trials: Sequence, picks: np.ndarray) -> tuple[d
     return measured, {"sharpness-count": ~(exact & fewer)}, {}
 
 
-def verify_sharpness(config: CampaignConfig) -> CampaignResult:
-    """Exact direction counts of H_k: the threshold |E| > q^k cannot weaken to >=."""
-    result = _run_cells(config, "sharpness", _sharpness_block, lambda columns, start: {})
-    totals = result.aggregates
-    aggregates = {"cells_checked": totals["sets_checked"], "hard_failures": totals["hard_failures"]}
-    return replace(result, aggregates=aggregates)
+def _sharpness_finish(aggregates: dict) -> tuple[dict, list[dict]]:
+    """A sharpness cell is the one set H_k, so the report keeps only the totals."""
+    return {"cells_checked": aggregates["sets_checked"], "hard_failures": aggregates["hard_failures"]}, []
 
 
-_RUNNERS = {
-    "theorem-main": verify_theorem_main,
-    "salem-bounds": verify_salem_bounds,
-    "sharpness": verify_sharpness,
+#: Each kind: its block (see _block_rows), its cell aggregate, which
+#: reduces a cell's rows from row start on, and its finish step, which
+#: completes the campaign's aggregates and may add flag records.
+_KINDS: dict[str, tuple[Callable, Callable[[dict, int], dict], Callable[[dict], tuple[dict, list[dict]]]]] = {
+    "theorem-main": (_theorem_block, _theorem_aggregate, lambda aggregates: (aggregates, [])),
+    "salem-bounds": (_salem_block, _salem_aggregate, _salem_finish),
+    "sharpness": (_sharpness_block, lambda columns, start: {}, _sharpness_finish),
 }
+
+KINDS = tuple(_KINDS)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    config.validate()
-    return _RUNNERS[config.kind](config)
+    """Run the configured campaign, a block of sets at a time; the one way a campaign runs.
+
+    Blocks run in trial order in the calling thread, whatever the config's
+    threads.
+    """
+    _, aggregate, finish = _KINDS[config.kind]
+    columns: dict[str, list] = {name: [] for name in _COLUMNS[config.kind]}
+    counterexamples: list[dict] = []
+    cell_aggs: list[dict] = []
+    for cell in _expand_cells(config):
+        start = len(columns["trial"])
+        for trials, seeds, picks in _blocks(config, cell):
+            block_columns, flags = _block_rows(config, cell, trials, seeds, picks)
+            for name, values in block_columns.items():
+                columns[name] += values
+            counterexamples += flags
+        cell_aggs.append({
+            "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
+            **aggregate(columns, start),
+        })
+    totals = {"sets_checked": len(columns["trial"]), "hard_failures": columns["hard_fail"].count(True)}
+    aggregates, flags = finish({"cells": cell_aggs, **totals})
+    return CampaignResult(config.kind, config, columns, aggregates, tuple(counterexamples + flags))
 
 
 # -- report emission -------------------------------------------------------

@@ -32,6 +32,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .errors import brief
+
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
@@ -128,9 +130,9 @@ def sample_block(total: int, count: int, seeds: Sequence[int]) -> np.ndarray:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > total:
-        raise ValueError(f"cannot sample {count} of {total} values without replacement")
+        raise ValueError(f"cannot sample {brief(count)} of {brief(total)} values without replacement")
     if total > 1 << 63:
-        raise ValueError(f"cannot sample int64 indices from {total} values")
+        raise ValueError(f"cannot sample int64 indices from {brief(total)} values")
     state = np.array([(int(seed) & _MASK64) or _ZERO_SEED_REPLACEMENT for seed in seeds], dtype=np.uint64)
     outputs = np.empty((len(state), count), dtype=np.uint64)
     for start in range(0, count, _TABLE_STEPS):

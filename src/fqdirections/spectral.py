@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid
-from .errors import SizeCapError
+from .errors import SizeCapError, brief
 from .field import PrimeField
 
 #: Cap on dense table entries (q^d).
@@ -44,13 +44,16 @@ DEFAULT_SIZE_CAP = 1 << 24
 
 
 def check_size_cap(q: int, dim: int) -> int:
-    """Return q**dim, or raise SizeCapError if it exceeds DEFAULT_SIZE_CAP."""
+    """Return q**dim, or raise SizeCapError if it exceeds DEFAULT_SIZE_CAP.
+
+    A q >= 2 exceeds the 2^24 cap in every dimension from 25 on, so a huge
+    dimension is refused without taking the power.
+    """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    n = q**dim
-    if n > DEFAULT_SIZE_CAP:
-        raise SizeCapError(f"grid of {q}^{dim} = {n} entries exceeds the cap {DEFAULT_SIZE_CAP}")
-    return n
+    if (q >= 2 and dim >= DEFAULT_SIZE_CAP.bit_length()) or q**dim > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"grid of {q}^{dim} = {brief(q, dim)} entries exceeds the cap {DEFAULT_SIZE_CAP}")
+    return q**dim
 
 
 def empty_table(n: int, dtype) -> np.ndarray:

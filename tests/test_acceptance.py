@@ -22,7 +22,7 @@ from fqdirections.generators import (
     gen_random,
     gen_subspace_random,
 )
-from fqdirections.harness import CampaignConfig, emit_report, run_campaign, verify_sharpness
+from fqdirections.harness import CampaignConfig, emit_report, run_campaign
 from fqdirections.incidence import all_slopes, remainder_spectral, theorem_main_threshold
 from fqdirections.pointset import PointSet
 from fqdirections.rng import mix64
@@ -194,7 +194,7 @@ def test_criterion_07_sharpness(capsys):
     rows = 0
     for q in (3, 5, 7):
         for d in (2, 3):
-            res = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(q,), d_list=(d,)))
+            res = run_campaign(CampaignConfig(kind="sharpness", q_list=(q,), d_list=(d,)))
             assert res.ok
             for row in res.rows:
                 k = row["k"]

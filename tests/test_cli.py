@@ -191,6 +191,13 @@ def test_verify_huge_size_exits_2(runner):
     )
 
 
+def test_verify_huge_grid_exits_2(runner):
+    # 3^10000 has 4772 digits, past what str() converts
+    result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "10000", "--k", "1")
+    assert result.exit_code == 2
+    assert result.output == "error: grid of 3^10000 = over 10^30 entries exceeds the cap 16777216\n"
+
+
 def test_verify_huge_exhaustive_count_exits_2(runner):
     # C(101^3, 10202) has about 25,000 digits
     result = invoke(
@@ -254,6 +261,49 @@ def test_sweep_bad_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     result = invoke(runner, "sweep", str(tmp_path / "missing.json"))
     assert result.exit_code == 2
+
+
+_BAD_CONFIG_BASE = {"kind": "theorem-main", "q": [3], "d": [2], "k": [1], "trials": 5}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (json.dumps({**_BAD_CONFIG_BASE, "q": ["3"]}), "config field 'q' must hold integers, got '3'"),
+        (json.dumps({**_BAD_CONFIG_BASE, "q": True}), "config field 'q' must hold integers"),
+        (json.dumps({**_BAD_CONFIG_BASE, "q": "3"}), "config field 'q' must be an integer or a list of integers"),
+        (json.dumps({**_BAD_CONFIG_BASE, "sizes": [1.5]}), "config field 'sizes' entries must be ints or strings, got 1.5"),
+        (json.dumps({**_BAD_CONFIG_BASE, "sizes": {"a": 1}}), "config field 'sizes' must be a size or a list of sizes"),
+        (json.dumps({**_BAD_CONFIG_BASE, "trials": "5"}), "config field 'trials' must be an integer"),
+        (json.dumps({**_BAD_CONFIG_BASE, "trials": True}), "config field 'trials' must be an integer"),
+        (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": "x"}), "config field 'salem_threshold' must be a number"),
+        (json.dumps({**_BAD_CONFIG_BASE, "mode": 3}), "config field 'mode' must be a string"),
+        (json.dumps({**_BAD_CONFIG_BASE, "output": 3}), "config field 'output' must be a string path"),
+        (json.dumps({**_BAD_CONFIG_BASE, "k": None}), "config field 'k' must be an integer or a list of integers"),
+        (
+            json.dumps({**_BAD_CONFIG_BASE, "kind": 5}),
+            "unknown campaign kind 5; expected one of theorem-main, salem-bounds, sharpness",
+        ),
+        (json.dumps({**_BAD_CONFIG_BASE, "surprise": 1}), "unknown config keys: surprise"),
+        (json.dumps({"q": [3], "d": [2]}), "config key 'kind' is required"),
+        ("[1, 2]", "campaign config must be a JSON object"),
+        ("not json", "config is not valid JSON: line 1: Expecting value"),
+    ],
+)
+def test_sweep_config_error_lines(runner, tmp_path, text, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    result = invoke(runner, "sweep", str(cfg_path))
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
+def test_threads_flag_is_checked_for_sweep(runner, tmp_path):
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps({"kind": "sharpness", "q": [3], "d": [2]}))
+    result = invoke(runner, "--threads", "0", "sweep", str(cfg_path))
+    assert result.exit_code == 2
+    assert result.output == "error: threads must be >= 1, got 0\n"
 
 
 def test_threads_flag_accepted(runner):

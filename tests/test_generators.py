@@ -8,8 +8,7 @@ from fqdirections.generators import (
     gen_paraboloid,
     gen_random,
     gen_subspace_random,
-    random_index_block,
-    subspace_random_index_block,
+    index_block,
 )
 from fqdirections.grid import decode_indices
 from fqdirections.rng import sample_without_replacement
@@ -80,9 +79,9 @@ def test_gen_subspace_random():
 
 
 def test_index_draws():
-    assert random_index_block(7, 2, 10, [42])[0].tolist() == sample_without_replacement(49, 10, 42)
+    assert index_block(7, 2, 2, 10, [42])[0].tolist() == sample_without_replacement(49, 10, 42)
     # point j of the draw is the j-th sampled point of F_11^2, padded with zeros
-    picks = subspace_random_index_block(11, 4, 2, 37, [3])[0]
+    picks = index_block(11, 4, 2, 37, [3])[0]
     coords = decode_indices(picks, 11, 4)
     assert (coords[:, 2:] == 0).all()
     assert (coords[:, :2] == decode_indices(sample_without_replacement(121, 37, 3), 11, 2)).all()

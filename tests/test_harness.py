@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -23,9 +24,6 @@ from fqdirections.harness import (
     emit_report,
     evaluate_size,
     run_campaign,
-    verify_salem_bounds,
-    verify_sharpness,
-    verify_theorem_main,
     write_report,
 )
 from fqdirections.pointset import PointSet, format_fset, write_fset
@@ -120,6 +118,14 @@ def test_config_validation_errors(patch):
         CampaignConfig.from_mapping(base)
 
 
+def test_config_is_validated_when_built():
+    with pytest.raises(ConfigError, match="unknown campaign kind 'nonsense'"):
+        CampaignConfig(kind="nonsense", q_list=(3,), d_list=(2,))
+    valid = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
+    with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+        dataclasses.replace(valid, threads=0)
+
+
 def test_config_requires_core_keys():
     with pytest.raises(ConfigError):
         CampaignConfig.from_json('{"kind": "sharpness"}')
@@ -147,7 +153,7 @@ def test_exhaustive_guards():
 
 def test_theorem_main_exhaustive_small_cell():
     cfg = CampaignConfig(kind="theorem-main", q_list=(3,), d_list=(2,), k_list=(1,), mode="exhaustive")
-    res = verify_theorem_main(cfg)
+    res = run_campaign(cfg)
     assert len(res.rows) == math.comb(9, 4)
     assert res.ok
     assert res.hard_failure_count == 0
@@ -159,7 +165,7 @@ def test_theorem_main_exhaustive_small_cell():
 
 def test_auto_mode_exhausts_small_cells():
     cfg = CampaignConfig(kind="theorem-main", q_list=(3,), d_list=(2,), k_list=(1,), mode="auto", trials=3)
-    res = verify_theorem_main(cfg)
+    res = run_campaign(cfg)
     assert len(res.rows) == 126  # C(9, 4) is under the enumeration limit
     assert res.rows[0]["mode"] == "exhaustive"
 
@@ -168,7 +174,7 @@ def test_theorem_main_random_cells():
     cfg = CampaignConfig(
         kind="theorem-main", q_list=(5,), d_list=(2,), k_list=(1,), trials=25, seed=11, mode="random"
     )
-    res = verify_theorem_main(cfg)
+    res = run_campaign(cfg)
     assert len(res.rows) == 25
     assert res.ok
     seeds = [row["trial_seed"] for row in res.rows]
@@ -181,7 +187,7 @@ def test_theorem_main_below_threshold_records_only():
     cfg = CampaignConfig(
         kind="theorem-main", q_list=(5,), d_list=(2,), k_list=(1,), sizes=(4,), trials=10, seed=2, mode="random"
     )
-    res = verify_theorem_main(cfg)
+    res = run_campaign(cfg)
     assert res.ok  # below threshold nothing is asserted
     assert len(res.rows) == 10
 
@@ -190,7 +196,7 @@ def test_theorem_main_records_open_question_columns():
     cfg = CampaignConfig(
         kind="theorem-main", q_list=(5,), d_list=(3,), k_list=(1,), trials=40, seed=1, mode="random"
     )
-    res = verify_theorem_main(cfg)
+    res = run_campaign(cfg)
     assert res.ok
     agg = res.aggregates["cells"][0]
     # |E| = 6 in F_5^3 misses some of the 31 directions almost always, which
@@ -205,7 +211,7 @@ def test_salem_bounds_campaign():
         kind="salem-bounds", q_list=(7,), d_list=(2,), sizes=("round(q/2)", "q", "2*q"),
         trials=15, seed=5, mode="random",
     )
-    res = verify_salem_bounds(cfg)
+    res = run_campaign(cfg)
     assert res.ok
     assert len(res.rows) == 45
     assert len(res.aggregates["cells"]) == 3
@@ -215,13 +221,31 @@ def test_salem_bounds_campaign():
     assert all(r["quotient_bound_holds"] for r in res.rows)
 
 
+def test_salem_mean_direction_drop_is_a_soft_flag():
+    # a drop in mean |D(E)| as |E| grows flags its (q, d, k) group, not a set
+    cells = [
+        {"q": 7, "d": 2, "k": None, "size": size, "mode": "random", "mean_direction_count": mean}
+        for size, mean in ((7, 8.0), (4, 6.0), (14, 7.5))
+    ]
+    aggregates, flags = harness._salem_finish({"cells": cells, "sets_checked": 18, "hard_failures": 0})
+    assert list(aggregates) == ["cells", "monotonicity", "sets_checked", "hard_failures"]
+    assert aggregates["monotonicity"] == [{
+        "q": 7, "d": 2, "k": None, "sizes": [4, 7, 14], "mean_direction_count": [6.0, 8.0, 7.5],
+        "nondecreasing": False,
+    }]
+    assert flags == [{
+        "severity": "soft", "reason": "direction-mean-monotonicity", "q": 7, "d": 2, "k": None, "size": None,
+        "trial": None, "trial_seed": None, "fset": None,
+    }]
+
+
 def test_salem_cell_aggregates_reduce_their_own_rows():
     # sizes in both orders, so no cell's extremes are those of the cells before it
     cfg = CampaignConfig(
         kind="salem-bounds", q_list=(7,), d_list=(2,), sizes=("2*q", "round(q/2)", "q", "q+1"),
         trials=6, seed=5, mode="random", ratio_floor=0.9,
     )
-    res = verify_salem_bounds(cfg)
+    res = run_campaign(cfg)
     for agg in res.aggregates["cells"]:
         rows = [row for row in res.rows if row["size"] == agg["size"]]
         assert agg["trials"] == len(rows)
@@ -239,7 +263,7 @@ def test_salem_bounds_part_i_full_coverage():
     cfg = CampaignConfig(
         kind="salem-bounds", q_list=(7,), d_list=(2,), sizes=("2*q",), trials=15, seed=5, mode="random"
     )
-    res = verify_salem_bounds(cfg)
+    res = run_campaign(cfg)
     assert res.ok
     assert all(row["full_coverage"] for row in res.rows)
 
@@ -253,7 +277,7 @@ def test_salem_bounds_cell_memory_does_not_grow_with_trials():
         )
         tracemalloc.start()
         try:
-            assert verify_salem_bounds(cfg).ok
+            assert run_campaign(cfg).ok
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,7 +321,7 @@ def test_salem_bounds_ratio_floor_soft_flag():
         kind="salem-bounds", q_list=(7,), d_list=(2,), sizes=("q",), trials=5, seed=5,
         mode="random", ratio_floor=10.0,
     )
-    res = verify_salem_bounds(cfg)
+    res = run_campaign(cfg)
     assert res.ok
     assert res.hard_failure_count == 0
     assert res.soft_flag_count >= 5
@@ -310,7 +334,7 @@ def test_salem_bounds_subspace_generator_reproduces_counterexample():
         kind="salem-bounds", q_list=(11,), d_list=(4,), k_list=(1,), sizes=("ceil(q^1.5)",),
         trials=3, seed=8, mode="random", generator="subspace-random",
     )
-    res = verify_salem_bounds(cfg)
+    res = run_campaign(cfg)
     assert res.ok is True  # small |D| violates no exact statement
     for row in res.rows:
         assert row["direction_count"] <= (11**2 - 1) // (11 - 1)
@@ -318,7 +342,7 @@ def test_salem_bounds_subspace_generator_reproduces_counterexample():
 
 
 def test_sharpness_campaign():
-    res = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(5,), d_list=(3,)))
+    res = run_campaign(CampaignConfig(kind="sharpness", q_list=(5,), d_list=(3,)))
     assert res.ok
     ks = [row["k"] for row in res.rows]
     assert ks == [1, 2]
@@ -334,7 +358,7 @@ def test_sharpness_flag_record_names_the_set(monkeypatch):
         return PointSet.from_indices(q, d, [*gen_coordinate_subspace(q, d, k).indices().tolist(), 1])
 
     monkeypatch.setattr(harness, "gen_coordinate_subspace", subspace_plus_point)
-    result = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
+    result = run_campaign(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
     records = [
         (c["severity"], c["reason"], c["q"], c["d"], c["k"], c["size"], c["trial"], c["trial_seed"])
         for c in result.counterexamples
@@ -348,16 +372,12 @@ def test_sharpness_flag_record_names_the_set(monkeypatch):
 def test_run_campaign_dispatch():
     cfg = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
     assert run_campaign(cfg).kind == "sharpness"
-    with pytest.raises(ConfigError):
-        verify_theorem_main(cfg)
-    with pytest.raises(ConfigError):
-        verify_salem_bounds(cfg)
 
 
 def test_threads_do_not_change_results():
     base = dict(kind="theorem-main", q_list=(5,), d_list=(2,), k_list=(1,), trials=12, seed=3, mode="random")
-    one = verify_theorem_main(CampaignConfig(**base, threads=1))
-    four = verify_theorem_main(CampaignConfig(**base, threads=4))
+    one = run_campaign(CampaignConfig(**base, threads=1))
+    four = run_campaign(CampaignConfig(**base, threads=4))
     assert emit_report(one, "csv") == emit_report(four, "csv")
 
 
@@ -377,7 +397,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def _report_writer():
-    result = verify_sharpness(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
+    result = run_campaign(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(3,)))
     return lambda path: write_report(result, "csv", path), emit_report(result, "csv").encode("ascii")
 
 
@@ -478,6 +498,12 @@ def test_exhaustive_limit_value():
     assert EXHAUSTIVE_LIMIT == 10**7
 
 
+def test_readme_accepted_keys_match_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Accepted keys:") : readme.index("Unknown keys are rejected.")]
+    assert tuple(re.findall(r"`([a-z_]+)`", section)) == tuple(harness._FIELDS)
+
+
 def test_readme_column_lists_match_report_columns():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("Columns by kind:") : readme.index("Booleans are")]
@@ -490,7 +516,8 @@ def test_readme_column_lists_match_report_columns():
 
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
-    columns, _ = _block_rows("theorem-main", _theorem_block, cell, [0], [None], E.indices()[None])
+    config = CampaignConfig(kind="theorem-main", q_list=(E.q,), d_list=(E.dim,))
+    columns, _ = _block_rows(config, cell, [0], [None], E.indices()[None])
     return columns["literal_subset"][0]
 
 

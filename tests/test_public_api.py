@@ -67,9 +67,6 @@ EXPORTS = [
     "sample_without_replacement",
     "sort_directions",
     "theorem_main_threshold",
-    "verify_salem_bounds",
-    "verify_sharpness",
-    "verify_theorem_main",
     "write_fset",
     "write_report",
 ]

@@ -138,3 +138,11 @@ def test_sample_block_edges():
     with pytest.raises(ValueError):
         sample_block((1 << 63) + 1, 2, [5])
     assert sample_block(10, 4, [7])[0].tolist() == sample_without_replacement(10, 4, 7)
+
+
+def test_sample_block_error_text_is_brief():
+    # numbers of 5001 digits are named, not spelled out (str would refuse them)
+    with pytest.raises(ValueError, match=r"^cannot sample int64 indices from over 10\^30 values$"):
+        sample_block(10**5000, 1, [1])
+    with pytest.raises(ValueError, match=r"^cannot sample over 10\^30 of 3 values without replacement$"):
+        sample_block(3, 10**5000, [1])

@@ -7,8 +7,6 @@ out as the per-set loop they replace.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fqdirections import grid, harness
 from fqdirections.directions import ambient_direction_count
 from fqdirections.errors import NumericalInconsistencyError
-from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, _salem_block, verify_salem_bounds
+from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, run_campaign
 from fqdirections.pointset import PointSet, format_fset
 from fqdirections.salem import difference_bound_check
 
@@ -47,7 +45,7 @@ def _reference_row(E: PointSet, cell: Cell, trial: int, seed: int | None, config
 
 
 def _assert_matches_per_set(config: CampaignConfig) -> None:
-    result = verify_salem_bounds(config)
+    result = run_campaign(config)
     expected = [
         _reference_row(E, cell, trial, seed, config)
         for cell in harness._expand_cells(config)
@@ -74,8 +72,7 @@ def test_block_rows_match_per_set_rows(block, floor):
     config = CampaignConfig(kind="salem-bounds", q_list=(cell.q,), d_list=(cell.d,), sizes=(cell.size,),
                             ratio_floor=floor)
     trials = range(len(picks))
-    block = functools.partial(_salem_block, config)
-    columns, _ = _block_rows("salem-bounds", block, cell, trials, list(trials), picks)
+    columns, _ = _block_rows(config, cell, trials, list(trials), picks)
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t, config) for t, p in zip(trials, picks)
     ]
@@ -118,7 +115,7 @@ def test_campaign_rows_match_per_set_rows(name, budget, threads, monkeypatch):
 
 def test_edge_cells_have_salem_constant_zero_only_for_the_full_grid():
     # a single point has |Ehat| = q^-d everywhere, so C = 1 up to rounding
-    result = verify_salem_bounds(CampaignConfig.from_mapping(CELL_CONFIGS["edges"]))
+    result = run_campaign(CampaignConfig.from_mapping(CELL_CONFIGS["edges"]))
     assert [row["salem_constant"] for row in result.rows if row["size"] == 25] == [0.0] * 3
     assert [row["salem_constant"] for row in result.rows if row["size"] == 1] == pytest.approx([1.0] * 3, abs=1e-12)
 
@@ -129,7 +126,7 @@ def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
     monkeypatch.setattr(harness, "ambient_direction_count", lambda q, d: -1)
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
     config = CampaignConfig.from_mapping({**CELL_CONFIGS["random"], "ratio_floor": 10.0})
-    result = verify_salem_bounds(config)
+    result = run_campaign(config)
     flagged = []
     for cell in harness._expand_cells(config):
         for trial, _, E in _reference_sets(config, cell):
@@ -170,5 +167,5 @@ def test_parseval_failure_inside_a_block(monkeypatch):
     monkeypatch.setattr(harness, "indicator_power", doubled_power)
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
     with pytest.raises(NumericalInconsistencyError) as err:
-        verify_salem_bounds(config)
+        run_campaign(config)
     assert str(err.value) == f"{alone} in trial 4"

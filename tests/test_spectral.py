@@ -42,6 +42,9 @@ def test_check_size_cap():
             check_size_cap(q, d)
     with pytest.raises(ValueError):
         check_size_cap(5, 0)
+    # a huge dimension is refused without taking the power or spelling it out
+    with pytest.raises(SizeCapError, match=r"^grid of 3\^10000000 = over 10\^30 entries exceeds the cap 16777216$"):
+        check_size_cap(3, 10**7)
 
 
 def test_grid_function_validation():

@@ -16,7 +16,7 @@ from fqdirections import grid, harness, incidence
 from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_random, gen_subspace_random
-from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, _theorem_block, verify_theorem_main
+from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, run_campaign
 from fqdirections.incidence import theorem_main_threshold
 from fqdirections.pointset import PointSet, format_fset
 
@@ -56,7 +56,7 @@ def _reference_sets(config: CampaignConfig, cell: Cell):
 
 
 def _assert_matches_per_set(config: CampaignConfig) -> None:
-    result = verify_theorem_main(config)
+    result = run_campaign(config)
     expected = [
         _reference_row(E, cell, trial, seed)
         for cell in harness._expand_cells(config)
@@ -82,7 +82,8 @@ def _blocks(draw):
 def test_block_rows_match_per_set_rows(block):
     cell, picks = block
     trials = range(len(picks))
-    columns, _ = _block_rows("theorem-main", _theorem_block, cell, trials, list(trials), picks)
+    config = CampaignConfig(kind="theorem-main", q_list=(cell.q,), d_list=(cell.d,))
+    columns, _ = _block_rows(config, cell, trials, list(trials), picks)
     rows = list(Rows(columns))
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t) for t, p in zip(trials, picks)
@@ -123,7 +124,7 @@ def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
     monkeypatch.setattr(harness, "threshold_failures", lambda nu, size, q, k: nu >= 0)
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
     config = CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive-plane"])
-    result = verify_theorem_main(config)
+    result = run_campaign(config)
     flagged = [
         (cell.size, trial, format_fset(E))
         for cell in harness._expand_cells(config)
@@ -138,7 +139,7 @@ def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
 def test_cell_aggregates_reduce_their_own_rows(monkeypatch):
     # fail every slope: the cells above the threshold (sizes 3 and 5) flag every set
     monkeypatch.setattr(harness, "threshold_failures", lambda nu, size, q, k: nu >= 0)
-    result = verify_theorem_main(CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive"]))
+    result = run_campaign(CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive"]))
     for agg in result.aggregates["cells"]:
         rows = [row for row in result.rows if (row["k"], row["size"]) == (agg["k"], agg["size"])]
         assert agg["sets_checked"] == len(rows)
@@ -194,7 +195,7 @@ def test_guard_band_failure_inside_a_block(monkeypatch):
     monkeypatch.setattr(harness, "indicator_power", perturbed_power)
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
     with pytest.raises(NumericalInconsistencyError) as err:
-        verify_theorem_main(config)
+        run_campaign(config)
     assert str(err.value) == expected[4]
 
 
@@ -229,6 +230,6 @@ def test_route_disagreement_inside_a_block(monkeypatch):
     monkeypatch.setattr(harness, "slope_counts", skewed_counts)
     monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
     with pytest.raises(NumericalInconsistencyError) as err:
-        verify_theorem_main(config)
+        run_campaign(config)
     nu = theorem_main_threshold(sets[4], 1, "brute").outcomes[3].nu
     assert str(err.value) == f"pair-count nu {nu} and spectral nu {nu + 1} disagree at slope (3,) of trial 4"
