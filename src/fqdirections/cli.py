@@ -228,7 +228,9 @@ def verify_cmd(ctx, exhaustive_flag, out_prefix, **keys) -> None:
     """Run one verification campaign from command-line flags."""
     if exhaustive_flag:
         keys["mode"] = "exhaustive"
-    config = CampaignConfig.from_mapping({**keys, "threads": ctx.obj["threads"] or 1})
+    if ctx.obj["threads"] is not None:
+        keys["threads"] = ctx.obj["threads"]
+    config = CampaignConfig.from_mapping(keys)
     _finish_campaign(run_campaign(config), out_prefix)
 
 

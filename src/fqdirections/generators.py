@@ -46,8 +46,6 @@ def gen_coordinate_subspace(q: int, d: int, k: int) -> PointSet:
     if not 0 <= k <= d:
         raise ValueError(f"subspace dimension must be in [0, {d}], got {k}")
     check_size_cap(q, d)
-    if k == 0:
-        return PointSet.from_points(q, d, [(0,) * d])
     coords = np.zeros((q**k, d), dtype=np.int64)
     coords[:, :k] = grid.decode_indices(np.arange(q**k, dtype=np.int64), q, k)
     return PointSet.from_coords(q, d, coords)

@@ -23,15 +23,16 @@ block of slope rows from a stack of spectra in one np.take and assembles
 the decomposition, rounding to the nearest integer with a guard band; it
 never builds mu.  The two must agree exactly, and campaigns check that
 they do in every block: `mu_slope_counts` and `slope_counts` run the
-routes for a stack of B equal-size sets.  `theorem_main_threshold` and
-`nu_sweep` are their B = 1 case on one set's cached mu or spectrum, and
-`nu_brute`, `nu_spectral` and `remainder_spectral` read one slope off the
-same kernels.
+routes for a stack of B equal-size sets.  On one set, `_counts` is the one
+way into each route: a B = 1 kernel call on the set's cached mu or
+spectrum, for every slope or for one.  `theorem_main_threshold`,
+`nu_sweep`, `nu_brute`, `nu_spectral` and `remainder_spectral` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -131,44 +132,13 @@ def mu_slope_counts(
     return nondegenerate.astype(np.int64).reshape(sets, qk), agreeing.astype(np.int64) - size
 
 
-def _brute_counts(E: PointSet, k: int) -> tuple[np.ndarray, int]:
-    """nu_nondegenerate for every slope code, and the degenerate pair count, off E's cached mu."""
-    codes, counts = E.difference_multiplicity()
-    nondegenerate, degenerate = mu_slope_counts(codes, counts, np.zeros_like(codes), 1, E.cardinality, E.q, E.dim, k)
-    return nondegenerate[0], int(degenerate[0])
-
-
-def nu_brute(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
-    """Direct pair count; the remainder is back-solved from the decomposition."""
-    k = len(slope)
-    _check_k(E, k)
-    q = E.q
-    nondegenerate, degenerate = _brute_counts(E, k)
-    nondeg = int(nondegenerate[grid.encode([int(t) % q for t in slope], q)])
-    return _brute_report(E, tuple(slope), nondeg + degenerate, nondeg)
-
-
-def _brute_report(E: PointSet, slope: tuple[int, ...], nu: int, nondeg: int) -> IncidenceReport:
-    main, diag = _terms(E.cardinality, E.q, len(slope))
-    remainder = float(Fraction(nu) - main + diag)
-    return IncidenceReport(slope, nu, nondeg, main, diag, remainder)
-
-
-# Frequency bookkeeping reused across slope sweeps, keyed by (q, d, k):
-# the nonzero parameter vectors s (transposed) and the index contribution of
-# the fixed coordinates (-s_1, ..., -s_k, 0, ..., 0).
-_FREQ_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _frequency_tables(q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (q, d, k)
-    cached = _FREQ_CACHE.get(key)
-    if cached is None:
-        svecs = grid.decode_indices(np.arange(1, q**k, dtype=np.int64), q, k)
-        weights = q ** np.arange(d - 2, d - 2 - k, -1, dtype=np.int64)
-        rest = ((-svecs) % q) @ weights
-        cached = _FREQ_CACHE[key] = (np.ascontiguousarray(svecs.T), rest)
-    return cached
+    """The nonzero frequency parameters s, transposed, and the index
+    contribution of their fixed coordinates (-s_1, ..., -s_k, 0, ..., 0)."""
+    svecs = grid.decode_indices(np.arange(1, q**k, dtype=np.int64), q, k)
+    weights = q ** np.arange(d - 2, d - 2 - k, -1, dtype=np.int64)
+    return np.ascontiguousarray(svecs.T), ((-svecs) % q) @ weights
 
 
 def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -227,14 +197,51 @@ def slope_counts(power: np.ndarray, size: int, q: int, d: int, k: int) -> tuple[
     return _spectral_counts(power, size, q, d, all_slopes(q, k))
 
 
+def _counts(
+    E: PointSet, k: int, method: str, slope: tuple[int, ...] | None = None
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray | None]:
+    """(slopes, nu, nu_nondegenerate, remainders) for every slope in all_slopes order, or for `slope` alone.
+
+    The one way into each route, one kernel call each: the spectral route on
+    E's cached spectrum, the brute route on E's cached mu, where remainders
+    is None.
+    """
+    _check_k(E, k)
+    if method not in ("spectral", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    q = E.q
+    slopes = all_slopes(q, k) if slope is None else [tuple(slope)]
+    if method == "spectral":
+        nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, slopes)
+        return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
+    codes, counts = E.difference_multiplicity()
+    nondegenerate, degenerate = mu_slope_counts(codes, counts, np.zeros_like(codes), 1, E.cardinality, q, E.dim, k)
+    row = nondegenerate[0] if slope is None else nondegenerate[0, [grid.encode([int(t) % q for t in slope], q)]]
+    return slopes, row + degenerate[0], row, None
+
+
+def _reports(E: PointSet, k: int, method: str, slope: tuple[int, ...] | None = None) -> list[IncidenceReport]:
+    """The IncidenceReport of each slope _counts gives; brute remainders are back-solved exactly."""
+    slopes, nu, nondeg, remainders = _counts(E, k, method, slope)
+    main, diag = _terms(E.cardinality, E.q, k)
+    nu = nu.tolist()
+    remainders = [float(Fraction(n) - main + diag) for n in nu] if remainders is None else remainders.tolist()
+    return [IncidenceReport(t, n, m, main, diag, r) for t, n, m, r in zip(slopes, nu, nondeg.tolist(), remainders)]
+
+
 def remainder_spectral(E: PointSet, slope: tuple[int, ...]) -> float:
     """R(t) summed over the q^k - 1 nonzero frequency parameters s.
 
     The frequency probed at s is m = (s.t, -s_1, ..., -s_k, 0, ..., 0) in the
-    global mixed-radix layout.  Nonnegative up to float noise.
+    global mixed-radix layout.  Nonnegative up to float noise.  Read off
+    nu_spectral's report, so the same guard band applies.
     """
-    _check_k(E, len(slope))
-    return float(_remainders(E.spectrum_power()[None], E.q, E.dim, [slope])[0, 0])
+    return nu_spectral(E, slope).remainder
+
+
+def nu_brute(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
+    """Direct pair count; the remainder is back-solved from the decomposition."""
+    return _reports(E, len(slope), "brute", slope)[0]
 
 
 def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
@@ -243,44 +250,12 @@ def nu_spectral(E: PointSet, slope: tuple[int, ...]) -> IncidenceReport:
     Raises NumericalInconsistencyError if the float lands farther than the
     guard band from the nearest integer.
     """
-    k = len(slope)
-    _check_k(E, k)
-    nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, [slope])
-    main, diag = _terms(E.cardinality, E.q, k)
-    n = int(nu[0, 0])
-    deg = degenerate_pair_count(E, k)
-    return IncidenceReport(tuple(slope), n, n - deg, main, diag, float(remainders[0, 0]))
-
-
-def _sweep(
-    E: PointSet, k: int, method: str
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray | None]:
-    """(slopes, nu, nu_nondegenerate, remainders) for every slope in all_slopes order.
-
-    One kernel call per route; remainders is None on the brute route, where
-    it is back-solved per slope only when asked for.
-    """
-    _check_k(E, k)
-    if method not in ("spectral", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    slopes = all_slopes(E.q, k)
-    if method == "spectral":
-        nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, E.q, E.dim, k)
-        return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
-    nondegenerate, degenerate = _brute_counts(E, k)
-    return slopes, nondegenerate + degenerate, nondegenerate, None
+    return _reports(E, len(slope), "spectral", slope)[0]
 
 
 def nu_sweep(E: PointSet, k: int, method: str = "spectral") -> list[IncidenceReport]:
     """The IncidenceReport of every slope tuple, in all_slopes order, from one kernel call."""
-    slopes, nu, nondeg, remainders = _sweep(E, k, method)
-    if remainders is None:
-        return [_brute_report(E, t, n, m) for t, n, m in zip(slopes, nu.tolist(), nondeg.tolist())]
-    main, diag = _terms(E.cardinality, E.q, k)
-    return [
-        IncidenceReport(t, n, m, main, diag, r)
-        for t, n, m, r in zip(slopes, nu.tolist(), nondeg.tolist(), remainders.tolist())
-    ]
+    return _reports(E, k, method)
 
 
 @dataclass(frozen=True)
@@ -347,7 +322,7 @@ def threshold_failures(nu: np.ndarray, size: int, q: int, k: int) -> np.ndarray:
 
 def theorem_main_threshold(E: PointSet, k: int, method: str = "spectral") -> ThresholdReport:
     """Sweep all slope tuples and test the size threshold |E| > q^k."""
-    slopes, nu, nondeg, _ = _sweep(E, k, method)
+    slopes, nu, nondeg, _ = _counts(E, k, method)
     q = E.q
     size = E.cardinality
     failed = threshold_failures(nu, size, q, k)

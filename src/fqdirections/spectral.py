@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -100,18 +101,13 @@ _CHARACTER_BLOCK = 1 << 18
 #: terms were gone, so larger q keep every digit.
 _LIVE_DIGIT_Q = 128
 
-# Read-only q x q character matrices chi(-x m), keyed by q.
-_CHARACTERS: dict[int, np.ndarray] = {}
 
-
+@cache
 def _characters(field: PrimeField) -> np.ndarray:
     """The matrix chi(-x m) over x, m in F_q; built once per q, read-only."""
     q = field.q
-    chars = _CHARACTERS.get(q)
-    if chars is None:
-        chars = np.conj(field.roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
-        chars.flags.writeable = False
-        chars = _CHARACTERS.setdefault(q, chars)
+    chars = np.conj(field.roots)[np.multiply.outer(np.arange(q), np.arange(q)) % q]
+    chars.flags.writeable = False
     return chars
 
 

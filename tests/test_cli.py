@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from fqdirections.cli import main
 from fqdirections.generators import gen_paraboloid, gen_random
+from fqdirections.incidence import all_slopes
 from fqdirections.pointset import parse_fset, write_fset
 
 
@@ -92,15 +93,17 @@ def test_nu_sweep(runner, line_fset):
     assert all("nu=0" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("method", ["spectral", "brute"])
-def test_nu_sweep_lines_match_single_slope_calls(runner, tmp_path, method):
+def test_nu_sweep_lines_match_single_slope_calls(runner, tmp_path, method, k):
     # k = 1 < d - 1 in F_5^3 leaves pairs that agree on the first two coordinates
     path = tmp_path / "set.fset"
     write_fset(gen_random(5, 3, 14, seed=8), path)
-    lines = invoke(runner, "nu", "--in", str(path), "--k", "1", "--method", method).output.splitlines()
-    assert len(lines) == 5
-    for t, line in enumerate(lines):
-        single = invoke(runner, "nu", "--in", str(path), "--k", "1", "--t", str(t), "--method", method)
+    lines = invoke(runner, "nu", "--in", str(path), "--k", str(k), "--method", method).output.splitlines()
+    assert len(lines) == 5**k
+    for t, line in zip(all_slopes(5, k), lines):
+        slope = ",".join(map(str, t))
+        single = invoke(runner, "nu", "--in", str(path), "--k", str(k), "--t", slope, "--method", method)
         fields = dict(entry.split(" ", 1) for entry in single.output.splitlines())
         assert line == (
             f"slope={fields['slope']} nu={fields['nu']} "
@@ -298,10 +301,12 @@ def test_sweep_config_error_lines(runner, tmp_path, text, message):
     assert result.output == f"error: {message}\n"
 
 
-def test_threads_flag_is_checked_for_sweep(runner, tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_threads_flag_is_checked_for_sweep(runner, tmp_path, command):
     cfg_path = tmp_path / "campaign.json"
     cfg_path.write_text(json.dumps({"kind": "sharpness", "q": [3], "d": [2]}))
-    result = invoke(runner, "--threads", "0", "sweep", str(cfg_path))
+    args = [str(cfg_path)] if command == "sweep" else ["--campaign", "sharpness", "--q", "3", "--d", "2"]
+    result = invoke(runner, "--threads", "0", command, *args)
     assert result.exit_code == 2
     assert result.output == "error: threads must be >= 1, got 0\n"
 

@@ -514,6 +514,17 @@ def test_readme_column_lists_match_report_columns():
     assert listed == _COLUMNS
 
 
+def test_readme_block_sizes():
+    # README: at q = 11, d = 3, sets of q^2 + 1 points go 8 to a block, and
+    # at q = 13, d = 3, sets of q + 1 points go 29 to a block
+    for q, k, size, trials, blocks in ((11, 2, 122, 20, [8, 8, 4]), (13, 1, 14, 60, [29, 29, 2])):
+        config = CampaignConfig(
+            kind="theorem-main", q_list=(q,), d_list=(3,), k_list=(k,), trials=trials, mode="random"
+        )
+        cell = Cell(q, 3, k, size, "random")
+        assert [len(picks) for _, _, picks in harness._blocks(config, cell)] == blocks
+
+
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
     config = CampaignConfig(kind="theorem-main", q_list=(E.q,), d_list=(E.dim,))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqdirections import incidence
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_coordinate_subspace, gen_random
 from fqdirections.incidence import (
@@ -183,6 +184,41 @@ def test_sweep_kernels_match_pair_oracle(case):
         assert [r.nu_nondegenerate for r in reports] == [n - degenerate for n in expected]
         outcomes = theorem_main_threshold(E, k, method).outcomes
         assert [(o.nu, o.nu_nondegenerate) for o in outcomes] == [(r.nu, r.nu_nondegenerate) for r in reports]
+        # a single-slope query is its sweep entry, remainder included
+        single = nu_spectral if method == "spectral" else nu_brute
+        assert [single(E, r.slope) for r in reports] == reports
+        assert all(type(r.remainder) is float for r in reports)
+    spectral = nu_sweep(E, k, "spectral")
+    assert [remainder_spectral(E, r.slope) for r in spectral] == [r.remainder for r in spectral]
+
+
+@pytest.mark.parametrize("method", ["spectral", "brute"])
+def test_each_query_calls_its_route_kernel_once(monkeypatch, method):
+    # one kernel call of the query's own route, none of the other route's
+    calls = {}
+    for name in ("mu_slope_counts", "_remainders"):
+        def counted(*args, _name=name, _kernel=getattr(incidence, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(incidence, name, counted)
+    E = gen_random(5, 3, 14, seed=8)
+    single = nu_spectral if method == "spectral" else nu_brute
+    queries = [
+        lambda: nu_sweep(E, 1, method),
+        lambda: nu_sweep(E, 2, method),
+        lambda: theorem_main_threshold(E, 1, method),
+        lambda: theorem_main_threshold(E, 2, method),
+        lambda: single(E, (3,)),
+        lambda: single(E, (1, 3)),
+    ]
+    if method == "spectral":
+        queries.append(lambda: remainder_spectral(E, (1, 3)))
+    kernel = "_remainders" if method == "spectral" else "mu_slope_counts"
+    for query in queries:
+        calls.update(mu_slope_counts=0, _remainders=0)
+        query()
+        assert calls == {"mu_slope_counts": 0, "_remainders": 0, kernel: 1}
 
 
 @given(_sets_and_k())
