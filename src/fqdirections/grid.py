@@ -9,7 +9,8 @@ coordinate 1 most significant:
 so index 0 is the origin and indices increase lexicographically.
 
 difference_multiplicities is the package's one pair kernel: every set's
-sparse mu, off which D(E), E - E, sum mu^2 and every nu(t) are read.
+sparse mu, off which D(E), E - E, sum mu^2 and every nu(t) are read, as one
+(codes, counts) pair whose codes carry set b's offset b q^d (code // q^d).
 """
 
 from __future__ import annotations
@@ -73,16 +74,16 @@ def distinct(codes: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse mu(z) = #{(x, y) in E x E : x - y = z} of each set of a (B, n) index stack.
 
-    Returns (codes, counts, owner) ascending by code: support codes, set b's
-    offset by b q^d, their multiplicities, and the owning sets.  The code of
-    x - y is index(x) - index(y) plus q^(d-j) for each coordinate j with
-    x_j < y_j, built one coordinate at a time in int32 unless B q^d needs
-    int64.  Counting is by dense bincount when |E|^2 >= q^d, a row block of
-    at most max(_PAIR_BLOCK, B q^d) pairs at a time, else by sort and run
-    length: no table outgrows the pairs.
+    Returns (codes, counts) ascending by code: support codes, set b's offset
+    by b q^d, and their multiplicities.  The code of x - y is index(x) -
+    index(y) plus q^(d-j) for each coordinate j with x_j < y_j, built one
+    coordinate at a time in int32 unless B q^d needs int64.  Counting is by
+    dense bincount when |E|^2 >= q^d, a row block of at most
+    max(_PAIR_BLOCK, B q^d) pairs at a time, else by sort and run length: no
+    table outgrows the pairs.
     """
     sets, n = indices.shape
     cells = q**d
@@ -111,4 +112,4 @@ def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.n
         starts = np.flatnonzero(keep)
         support = ordered[starts].astype(np.int64)
         counts = np.diff(starts, append=len(ordered))
-    return support, counts, support // cells
+    return support, counts

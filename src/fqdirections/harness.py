@@ -174,7 +174,7 @@ def _ints(value: Any, key: str) -> tuple[int, ...]:
 
 
 #: Every config key, in report order: the CampaignConfig attribute it sets
-#: and the parser of its JSON value.
+#: and the parser that every construction runs on its value.
 _FIELDS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
     "kind": ("kind", lambda value, key: value),
     "q": ("q_list", _ints),
@@ -196,8 +196,8 @@ _FIELDS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
 class CampaignConfig:
     """Full description of one campaign; equal configs give identical reports.
 
-    A config is checked when it is built, dataclasses.replace included, so
-    an invalid one cannot exist.
+    Direct construction, dataclasses.replace and from_mapping all run each
+    value through its _FIELDS parser, then validate(): an invalid config cannot exist.
     """
 
     kind: str
@@ -215,6 +215,8 @@ class CampaignConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        for key, (attr, parse) in _FIELDS.items():
+            object.__setattr__(self, attr, parse(getattr(self, attr), key))
         self.validate()
 
     @classmethod
@@ -227,7 +229,7 @@ class CampaignConfig:
         for key in ("kind", "q", "d"):
             if key not in data:
                 raise ConfigError(f"config key {key!r} is required")
-        return cls(**{attr: parse(data[key], key) for key, (attr, parse) in _FIELDS.items() if key in data})
+        return cls(**{attr: data[key] for key, (attr, _) in _FIELDS.items() if key in data})
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
@@ -295,7 +297,7 @@ class Cell:
     q: int
     d: int
     k: int | None
-    size: int | None
+    size: int
     mode: str
     total: int | None = None
 
@@ -324,19 +326,14 @@ def _check_draw_bounds(config: CampaignConfig, q: int, d: int, k: int | None, si
 
 def _expand_cells(config: CampaignConfig) -> list[Cell]:
     cells: list[Cell] = []
-    if config.kind == "sharpness":
-        cells = [
-            Cell(q, d, k, q**k, "deterministic") for q in config.q_list for d in config.d_list for k in range(1, d)
-        ]
-        if not cells:
-            raise ConfigError("no valid cells: sharpness needs d >= 2")
-        return cells
-    theorem = config.kind == "theorem-main"
     for q in config.q_list:
         for d in config.d_list:
             # a salem-bounds k is optional and only steers the subspace-random generator
-            for k in config.k_list or (tuple(range(1, d)) if theorem else (None,)):
+            for k in config.k_list or ((None,) if config.kind == "salem-bounds" else tuple(range(1, d))):
                 if k is not None and k > d - 1:
+                    continue
+                if config.kind == "sharpness":
+                    cells.append(Cell(q, d, k, q**k, "deterministic"))
                     continue
                 for expr in config.sizes or ("q^k+1",):
                     size = evaluate_size(expr, q=q, d=d, k=k)
@@ -344,13 +341,14 @@ def _expand_cells(config: CampaignConfig) -> list[Cell]:
                     mode, total = _resolve_cell_mode(config, q, d, size, expr)
                     cells.append(Cell(q, d, k, size, mode, total))
     if not cells:
-        need = "1 <= k <= d-1" if theorem else "k <= d-1 when k is given"
+        theorem = config.kind == "theorem-main"
+        need = "1 <= k <= d-1" if theorem else "k <= d-1 when k is given" if config.k_list else "d >= 2"
         raise ConfigError(f"no valid cells: {config.kind} needs {need}")
     return cells
 
 
 def _trial_seed(config: CampaignConfig, cell: Cell, trial: int) -> int:
-    return mix64(config.seed, cell.q, cell.d, cell.k or 0, cell.size or 0, trial)
+    return mix64(config.seed, cell.q, cell.d, cell.k or 0, cell.size, trial)
 
 
 # -- results ---------------------------------------------------------------
@@ -424,10 +422,8 @@ class CampaignResult:
         return self.hard_failure_count == 0
 
 
-def _flag_records(
-    cell: Cell, trial: int | None, seed: int | None, reasons: Sequence[str], severity: str, fset: str | None
-) -> list[dict]:
-    where = {"q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "trial": trial, "trial_seed": seed}
+def _flag_records(where: dict, reasons: Sequence[str], severity: str, fset: str | None) -> list[dict]:
+    """One record per reason; where holds q, d, k, size, trial and trial_seed, in that order."""
     return [{"severity": severity, "reason": reason, **where, "fset": fset} for reason in reasons]
 
 
@@ -473,12 +469,14 @@ def _block_rows(
     hard_fail = functools.reduce(operator.or_, hard.values())
     soft_flags = [()] * n
     flags: list[dict] = []
+    located = {"q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size}
     for b in np.flatnonzero(functools.reduce(operator.or_, soft.values(), hard_fail)).tolist():
         soft_flags[b] = tuple(reason for reason, flagged in soft.items() if flagged[b])
         fset = format_fset(PointSet.from_indices(cell.q, cell.d, picks[b]))
-        flags += _flag_records(cell, trials[b], seeds[b], [r for r, failed in hard.items() if failed[b]], "hard", fset)
-        flags += _flag_records(cell, trials[b], seeds[b], soft_flags[b], "soft", fset)
-    constants = {"kind": config.kind, "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode}
+        where = {**located, "trial": trials[b], "trial_seed": seeds[b]}
+        flags += _flag_records(where, [r for r, failed in hard.items() if failed[b]], "hard", fset)
+        flags += _flag_records(where, soft_flags[b], "soft", fset)
+    constants = {"kind": config.kind, **located, "mode": cell.mode}
     columns = {name: [value] * n for name, value in constants.items()}
     columns.update(trial=list(trials), trial_seed=list(seeds), **measured)
     columns.update(hard_fail=hard_fail.tolist(), soft_flags=soft_flags)
@@ -500,8 +498,8 @@ def _theorem_block(
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
     nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k)
-    codes, counts, owner = difference_multiplicities(picks, q, d)
-    nondeg, degenerate = mu_slope_counts(codes, counts, owner, len(picks), size, q, d, k)
+    codes, counts = difference_multiplicities(picks, q, d)
+    nondeg, degenerate = mu_slope_counts(codes, counts, len(picks), size, q, d, k)
     disagree = np.argwhere(nondeg + degenerate[:, None] != nu)
     if len(disagree):
         b, i = disagree[0]
@@ -615,7 +613,8 @@ def _salem_finish(aggregates: dict) -> tuple[dict, list[dict]]:
             }
         )
         if not nondecreasing:
-            flags += _flag_records(Cell(q, d, k, None, ""), None, None, ["direction-mean-monotonicity"], "soft", None)
+            where = {"q": q, "d": d, "k": k, "size": None, "trial": None, "trial_seed": None}
+            flags += _flag_records(where, ["direction-mean-monotonicity"], "soft", None)
     # the probe's entry follows the cells' in the report
     return {"cells": aggregates["cells"], "monotonicity": probes, **aggregates}, flags
 
@@ -627,7 +626,7 @@ def _sharpness_block(
 ) -> tuple[dict[str, list], dict, dict]:
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
-    codes, _, _ = difference_multiplicities(picks, q, d)
+    codes, _ = difference_multiplicities(picks, q, d)
     dir_counts = np.bincount(canonical_codes(codes, prime_field(q), d) // q**d, minlength=len(picks))
     expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
     exact = (dir_counts == expected) & (picks.shape[1] == cell.size)

@@ -11,22 +11,23 @@ frequencies and is therefore nonnegative:
 
     R(t) = q^(2d-k) * sum_{s != 0} |Ehat(s.t, -s_1, ..., -s_k, 0, ..., 0)|^2.
 
-Two independent routes are provided, and each computes nu for every slope
-at once.  The brute route is a read-off of mu, the package's one primitive:
-a difference z with z_1 != 0 satisfies exactly one slope,
-(z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of those slope codes
-gives every count.  The canonical form of the prefix (z_1, ..., z_{k+1})
-is (1, t_1, ..., t_k), so a slope code is directions.canonical_of in
-dimension k+1, less q^k: one gather from a cached table when q^(k+1) is
-at most directions._TABLE_CELLS.  The spectral route gathers R(t) for a
-block of slope rows from a stack of spectra in one np.take and assembles
-the decomposition, rounding to the nearest integer with a guard band; it
-never builds mu.  The two must agree exactly, and campaigns check that
-they do in every block: `mu_slope_counts` and `slope_counts` run the
-routes for a stack of B equal-size sets.  On one set, `_counts` is the one
-way into each route: a B = 1 kernel call on the set's cached mu or
-spectrum, for every slope or for one.  `theorem_main_threshold`,
-`nu_sweep`, `nu_brute`, `nu_spectral` and `remainder_spectral` read it.
+Two independent routes are provided, and each computes nu for every slope at
+once.  The brute route is a read-off of mu, the package's one primitive, the
+(codes, counts) pair of grid.difference_multiplicities, each set's offset in
+the stack carried in its codes.  A difference z with z_1 != 0 satisfies
+exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of
+those slope codes gives every count.  The canonical form of the prefix
+(z_1, ..., z_{k+1}) is (1, t_1, ..., t_k), so a slope code is
+directions.canonical_of in dimension k+1, less q^k: one gather from a cached
+table when q^(k+1) is at most directions._TABLE_CELLS.  The spectral route
+gathers R(t) for a block of slope rows from a stack of spectra in one np.take
+and assembles the decomposition, rounding to the nearest integer with a guard
+band; it never builds mu.  The two must agree exactly, and campaigns check
+that they do in every block: `mu_slope_counts` and `slope_counts` run the
+routes for a stack of B equal-size sets.  On one set, `_counts` is the one way
+into each route: a B = 1 kernel call on the set's cached mu or spectrum, for
+every slope or for one.  `theorem_main_threshold`, `nu_sweep`, `nu_brute`,
+`nu_spectral` and `remainder_spectral` read it.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
 
 
 def mu_slope_counts(
-    codes: np.ndarray, counts: np.ndarray, owner: np.ndarray, sets: int, size: int, q: int, d: int, k: int
+    codes: np.ndarray, counts: np.ndarray, sets: int, size: int, q: int, d: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute route off a stacked mu (grid.difference_multiplicities) of sets of `size` points.
 
@@ -122,6 +123,7 @@ def mu_slope_counts(
     |E|^2 = 2^53.
     """
     qk = q**k
+    owner = codes // q**d
     prefix = (codes - owner * q**d) // q ** (d - k - 1)
     # z_1 != 0 exactly when the prefix is at least q^k; its canonical
     # prefix (1, t_1, ..., t_k) then has code q^k + code(t)
@@ -214,8 +216,7 @@ def _counts(
     if method == "spectral":
         nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, slopes)
         return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
-    codes, counts = E.difference_multiplicity()
-    nondegenerate, degenerate = mu_slope_counts(codes, counts, np.zeros_like(codes), 1, E.cardinality, q, E.dim, k)
+    nondegenerate, degenerate = mu_slope_counts(*E.difference_multiplicity(), 1, E.cardinality, q, E.dim, k)
     row = nondegenerate[0] if slope is None else nondegenerate[0, [grid.encode([int(t) % q for t in slope], q)]]
     return slopes, row + degenerate[0], row, None
 

@@ -162,10 +162,9 @@ class PointSet:
     def difference_multiplicity(self) -> tuple[np.ndarray, np.ndarray]:
         """Sparse mu, cached and read-only: ascending codes of E - E, their multiplicities; O(|E|^2)."""
         if self._mu is None:
-            codes, counts, _ = grid.difference_multiplicities(self._indices[None], self.q, self.dim)
-            codes.setflags(write=False)
-            counts.setflags(write=False)
-            self._mu = codes, counts
+            self._mu = grid.difference_multiplicities(self._indices[None], self.q, self.dim)
+            for array in self._mu:
+                array.setflags(write=False)
         return self._mu
 
 

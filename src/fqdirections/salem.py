@@ -15,10 +15,11 @@ never as a boolean: the classification threshold is caller policy.  A set
 with C_E bounded as q grows exhibits square-root cancellation; a subspace
 has C_E = q^(dim/2) * something large, a paraboloid has C_E = 1 on the nose.
 
-mu is the package's one primitive, cached sparse per set: |E - E|, sum mu^2,
-D(E) and the brute incidence route are read off its support, and campaigns
-cross-check it against the spectral route in every block.  The dense q^d
-table is built only when asked for.
+mu is the package's one primitive, cached per set as the sparse (codes,
+counts) pair of grid.difference_multiplicities, a stack's codes offset by
+b q^d for set b: |E - E|, sum mu^2, D(E) and the brute incidence route are
+read off its support, and campaigns cross-check it against the spectral
+route in every block.  The dense q^d table is built only when asked for.
 """
 
 from __future__ import annotations
@@ -180,19 +181,19 @@ def difference_bounds(
 ) -> dict[str, np.ndarray]:
     """BoundCheckRecord's per-set fields for a stack of B sets of `size` points, one length-B array each.
 
-    power is the (B, q^d) stack of |Ehat|^2 and mu the stack's sparse mu,
-    (codes, counts, owner) as grid.difference_multiplicities returns it.  Raises
+    power is the (B, q^d) stack of |Ehat|^2 and mu the stack's sparse mu, the
+    (codes, counts) pair of grid.difference_multiplicities.  Raises
     NumericalInconsistencyError for the first set whose fourth-moment
     identity misses PARSEVAL_TOLERANCE, naming its trial when trials are given.
     """
     q = field.q
     sets = len(power)
-    codes, counts, owner = mu
+    codes, counts = mu
     _check_squares_exact(size * size)
     dirs = np.bincount(canonical_codes(codes, field, d) // q**d, minlength=sets)
-    diff_size = np.bincount(owner, minlength=sets)
-    # a set's run of mu is empty only when the set is
-    runs = np.searchsorted(owner, np.arange(sets))
+    # set b's run of mu starts at its offset b q^d, and is empty only when the set is
+    runs = np.searchsorted(codes, q**d * np.arange(sets))
+    diff_size = np.diff(runs, append=len(codes))
     lhs = np.add.reduceat(counts * counts, runs) if size else np.zeros(sets, np.int64)
     squares = np.square(power, out=empty_table(power.size, np.float64).reshape(power.shape))
     rhs = float(q) ** (3 * d) * np.sum(squares, axis=1)
@@ -222,8 +223,6 @@ def difference_bound_check(E: PointSet) -> BoundCheckRecord:
     """Measure |D(E)| and |E - E| against the bound shapes; verify the
     fourth-moment identity along the way (difference_bounds for one set)."""
     q, d, size = E.q, E.dim, E.cardinality
-    codes, counts = E.difference_multiplicity()
-    mu = codes, counts, np.zeros(len(codes), np.int64)
-    per_set = difference_bounds(E.spectrum_power()[None], mu, size, E.field, d)
+    per_set = difference_bounds(E.spectrum_power()[None], E.difference_multiplicity(), size, E.field, d)
     fields = {name: values.item() for name, values in per_set.items()}
     return BoundCheckRecord(q=q, dim=d, set_size=size, **bound_shapes(size, q, d), **fields)

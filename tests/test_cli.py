@@ -268,25 +268,27 @@ def test_sweep_bad_config_exits_2(runner, tmp_path):
 
 _BAD_CONFIG_BASE = {"kind": "theorem-main", "q": [3], "d": [2], "k": [1], "trials": 5}
 
+#: A config value of the wrong type, by key, and the error line it gives on every construction route.
+BAD_FIELD_VALUES = [
+    ({"q": ["3"]}, "config field 'q' must hold integers, got '3'"),
+    ({"q": True}, "config field 'q' must hold integers"),
+    ({"q": "3"}, "config field 'q' must be an integer or a list of integers"),
+    ({"sizes": [1.5]}, "config field 'sizes' entries must be ints or strings, got 1.5"),
+    ({"sizes": {"a": 1}}, "config field 'sizes' must be a size or a list of sizes"),
+    ({"trials": "5"}, "config field 'trials' must be an integer"),
+    ({"trials": True}, "config field 'trials' must be an integer"),
+    ({"salem_threshold": "x"}, "config field 'salem_threshold' must be a number"),
+    ({"mode": 3}, "config field 'mode' must be a string"),
+    ({"output": 3}, "config field 'output' must be a string path"),
+    ({"k": None}, "config field 'k' must be an integer or a list of integers"),
+    ({"kind": 5}, "unknown campaign kind 5; expected one of theorem-main, salem-bounds, sharpness"),
+]
+
 
 @pytest.mark.parametrize(
     "text,message",
     [
-        (json.dumps({**_BAD_CONFIG_BASE, "q": ["3"]}), "config field 'q' must hold integers, got '3'"),
-        (json.dumps({**_BAD_CONFIG_BASE, "q": True}), "config field 'q' must hold integers"),
-        (json.dumps({**_BAD_CONFIG_BASE, "q": "3"}), "config field 'q' must be an integer or a list of integers"),
-        (json.dumps({**_BAD_CONFIG_BASE, "sizes": [1.5]}), "config field 'sizes' entries must be ints or strings, got 1.5"),
-        (json.dumps({**_BAD_CONFIG_BASE, "sizes": {"a": 1}}), "config field 'sizes' must be a size or a list of sizes"),
-        (json.dumps({**_BAD_CONFIG_BASE, "trials": "5"}), "config field 'trials' must be an integer"),
-        (json.dumps({**_BAD_CONFIG_BASE, "trials": True}), "config field 'trials' must be an integer"),
-        (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": "x"}), "config field 'salem_threshold' must be a number"),
-        (json.dumps({**_BAD_CONFIG_BASE, "mode": 3}), "config field 'mode' must be a string"),
-        (json.dumps({**_BAD_CONFIG_BASE, "output": 3}), "config field 'output' must be a string path"),
-        (json.dumps({**_BAD_CONFIG_BASE, "k": None}), "config field 'k' must be an integer or a list of integers"),
-        (
-            json.dumps({**_BAD_CONFIG_BASE, "kind": 5}),
-            "unknown campaign kind 5; expected one of theorem-main, salem-bounds, sharpness",
-        ),
+        *((json.dumps({**_BAD_CONFIG_BASE, **patch}), message) for patch, message in BAD_FIELD_VALUES),
         (json.dumps({**_BAD_CONFIG_BASE, "surprise": 1}), "unknown config keys: surprise"),
         (json.dumps({"q": [3], "d": [2]}), "config key 'kind' is required"),
         ("[1, 2]", "campaign config must be a JSON object"),
@@ -299,6 +301,20 @@ def test_sweep_config_error_lines(runner, tmp_path, text, message):
     result = invoke(runner, "sweep", str(cfg_path))
     assert result.exit_code == 2
     assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args,output",
+    [
+        (["--d", "4", "--k", "2"], "campaign sharpness\nrows 1\nhard_failures 0\nsoft_flags 0\nok true\n"),
+        (["--d", "3", "--k", "3", "--k", "4"], "error: no valid cells: sharpness needs k <= d-1 when k is given\n"),
+        (["--d", "1"], "error: no valid cells: sharpness needs d >= 2\n"),
+    ],
+)
+def test_verify_sharpness_runs_the_given_k(runner, args, output):
+    result = invoke(runner, "verify", "--campaign", "sharpness", "--q", "3", *args)
+    assert result.exit_code == (2 if output.startswith("error:") else 0)
+    assert result.output == output
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])

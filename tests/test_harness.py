@@ -27,6 +27,8 @@ from fqdirections.harness import (
     write_report,
 )
 from fqdirections.pointset import PointSet, format_fset, write_fset
+from test_cli import BAD_FIELD_VALUES
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 # -- size expressions ------------------------------------------------------
@@ -124,6 +126,43 @@ def test_config_is_validated_when_built():
     valid = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
     with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
         dataclasses.replace(valid, threads=0)
+
+
+_BASE_ATTRS = {"kind": "theorem-main", "q_list": (3,), "d_list": (2,), "k_list": (1,), "trials": 5}
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        *((key, value, message) for patch, message in BAD_FIELD_VALUES for key, value in patch.items()),
+        ("trials", 2.5, "config field 'trials' must be an integer"),
+        ("q", (5.0,), "config field 'q' must hold integers, got 5.0"),
+        ("seed", "1", "config field 'seed' must be an integer"),
+    ],
+)
+def test_every_construction_route_checks_field_types(key, value, message):
+    # direct construction and dataclasses.replace raise the line sweep prints for the same value
+    attr = harness._FIELDS[key][0]
+    with pytest.raises(ConfigError) as direct:
+        CampaignConfig(**{**_BASE_ATTRS, attr: value})
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(CampaignConfig(**_BASE_ATTRS), **{attr: value})
+    with pytest.raises(ConfigError) as mapped:
+        CampaignConfig.from_mapping({"kind": "theorem-main", "q": [3], "d": [2], "k": [1], "trials": 5, key: value})
+    assert str(direct.value) == str(replaced.value) == str(mapped.value) == message
+
+
+def test_directly_built_config_stores_parsed_values():
+    cfg = CampaignConfig(kind="theorem-main", q_list=[5], d_list=2, k_list=[1], sizes="q^k+1", salem_threshold=3)
+    assert (cfg.q_list, cfg.d_list, cfg.k_list, cfg.sizes) == ((5,), (2,), (1,), ("q^k+1",))
+    assert cfg.salem_threshold == 3.0 and type(cfg.salem_threshold) is float
+    assert hash(cfg) == hash(CampaignConfig.from_mapping(cfg.to_dict()))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_config_round_trips_through_to_dict(name):
+    cfg = CampaignConfig.from_mapping(GOLDEN_CONFIGS[name])
+    assert CampaignConfig.from_mapping(cfg.to_dict()) == cfg
 
 
 def test_config_requires_core_keys():
@@ -350,6 +389,14 @@ def test_sharpness_campaign():
         q, k = row["q"], row["k"]
         assert row["direction_count"] == (q**k - 1) // (q - 1)
         assert row["exact_match"] and row["strictly_fewer"]
+
+
+def test_sharpness_cells_read_k_from_the_config():
+    # k defaults to 1..d-1; sizes, trials, mode and generator do not shape a sharpness cell
+    res = run_campaign(
+        CampaignConfig(kind="sharpness", q_list=(3,), d_list=(4,), k_list=(2, 5), sizes=(7,), trials=9, mode="random")
+    )
+    assert [(row["k"], row["size"], row["mode"], row["trial"]) for row in res.rows] == [(2, 9, "deterministic", None)]
 
 
 def test_sharpness_flag_record_names_the_set(monkeypatch):
