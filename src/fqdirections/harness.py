@@ -52,10 +52,18 @@ from .spectral import check_size_cap, indicator_power
 EXHAUSTIVE_LIMIT = 10**7
 
 #: Campaign cells are evaluated a block of sets at a time; a block holds
-#: at most this many pairs (B |E|^2) and grid cells (B q^d), or one set.
-#: They bound a block's memory, not results: B |E|^2 int32 pair codes
-#: (512 KB) and B q^d int64 counts (512 KB), besides the stacked spectra.
-_BLOCK_PAIRS = 1 << 17
+#: at most this many grid cells (B q^d), or one set.  That bounds a block's
+#: memory, not results, whatever the set size: every per-block array holds
+#: O(B q^d) entries or is built in chunks (incidence._SLOPE_BLOCK).  So do
+#: the pair codes: grid.difference_multiplicities sorts B |E|^2 < B q^d of
+#: them when |E|^2 < q^d, and otherwise counts them into a B q^d table,
+#: max(grid._PAIR_BLOCK, B q^d) at a time.  A block's traced peak is about
+#: 60 bytes a cell (tests/test_harness.py bounds it).  Sets of more than
+#: two pairs a grid cell get half the cells: the dense count sweeps its
+#: whole B q^d table once a row block, and a row block of
+#: max(grid._PAIR_BLOCK, B q^d) pairs covers fewer rows the larger B is, so
+#: the sweeps a set pays for grow with B up to 2^16 cells.  At two pairs a
+#: cell or fewer, a full block takes about two row blocks at most.
 _BLOCK_CELLS = 1 << 16
 
 MODES = ("auto", "random", "exhaustive")
@@ -280,10 +288,12 @@ class CampaignConfig:
             raise ConfigError(f"ratio_floor must be >= 0, got {self.ratio_floor}")
         if self.kind == "salem-bounds" and not self.sizes:
             raise ConfigError("salem-bounds campaigns need explicit sizes")
-        if self.generator == "subspace-random" and not self.k_list:
-            raise ConfigError("the subspace-random generator needs k (draws inside H_(k+1))")
-        if self.mode == "exhaustive" and self.generator != "random":
-            raise ConfigError("exhaustive mode enumerates all sets; it requires the random generator")
+        # sharpness draws no sets (each cell is H_k), so it reads neither mode nor generator
+        if self.kind in ("theorem-main", "salem-bounds"):
+            if self.generator == "subspace-random" and not self.k_list:
+                raise ConfigError("the subspace-random generator needs k (draws inside H_(k+1))")
+            if self.mode == "exhaustive" and self.generator != "random":
+                raise ConfigError("exhaustive mode enumerates all sets; it requires the random generator")
 
     def to_dict(self) -> dict[str, Any]:
         values = {key: getattr(self, attr) for key, (attr, _) in _FIELDS.items()}
@@ -437,7 +447,8 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list
     if cell.mode == "deterministic":
         yield [None], [None], gen_coordinate_subspace(cell.q, cell.d, cell.k).indices()[None]
         return
-    per_block = max(1, min(_BLOCK_PAIRS // cell.size**2, _BLOCK_CELLS // cell.q**cell.d))
+    cells = cell.q**cell.d
+    per_block = max(1, (_BLOCK_CELLS if cell.size**2 <= 2 * cells else _BLOCK_CELLS // 2) // cells)
     if cell.mode == "exhaustive":
         sets = combinations(range(cell.q**cell.d), cell.size)
         for start in range(0, cell.total, per_block):

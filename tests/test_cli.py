@@ -317,6 +317,26 @@ def test_verify_sharpness_runs_the_given_k(runner, args, output):
     assert result.output == output
 
 
+@pytest.mark.parametrize(
+    "base,flags,rows",
+    [
+        (["--d", "3"], ["--generator", "subspace-random"], 2),
+        (["--d", "3", "--k", "1"], ["--mode", "exhaustive", "--generator", "subspace-random"], 1),
+    ],
+)
+def test_verify_sharpness_ignores_mode_and_generator(runner, tmp_path, base, flags, rows):
+    # each sharpness cell is the one set H_k, so the sampling checks do not apply
+    outputs = []
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for extra in ([], flags):
+            result = invoke(runner, "verify", "--campaign", "sharpness", "--q", "3", *base, *extra, "--out", "rep")
+            assert result.exit_code == 0
+            with open("rep.csv", "rb") as report:
+                outputs.append((result.output, report.read()))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0].startswith(f"wrote rep.csv\nwrote rep.json\ncampaign sharpness\nrows {rows}\n")
+
+
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_threads_flag_is_checked_for_sweep(runner, tmp_path, command):
     cfg_path = tmp_path / "campaign.json"

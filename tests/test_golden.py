@@ -62,26 +62,38 @@ def test_report_matches_golden(name, format):
     assert _render(name, format) == golden
 
 
+# _BLOCK_CELLS and the block sizes it gives each cell: five sets per block
+# of F_3^2 (C(9, 3) = 84 and C(9, 4) = 126 sets), two per block of F_5^2 and
+# one of ten points, which have more than two pairs a grid cell
+TWO_THREAD_BUDGETS = {
+    "theorem-main": (5 * 3**2, [[5] * 16 + [4], [5] * 25 + [1]]),
+    "salem-bounds": (2 * 5**2, [[2, 2, 2]] * 3 + [[1] * 6]),
+}
+
+
 @pytest.mark.parametrize("format", FORMATS)
 @pytest.mark.parametrize("name", ["salem-bounds", "theorem-main"])
-def test_report_matches_golden_with_two_threads(name, format, monkeypatch):
-    # several theorem-main blocks per cell, so the two threads share the work
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+def test_report_matches_golden_with_two_threads(name, format, monkeypatch, block_sizes):
+    # blocks run in order in the calling thread whatever threads is, so with
+    # several blocks per cell the threads echo is the only byte that changes
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", TWO_THREAD_BUDGETS[name][0])
     golden = (GOLDEN_DIR / f"{name}.{format}").read_bytes()
     if format == "json":
         # the config echo is the one place the thread count appears
         assert golden.count(b'"threads": 1,') == 1
         golden = golden.replace(b'"threads": 1,', b'"threads": 2,')
     assert _render(name, format, threads=2) == golden
+    assert block_sizes == TWO_THREAD_BUDGETS[name][1]
 
 
 @pytest.mark.parametrize("format", FORMATS)
 @pytest.mark.parametrize("name", ["theorem-main-random", "theorem-main-subspace-random"])
-def test_sampled_report_matches_golden_across_blocks(name, format, monkeypatch):
-    # two size-6 sets per block and one larger set per block: each cell draws
-    # several blocks of seeds
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+def test_sampled_report_matches_golden_across_blocks(name, format, monkeypatch, block_sizes):
+    # two size-6 sets per block of F_5^3 and one larger set (more than two
+    # pairs a grid cell): each cell of five trials draws several blocks of seeds
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 2 * 5**3)
     assert _render(name, format) == (GOLDEN_DIR / f"{name}.{format}").read_bytes()
+    assert block_sizes == [[2, 2, 1], [1] * 5]
 
 
 def _rows(text: str, format: str) -> tuple[list[dict], dict]:

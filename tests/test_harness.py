@@ -177,6 +177,21 @@ def test_salem_bounds_needs_sizes():
         CampaignConfig.from_mapping({"kind": "salem-bounds", "q": [7], "d": [2]})
 
 
+@pytest.mark.parametrize("kind", ["theorem-main", "salem-bounds", "sharpness"])
+def test_sampling_checks_apply_to_sampling_kinds(kind):
+    base = {"kind": kind, "q": [3], "d": [3], "sizes": [4], "generator": "subspace-random"}
+    cases = [
+        ({}, "the subspace-random generator needs k (draws inside H_(k+1))"),
+        ({"k": [1], "mode": "exhaustive"}, "exhaustive mode enumerates all sets; it requires the random generator"),
+    ]
+    for patch, message in cases:
+        if kind == "sharpness":
+            CampaignConfig.from_mapping({**base, **patch})
+        else:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                CampaignConfig.from_mapping({**base, **patch})
+
+
 def test_exhaustive_guards():
     cfg = CampaignConfig(
         kind="theorem-main", q_list=(5,), d_list=(3,), k_list=(1,), sizes=(20,), mode="exhaustive"
@@ -562,14 +577,53 @@ def test_readme_column_lists_match_report_columns():
 
 
 def test_readme_block_sizes():
-    # README: at q = 11, d = 3, sets of q^2 + 1 points go 8 to a block, and
-    # at q = 13, d = 3, sets of q + 1 points go 29 to a block
-    for q, k, size, trials, blocks in ((11, 2, 122, 20, [8, 8, 4]), (13, 1, 14, 60, [29, 29, 2])):
+    # README: at q = 11, d = 3, sets of q^2 + 1 points (more than two pairs a
+    # grid cell) go 24 to a block, and at q = 13, d = 3, sets of q + 1 points
+    # go 29.  A set of fewer pairs than grid cells has its B |E|^2 pair codes
+    # sorted at once, which the cell budget keeps below it: at q = 2, d = 10,
+    # 64 sets of 31 points hold 61,504 pairs
+    cases = (
+        (11, 3, 2, 122, 20, [20]),
+        (11, 3, 2, 122, 60, [24, 24, 12]),
+        (13, 3, 1, 14, 60, [29, 29, 2]),
+        (2, 10, 1, 31, 65, [64, 1]),
+    )
+    for q, d, k, size, trials, blocks in cases:
         config = CampaignConfig(
-            kind="theorem-main", q_list=(q,), d_list=(3,), k_list=(k,), trials=trials, mode="random"
+            kind="theorem-main", q_list=(q,), d_list=(d,), k_list=(k,), trials=trials, mode="random"
         )
-        cell = Cell(q, 3, k, size, "random")
+        cell = Cell(q, d, k, size, "random")
         assert [len(picks) for _, _, picks in harness._blocks(config, cell)] == blocks
+        if size**2 < q**d:
+            assert blocks[0] * size**2 < harness._BLOCK_CELLS
+
+
+# the largest block of a dense-branch cell (|E|^2 >= q^d) and of a sort-branch one
+LARGEST_BLOCKS = {"dense": (11, 2, 122, 24), "sort": (13, 1, 14, 29)}
+
+
+@pytest.mark.parametrize("kind", ["theorem-main", "salem-bounds"])
+@pytest.mark.parametrize("branch", sorted(LARGEST_BLOCKS))
+def test_block_memory_is_bounded_by_its_cells(branch, kind):
+    # a block's traced peak is about 60 bytes per grid cell of its sets on
+    # the dense branch of the mu kernel and 40 on the sort branch, with the
+    # grid's cached tables warmed first
+    q, k, size, sets = LARGEST_BLOCKS[branch]
+    config = CampaignConfig(
+        kind=kind, q_list=(q,), d_list=(3,), k_list=(k,), sizes=(size,), trials=sets + 1, mode="random"
+    )
+    cell = Cell(q, 3, k if kind == "theorem-main" else None, size, "random")
+    blocks = list(harness._blocks(config, cell))
+    assert [len(picks) for _, _, picks in blocks] == [sets, 1]
+    assert (size**2 >= q**3) == (branch == "dense")
+    _block_rows(config, cell, *blocks[0])
+    tracemalloc.start()
+    try:
+        _block_rows(config, cell, *blocks[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * sets * q**3 <= 80 * harness._BLOCK_CELLS
 
 
 def _literal_subset(E, k):

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqdirections import grid, harness
+from fqdirections import harness
 from fqdirections.directions import ambient_direction_count
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, run_campaign
 from fqdirections.pointset import PointSet, format_fset
 from fqdirections.salem import difference_bound_check
 
-from test_theorem_blocks import _reference_sets
+from test_theorem_blocks import BUDGETS, THREE_GRIDS, TWO_GRIDS, _reference_sets, set_budget
 
 
 def _reference_row(E: PointSet, cell: Cell, trial: int, seed: int | None, config: CampaignConfig) -> dict:
@@ -96,21 +96,61 @@ CELL_CONFIGS = {
     },
 }
 
-# whole cells per block (the defaults), one set per block (cells), one per
-# block (pairs), and several sets per block with a partial last block; with
-# small blocks the inner pair blocks shrink too
-BUDGETS = [{}, {"_BLOCK_CELLS": 1}, {"_BLOCK_PAIRS": 7}, {"_BLOCK_PAIRS": 100}]
+# each budget's block sizes, one list per cell in run order
+PARTITIONS = {
+    "edges": {
+        "default": [[3], [3]],
+        "_BLOCK_CELLS=1": [[1] * 3] * 2,
+        THREE_GRIDS: [[3], [1] * 3],
+        TWO_GRIDS: [[2, 1], [1] * 3],
+        "_BLOCK_CELLS=5q^d": [[3], [2, 1]],
+    },
+    "exhaustive": {
+        "default": [[36], [84], [126]],
+        "_BLOCK_CELLS=1": [[1] * 36, [1] * 84, [1] * 126],
+        THREE_GRIDS: [[3] * 12, [3] * 28, [3] * 42],
+        TWO_GRIDS: [[2] * 18, [2] * 42, [2] * 63],
+        "_BLOCK_CELLS=5q^d": [[5] * 7 + [1], [5] * 16 + [4], [5] * 25 + [1]],
+    },
+    "exhaustive-edges": {
+        "default": [[8], [1]],
+        "_BLOCK_CELLS=1": [[1] * 8, [1]],
+        THREE_GRIDS: [[3, 3, 2], [1]],
+        TWO_GRIDS: [[2] * 4, [1]],
+        "_BLOCK_CELLS=5q^d": [[5, 3], [1]],
+    },
+    "line": {
+        "default": [[5], [5]],
+        "_BLOCK_CELLS=1": [[1] * 5] * 2,
+        THREE_GRIDS: [[3, 2], [1] * 5],
+        TWO_GRIDS: [[2, 2, 1], [1] * 5],
+        "_BLOCK_CELLS=5q^d": [[5], [2, 2, 1]],
+    },
+    "random": {
+        "default": [[9]] * 6,
+        "_BLOCK_CELLS=1": [[1] * 9] * 6,
+        THREE_GRIDS: [[3] * 3] * 2 + [[1] * 9] * 4,
+        TWO_GRIDS: [[2] * 4 + [1]] * 2 + [[1] * 9] * 4,
+        "_BLOCK_CELLS=5q^d": [[5, 4]] * 2 + [[2] * 4 + [1]] + [[1] * 9] * 3,
+    },
+    "subspace-random": {
+        "default": [[8]] * 4,
+        "_BLOCK_CELLS=1": [[1] * 8] * 4,
+        THREE_GRIDS: [[3, 3, 2]] * 4,
+        TWO_GRIDS: [[2] * 4] * 4,
+        "_BLOCK_CELLS=5q^d": [[5, 3]] * 4,
+    },
+}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()) or "default")
+@pytest.mark.parametrize("budget", list(BUDGETS))
 @pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
-def test_campaign_rows_match_per_set_rows(name, budget, threads, monkeypatch):
-    for key, value in budget.items():
-        monkeypatch.setattr(harness, key, value)
-    if budget:
-        monkeypatch.setattr(grid, "_PAIR_BLOCK", 7)
-    _assert_matches_per_set(CampaignConfig.from_mapping({**CELL_CONFIGS[name], "threads": threads}))
+def test_campaign_rows_match_per_set_rows(name, budget, threads, monkeypatch, block_sizes):
+    config = CampaignConfig.from_mapping({**CELL_CONFIGS[name], "threads": threads})
+    set_budget(monkeypatch, config, budget)
+    _assert_matches_per_set(config)
+    assert block_sizes == PARTITIONS[name][budget]
 
 
 def test_edge_cells_have_salem_constant_zero_only_for_the_full_grid():
@@ -120,13 +160,16 @@ def test_edge_cells_have_salem_constant_zero_only_for_the_full_grid():
     assert [row["salem_constant"] for row in result.rows if row["size"] == 1] == pytest.approx([1.0] * 3, abs=1e-12)
 
 
-def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
+def test_flagged_sets_are_formatted_in_trial_order(monkeypatch, block_sizes):
     # no set misses part i, so move the ambient count out of reach: every set
-    # above q^(d-1) is flagged hard, and the impossible floor flags every set soft
+    # above q^(d-1) is flagged hard, and the impossible floor flags every set
+    # soft; on F_5^2 four sets go to a block (two of ten points, which have
+    # more than two pairs a grid cell), on F_5^3 one
     monkeypatch.setattr(harness, "ambient_direction_count", lambda q, d: -1)
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 4 * 5**2)
     config = CampaignConfig.from_mapping({**CELL_CONFIGS["random"], "ratio_floor": 10.0})
     result = run_campaign(config)
+    assert block_sizes == [[4, 4, 1]] * 2 + [[2] * 4 + [1]] + [[1] * 9] * 3
     flagged = []
     for cell in harness._expand_cells(config):
         for trial, _, E in _reference_sets(config, cell):
@@ -139,7 +182,7 @@ def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
     assert any(severity == "hard" for severity, *_ in flagged)
 
 
-def test_parseval_failure_inside_a_block(monkeypatch):
+def test_parseval_failure_inside_a_block(monkeypatch, block_sizes):
     # trials 3-5 share a block and the power rows of trials 4 and 5 are
     # doubled, so the error must name trial 4, the first bad set in trial order
     config = CampaignConfig.from_mapping(
@@ -165,7 +208,8 @@ def test_parseval_failure_inside_a_block(monkeypatch):
         return power
 
     monkeypatch.setattr(harness, "indicator_power", doubled_power)
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3 * 5**3)
     with pytest.raises(NumericalInconsistencyError) as err:
         run_campaign(config)
     assert str(err.value) == f"{alone} in trial 4"
+    assert block_sizes == [[3, 3]]  # the error came from the second block

@@ -102,29 +102,80 @@ CELL_CONFIGS = {
 }
 
 
-# whole cells per block (the defaults), one set per block (cells), one per
-# block (pairs), and several sets per block with a partial last block; with
-# small blocks the inner pair and slope blocks shrink too
-BUDGETS = [{}, {"_BLOCK_CELLS": 1}, {"_BLOCK_PAIRS": 7}, {"_BLOCK_PAIRS": 100}]
+# the test ids of the three- and two-grid budgets below, kept stable from
+# the pair caps they once named
+THREE_GRIDS, TWO_GRIDS = "_BLOCK_PAIRS=7", "_BLOCK_PAIRS=100"
+
+# _BLOCK_CELLS budgets, in cells of the config's smallest grid: whole cells
+# per block (the default), one set per block (one cell), and three, two or
+# five grids, of which sets of more than two pairs a grid cell get half
+BUDGETS = {
+    "default": None,
+    "_BLOCK_CELLS=1": lambda grid: 1,
+    THREE_GRIDS: lambda grid: 3 * grid,
+    TWO_GRIDS: lambda grid: 2 * grid,
+    "_BLOCK_CELLS=5q^d": lambda grid: 5 * grid,
+}
+
+# each budget's block sizes, one list per cell in run order
+PARTITIONS = {
+    "exhaustive": {
+        "default": [[28], [56], [70], [56]],
+        "_BLOCK_CELLS=1": [[1] * 28, [1] * 56, [1] * 70, [1] * 56],
+        THREE_GRIDS: [[3] * 9 + [1], [3] * 18 + [2], [3] * 23 + [1], [1] * 56],
+        TWO_GRIDS: [[2] * 14, [2] * 28, [2] * 35, [1] * 56],
+        "_BLOCK_CELLS=5q^d": [[5] * 5 + [3], [5] * 11 + [1], [5] * 14, [2] * 28],
+    },
+    "exhaustive-plane": {
+        "default": [[9], [36], [126]],
+        "_BLOCK_CELLS=1": [[1] * 9, [1] * 36, [1] * 126],
+        THREE_GRIDS: [[3] * 3, [3] * 12, [3] * 42],
+        TWO_GRIDS: [[2] * 4 + [1], [2] * 18, [2] * 63],
+        "_BLOCK_CELLS=5q^d": [[5, 4], [5] * 7 + [1], [5] * 25 + [1]],
+    },
+    "random": {
+        "default": [[9]] * 5,
+        "_BLOCK_CELLS=1": [[1] * 9] * 5,
+        THREE_GRIDS: [[3] * 3] + [[1] * 9] * 4,
+        TWO_GRIDS: [[2] * 4 + [1]] + [[1] * 9] * 4,
+        "_BLOCK_CELLS=5q^d": [[5, 4], [2] * 4 + [1]] + [[1] * 9] * 3,
+    },
+    "subspace-random": {
+        "default": [[8]] * 4,
+        "_BLOCK_CELLS=1": [[1] * 8] * 4,
+        THREE_GRIDS: [[3, 3, 2]] * 4,
+        TWO_GRIDS: [[2] * 4] * 4,
+        "_BLOCK_CELLS=5q^d": [[5, 3]] * 4,
+    },
+}
 
 
-@pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()) or "default")
-@pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
-def test_campaign_rows_match_per_set_rows(name, budget, monkeypatch):
-    for key, value in budget.items():
-        monkeypatch.setattr(harness, key, value)
-    if budget:
+def set_budget(monkeypatch, config: CampaignConfig, budget: str) -> None:
+    """Apply the budget; with small blocks the inner pair and slope blocks shrink too."""
+    if BUDGETS[budget] is not None:
+        grid_cells = min(cell.q**cell.d for cell in harness._expand_cells(config))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", BUDGETS[budget](grid_cells))
         monkeypatch.setattr(grid, "_PAIR_BLOCK", 7)
         monkeypatch.setattr(incidence, "_SLOPE_BLOCK", 1)
-    _assert_matches_per_set(CampaignConfig.from_mapping(CELL_CONFIGS[name]))
 
 
-def test_flagged_sets_are_formatted_in_trial_order(monkeypatch):
-    # no set breaks the theorem, so fail every slope to flag every set
+@pytest.mark.parametrize("budget", list(BUDGETS))
+@pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
+def test_campaign_rows_match_per_set_rows(name, budget, monkeypatch, block_sizes):
+    config = CampaignConfig.from_mapping(CELL_CONFIGS[name])
+    set_budget(monkeypatch, config, budget)
+    _assert_matches_per_set(config)
+    assert block_sizes == PARTITIONS[name][budget]
+
+
+def test_flagged_sets_are_formatted_in_trial_order(monkeypatch, block_sizes):
+    # no set breaks the theorem, so fail every slope to flag every set; four
+    # sets per block, with a partial last block in the cells of sizes 1 and 4
     monkeypatch.setattr(harness, "threshold_failures", lambda nu, size, q, k: nu >= 0)
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 100)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 4 * 3**2)
     config = CampaignConfig.from_mapping(CELL_CONFIGS["exhaustive-plane"])
     result = run_campaign(config)
+    assert block_sizes == [[4, 4, 1], [4] * 9, [4] * 31 + [2]]
     flagged = [
         (cell.size, trial, format_fset(E))
         for cell in harness._expand_cells(config)
@@ -162,7 +213,7 @@ def _perturb(power: np.ndarray, slopes: tuple[int, ...]) -> None:
         power[t * Q ** (D - 1) + (Q - 1) * Q ** (D - 2)] += 0.3 / Q ** (2 * D - 1)
 
 
-def test_guard_band_failure_inside_a_block(monkeypatch):
+def test_guard_band_failure_inside_a_block(monkeypatch, block_sizes):
     # trials 3-5 share a block; trial 4 fails at slopes 3 and 4, trial 5 at
     # slope 1, so the error must name slope 3: the first failing slope of the
     # first failing set in trial order, not the first failing slope overall
@@ -193,10 +244,11 @@ def test_guard_band_failure_inside_a_block(monkeypatch):
         return power
 
     monkeypatch.setattr(harness, "indicator_power", perturbed_power)
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3 * Q**D)
     with pytest.raises(NumericalInconsistencyError) as err:
         run_campaign(config)
     assert str(err.value) == expected[4]
+    assert block_sizes == [[3, 3]]  # the error came from the second block
 
 
 # -- route agreement -------------------------------------------------------
@@ -228,8 +280,9 @@ def test_route_disagreement_inside_a_block(monkeypatch):
 
     monkeypatch.setattr(harness, "indicator_power", recorded_power)
     monkeypatch.setattr(harness, "slope_counts", skewed_counts)
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 3 * 9**2)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3 * Q**D)
     with pytest.raises(NumericalInconsistencyError) as err:
         run_campaign(config)
+    assert [len(picks) for picks in blocks] == [3, 3]
     nu = theorem_main_threshold(sets[4], 1, "brute").outcomes[3].nu
     assert str(err.value) == f"pair-count nu {nu} and spectral nu {nu + 1} disagree at slope (3,) of trial 4"
