@@ -24,7 +24,9 @@ their own.  Every flagged set is recorded in full .fset form for replay.
 from __future__ import annotations
 
 import ast
+import bisect
 import functools
+import itertools
 import json
 import math
 import operator
@@ -385,38 +387,67 @@ _COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-class Rows(Sequence):
-    """Read-only view of a result's columns as rows; a row's dict is built when it is read."""
+#: A block column of one value per row is one of these; any other value is
+#: the block's constant, the value of all its rows.
+_PER_ROW = (list, range, np.ndarray)
 
-    def __init__(self, columns: Mapping[str, Sequence]):
-        self._columns = columns
+
+def _block_length(block: Mapping[str, Any]) -> int:
+    return len(next(values for values in block.values() if isinstance(values, _PER_ROW)))
+
+
+def _plain(values: Any, start: int, stop: int) -> list:
+    """A block column's values of rows start to stop, as plain Python values."""
+    if not isinstance(values, _PER_ROW):
+        return [values] * (stop - start)
+    return values[start:stop].tolist() if isinstance(values, np.ndarray) else list(values[start:stop])
+
+
+class Rows(Sequence):
+    """Read-only view of a result's blocks as rows; a row's dict is built when it is read."""
+
+    def __init__(self, names: Sequence[str], blocks: Sequence[Mapping[str, Any]]):
+        self._names, self._blocks = names, blocks
+        self._starts = list(itertools.accumulate(map(_block_length, blocks), initial=0))
 
     def __len__(self) -> int:
-        return len(next(iter(self._columns.values()), ()))
+        return self._starts[-1]
 
     def __getitem__(self, index: int | slice) -> dict | list[dict]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return {name: values[index] for name, values in self._columns.items()}
+        row = range(len(self))[index]  # a range for a slice; negative indices and IndexError as for a list
+        if isinstance(row, range):
+            return [self[i] for i in row]
+        b = bisect.bisect_right(self._starts, row) - 1
+        i = row - self._starts[b]
+        return {name: _plain(self._blocks[b][name], i, i + 1)[0] for name in self._names}
 
     def __iter__(self) -> Iterator[dict]:
-        names = tuple(self._columns)
-        return (dict(zip(names, values)) for values in zip(*self._columns.values()))
+        for block, start, stop in zip(self._blocks, self._starts, self._starts[1:]):
+            columns = [_plain(block[name], 0, stop - start) for name in self._names]
+            yield from (dict(zip(self._names, values)) for values in zip(*columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignResult:
-    """A campaign's outcome; columns maps each of _COLUMNS[kind] to its values, one per row."""
+    """A campaign's outcome as blocks, each mapping every one of _COLUMNS[kind] to its rows' values.
+
+    columns and rows are views of plain Python values, built when read; results compare by identity.
+    """
 
     kind: str
     config: CampaignConfig
-    columns: dict[str, list]
+    blocks: tuple[dict[str, Any], ...]
     aggregates: dict
     counterexamples: tuple[dict, ...]
 
     @property
+    def columns(self) -> dict[str, list]:
+        rows = list(self.rows)
+        return {name: [row[name] for row in rows] for name in _COLUMNS[self.kind]}
+
+    @property
     def rows(self) -> Rows:
-        return Rows(self.columns)
+        return Rows(_COLUMNS[self.kind], self.blocks)
 
     @property
     def hard_failure_count(self) -> int:
@@ -439,13 +470,13 @@ def _flag_records(where: dict, reasons: Sequence[str], severity: str, fset: str 
 
 # -- block runner ----------------------------------------------------------
 
-def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list, np.ndarray]]:
+def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list | None, np.ndarray]]:
     """The cell's sets in trial order, a block at a time: (trials, seeds, (B, size) indices).
 
-    A sharpness cell is the one set H_k, with no trial or seed.
+    Seeds is None for sets not drawn; a sharpness cell is the one set H_k, with no trial.
     """
     if cell.mode == "deterministic":
-        yield [None], [None], gen_coordinate_subspace(cell.q, cell.d, cell.k).indices()[None]
+        yield [None], None, gen_coordinate_subspace(cell.q, cell.d, cell.k).indices()[None]
         return
     cells = cell.q**cell.d
     per_block = max(1, (_BLOCK_CELLS if cell.size**2 <= 2 * cells else _BLOCK_CELLS // 2) // cells)
@@ -453,7 +484,7 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list
         sets = combinations(range(cell.q**cell.d), cell.size)
         for start in range(0, cell.total, per_block):
             picks = np.array(list(islice(sets, per_block)), dtype=np.int64)
-            yield range(start, start + len(picks)), [None] * len(picks), picks
+            yield range(start, start + len(picks)), None, picks
         return
     # the generator draws inside H_m: H_(k+1) for subspace-random, the whole grid (m = d) for random
     m = cell.k + 1 if config.generator == "subspace-random" else cell.d
@@ -464,41 +495,46 @@ def _blocks(config: CampaignConfig, cell: Cell) -> Iterator[tuple[Sequence, list
 
 
 def _block_rows(
-    config: CampaignConfig, cell: Cell, trials: Sequence, seeds: Sequence, picks: np.ndarray
-) -> tuple[dict[str, list], list[dict]]:
+    config: CampaignConfig, cell: Cell, trials: Sequence, seeds: Sequence | None, picks: np.ndarray
+) -> tuple[dict[str, Any], list[dict]]:
     """A block's report columns and flag records; the one place severities are assigned.
 
     The kind's block(config, cell, trials, picks) gives its measured
-    columns, its hard checks (at least one) and its soft checks, each a dict
-    from reason tag to the (B,) bool mask of the sets that fail it.  A set
-    failing any hard check has hard_fail set; soft_flags names the soft
-    checks it fails.  Each flagged set is formatted once, in .fset form, and
-    recorded under every reason it fails, hard reasons then soft.
+    columns, each a (B,) array or the block's constant, its hard checks (at
+    least one) and its soft checks, each a dict from reason tag to the (B,)
+    bool mask of the sets that fail it.  A set failing any hard check has
+    hard_fail set; soft_flags names the soft checks it fails.  Each flagged
+    set is formatted once, in .fset form, and recorded under every reason it
+    fails, hard reasons then soft.
     """
     measured, hard, soft = _KINDS[config.kind][0](config, cell, trials, picks)
-    n = len(picks)
     hard_fail = functools.reduce(operator.or_, hard.values())
-    soft_flags = [()] * n
+    soft_flags: list | tuple = [()] * len(picks) if soft else ()
     flags: list[dict] = []
     located = {"q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size}
     for b in np.flatnonzero(functools.reduce(operator.or_, soft.values(), hard_fail)).tolist():
-        soft_flags[b] = tuple(reason for reason, flagged in soft.items() if flagged[b])
+        reasons = tuple(reason for reason, flagged in soft.items() if flagged[b])
+        if reasons:
+            soft_flags[b] = reasons
         fset = format_fset(PointSet.from_indices(cell.q, cell.d, picks[b]))
-        where = {**located, "trial": trials[b], "trial_seed": seeds[b]}
+        where = {**located, "trial": trials[b], "trial_seed": None if seeds is None else seeds[b]}
         flags += _flag_records(where, [r for r, failed in hard.items() if failed[b]], "hard", fset)
-        flags += _flag_records(where, soft_flags[b], "soft", fset)
-    constants = {"kind": config.kind, **located, "mode": cell.mode}
-    columns = {name: [value] * n for name, value in constants.items()}
-    columns.update(trial=list(trials), trial_seed=list(seeds), **measured)
-    columns.update(hard_fail=hard_fail.tolist(), soft_flags=soft_flags)
-    return columns, flags
+        flags += _flag_records(where, reasons, "soft", fset)
+    block = {"kind": config.kind, **located, "mode": cell.mode, "trial": trials, "trial_seed": seeds, **measured}
+    block.update(hard_fail=hard_fail, soft_flags=soft_flags)
+    return block, flags
+
+
+def _stacked(blocks: list[dict], *names: str) -> Iterator[np.ndarray]:
+    # an aggregate of these must be a Python int or float: the JSON tail would write a numpy scalar as a string
+    return (np.concatenate([block[name] for block in blocks]) for name in names)
 
 
 # -- theorem-main ----------------------------------------------------------
 
 def _theorem_block(
     config: CampaignConfig, cell: Cell, trials: Sequence[int], picks: np.ndarray
-) -> tuple[dict[str, list], dict, dict]:
+) -> tuple[dict[str, Any], dict, dict]:
     """The block's measured columns and hard checks, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
@@ -534,27 +570,22 @@ def _theorem_block(
         # the slope-pattern coverage are open questions, recorded per row only
         "ambient-coverage": ~full & (size > q**k and k == d - 1),
     }
-    n = len(picks)
     measured = {
-        "nu_min": nu.min(axis=1).tolist(),
-        "lower_bound": [threshold_lower_bound(size, q, k)] * n,
-        "threshold_holds": holds.tolist(),
-        "slope_pattern_covered": covered.tolist(),
-        "literal_subset": literal.tolist(),
-        "direction_count": dir_counts.tolist(),
-        "ambient_count": [ambient_n] * n,
-        "full_coverage": full.tolist(),
+        "nu_min": nu.min(axis=1), "lower_bound": threshold_lower_bound(size, q, k), "threshold_holds": holds,
+        "slope_pattern_covered": covered, "literal_subset": literal, "direction_count": dir_counts,
+        "ambient_count": ambient_n, "full_coverage": full,
     }
     return measured, hard, {}
 
 
-def _theorem_aggregate(columns: dict[str, list], start: int) -> dict:
+def _theorem_aggregate(blocks: list[dict]) -> dict:
+    nu, hard, literal, covered = _stacked(blocks, "nu_min", "hard_fail", "literal_subset", "slope_pattern_covered")
     return {
-        "sets_checked": len(columns["trial"]) - start,
-        "nu_min": min(columns["nu_min"][start:]),
-        "hard_failures": columns["hard_fail"][start:].count(True),
-        "literal_subset_failures": columns["literal_subset"][start:].count(False),
-        "slope_pattern_failures": columns["slope_pattern_covered"][start:].count(False),
+        "sets_checked": len(hard),
+        "nu_min": int(nu.min()),
+        "hard_failures": int(hard.sum()),
+        "literal_subset_failures": int((~literal).sum()),
+        "slope_pattern_failures": int((~covered).sum()),
     }
 
 
@@ -562,7 +593,7 @@ def _theorem_aggregate(columns: dict[str, list], start: int) -> dict:
 
 def _salem_block(
     config: CampaignConfig, cell: Cell, trials: Sequence[int], picks: np.ndarray
-) -> tuple[dict[str, list], dict, dict]:
+) -> tuple[dict[str, Any], dict, dict]:
     """The block's measured columns and checks, read off one stacked power and one stacked mu."""
     q, d, size = cell.q, cell.d, cell.size
     field = prime_field(q)
@@ -573,29 +604,30 @@ def _salem_block(
     hard = {"part-i-coverage": ~full & (size > q ** (d - 1)), "quotient-bound": ~bounds["quotient_bound_holds"]}
     floor = config.ratio_floor
     soft = {"ratio-ii-floor": bounds["ratio_ii"] < floor, "ratio-diff-floor": bounds["ratio_diff"] < floor}
-    n = len(picks)
-    # the runner files a block's columns by name, so their order here is free
+    # a block's columns are read by name, so their order here is free
     measured = {
-        **{name: values.tolist() for name, values in bounds.items()},
-        **{name: [value] * n for name, value in bound_shapes(size, q, d).items()},
-        "ambient_count": [ambient_n] * n,
-        "full_coverage": full.tolist(),
-        "is_salem": (bounds["salem_constant"] <= config.salem_threshold).tolist(),
+        **bounds,
+        **bound_shapes(size, q, d),
+        "ambient_count": ambient_n,
+        "full_coverage": full,
+        "is_salem": bounds["salem_constant"] <= config.salem_threshold,
     }
     return measured, hard, soft
 
 
-def _salem_aggregate(columns: dict[str, list], start: int) -> dict:
-    n = len(columns["trial"]) - start
+def _salem_aggregate(blocks: list[dict]) -> dict:
+    ratio_ii, ratio_iii, ratio_diff, salem, dirs, hard = _stacked(
+        blocks, "ratio_ii", "ratio_iii", "ratio_diff", "salem_constant", "direction_count", "hard_fail"
+    )
     return {
-        "trials": n,
-        "min_ratio_ii": min(columns["ratio_ii"][start:]),
-        "min_ratio_iii": min(columns["ratio_iii"][start:]),
-        "min_ratio_diff": min(columns["ratio_diff"][start:]),
-        "max_salem_constant": max(columns["salem_constant"][start:]),
-        "mean_direction_count": sum(columns["direction_count"][start:]) / n,
-        "hard_failures": columns["hard_fail"][start:].count(True),
-        "soft_flags": sum(map(len, columns["soft_flags"][start:])),
+        "trials": len(hard),
+        "min_ratio_ii": float(ratio_ii.min()),
+        "min_ratio_iii": float(ratio_iii.min()),
+        "min_ratio_diff": float(ratio_diff.min()),
+        "max_salem_constant": float(salem.max()),
+        "mean_direction_count": int(dirs.sum()) / len(hard),
+        "hard_failures": int(hard.sum()),
+        "soft_flags": sum(len(flags) for block in blocks for flags in block["soft_flags"]),
     }
 
 
@@ -634,7 +666,7 @@ def _salem_finish(aggregates: dict) -> tuple[dict, list[dict]]:
 
 def _sharpness_block(
     config: CampaignConfig, cell: Cell, trials: Sequence, picks: np.ndarray
-) -> tuple[dict[str, list], dict, dict]:
+) -> tuple[dict[str, Any], dict, dict]:
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
     codes, _ = difference_multiplicities(picks, q, d)
@@ -642,13 +674,9 @@ def _sharpness_block(
     expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
     exact = (dir_counts == expected) & (picks.shape[1] == cell.size)
     fewer = dir_counts < next_count
-    n = len(picks)
     measured = {
-        "direction_count": dir_counts.tolist(),
-        "expected_count": [expected] * n,
-        "next_subspace_count": [next_count] * n,
-        "exact_match": exact.tolist(),
-        "strictly_fewer": fewer.tolist(),
+        "direction_count": dir_counts, "expected_count": expected, "next_subspace_count": next_count,
+        "exact_match": exact, "strictly_fewer": fewer,
     }
     return measured, {"sharpness-count": ~(exact & fewer)}, {}
 
@@ -659,12 +687,12 @@ def _sharpness_finish(aggregates: dict) -> tuple[dict, list[dict]]:
 
 
 #: Each kind: its block (see _block_rows), its cell aggregate, which
-#: reduces a cell's rows from row start on, and its finish step, which
-#: completes the campaign's aggregates and may add flag records.
-_KINDS: dict[str, tuple[Callable, Callable[[dict, int], dict], Callable[[dict], tuple[dict, list[dict]]]]] = {
+#: reduces a cell's blocks, and its finish step, which completes the
+#: campaign's aggregates and may add flag records.
+_KINDS: dict[str, tuple[Callable, Callable[[list[dict]], dict], Callable[[dict], tuple[dict, list[dict]]]]] = {
     "theorem-main": (_theorem_block, _theorem_aggregate, lambda aggregates: (aggregates, [])),
     "salem-bounds": (_salem_block, _salem_aggregate, _salem_finish),
-    "sharpness": (_sharpness_block, lambda columns, start: {}, _sharpness_finish),
+    "sharpness": (_sharpness_block, lambda blocks: {}, _sharpness_finish),
 }
 
 KINDS = tuple(_KINDS)
@@ -677,23 +705,24 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     threads.
     """
     _, aggregate, finish = _KINDS[config.kind]
-    columns: dict[str, list] = {name: [] for name in _COLUMNS[config.kind]}
+    blocks: list[dict] = []
     counterexamples: list[dict] = []
     cell_aggs: list[dict] = []
     for cell in _expand_cells(config):
-        start = len(columns["trial"])
+        cell_blocks = []
         for trials, seeds, picks in _blocks(config, cell):
-            block_columns, flags = _block_rows(config, cell, trials, seeds, picks)
-            for name, values in block_columns.items():
-                columns[name] += values
+            block, flags = _block_rows(config, cell, trials, seeds, picks)
+            cell_blocks.append(block)
             counterexamples += flags
+        blocks += cell_blocks
         cell_aggs.append({
             "q": cell.q, "d": cell.d, "k": cell.k, "size": cell.size, "mode": cell.mode,
-            **aggregate(columns, start),
+            **aggregate(cell_blocks),
         })
-    totals = {"sets_checked": len(columns["trial"]), "hard_failures": columns["hard_fail"].count(True)}
+    (hard,) = _stacked(blocks, "hard_fail")
+    totals = {"sets_checked": len(hard), "hard_failures": int(hard.sum())}
     aggregates, flags = finish({"cells": cell_aggs, **totals})
-    return CampaignResult(config.kind, config, columns, aggregates, tuple(counterexamples + flags))
+    return CampaignResult(config.kind, config, tuple(blocks), aggregates, tuple(counterexamples + flags))
 
 
 # -- report emission -------------------------------------------------------
@@ -713,56 +742,68 @@ def _csv_cell(value: Any) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-#: JSON text of a scalar report value by its exact type, as json.dumps gives it;
-#: an int subclass, a numpy scalar, a string or a tuple goes through json.dumps.
-_JSON_TEXT: dict[type, Callable[[Any], str]] = {
-    type(None): lambda value: "null",
-    bool: lambda value: "true" if value else "false",
-    int: int.__repr__,
-    float: lambda value: float.__repr__(value) if math.isfinite(value) else json.dumps(value),
-    Fraction: lambda value: json.dumps(str(value)),
-}
-
-
 def _json_cell(value: Any) -> str:
     """A row value's text in the indent=2 report: a list as json.dumps lays it out, six spaces in."""
-    render = _JSON_TEXT.get(type(value))
-    if render is not None:
-        return render(value)
     if isinstance(value, tuple) and value:
         return json.dumps(value, indent=2).replace("\n", "\n      ")
     return json.dumps(str(value) if isinstance(value, Fraction) else value)
 
 
-def _format_column(values: Sequence, render: Callable[[Any], str]) -> list[str]:
-    """render(value) for each value, computed once per distinct object.
+#: A numpy column's value texts by dtype kind, in CSV and JSON alike (JSON
+#: spells NaN and the infinities its own way, so only finite float columns).
+_TYPED_TEXT: dict[str, Callable] = {"b": ("false", "true").__getitem__, "i": int.__repr__, "f": float.__repr__}
 
-    Repeated values of a column are mostly one shared object (a cell's
-    constants, small ints, bools, None), so keying the memo by identity
-    formats each of them once without hashing the values.
+
+def _format_column(values: Any, n: int, render: Callable[[Any], str]) -> list[str]:
+    """The texts of a block column's n rows.
+
+    A block's constant is rendered once and its text repeated, a range or a
+    typed numpy column by one map of its type's rule, and anything else once
+    per distinct object, keyed by identity.
     """
+    if not isinstance(values, _PER_ROW):
+        return [render(values)] * n
+    if isinstance(values, range):
+        return list(map(int.__repr__, values))
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind in _TYPED_TEXT and (kind != "f" or np.isfinite(values).all()):
+            return list(map(_TYPED_TEXT[kind], values.tolist()))
+        values = values.tolist()
     ids = list(map(id, values))
     memo = {key: render(value) for key, value in dict(zip(ids, values)).items()}
     return list(map(memo.__getitem__, ids))
 
 
+def _rendered_rows(result: CampaignResult, render: Callable[[Any], str]) -> Iterator[tuple[str, ...]]:
+    """Each row's value texts in column order, a block at a time."""
+    names = _COLUMNS[result.kind]
+    for block, n in zip(result.blocks, map(_block_length, result.blocks)):
+        yield from zip(*[_format_column(block[name], n, render) for name in names])
+
+
+#: Each kind's JSON row: its keys as json.dumps(indent=2) lays them out, a %s for each value.
+_JSON_ROWS = {
+    kind: "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    for kind, names in _COLUMNS.items()
+}
+
+
 def emit_report(result: CampaignResult, format: str) -> str:
     """Render the campaign to text; identical results render byte-identically.
 
-    Rows are rendered a column at a time.  The JSON is the text that
-    json.dumps(indent=2) gives the whole document: a row is a template of
-    its keys filled with each value's own encoding, and the entries around
-    rows are encoded whole.
+    Rows are rendered a block at a time, a column at a time.  The JSON is
+    the text that json.dumps(indent=2) gives the whole document: a row is
+    its kind's template filled with each value's own encoding, and the
+    entries around rows are encoded whole.
     """
-    names = _COLUMNS[result.kind]
     if format == "csv":
-        cells = [_format_column(result.columns[name], _csv_cell) for name in names]
-        return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+        lines = map(",".join, _rendered_rows(result, _csv_cell))
+        return "\n".join(itertools.chain([",".join(_COLUMNS[result.kind])], lines)) + "\n"
     if format != "json":
         raise ConfigError(f"unknown report format {format!r}; expected csv or json")
-    cells = [_format_column(result.columns[name], _json_cell) for name in names]
-    row = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
-    rows = "[\n    " + ",\n    ".join(map(row.__mod__, zip(*cells))) + "\n  ]" if len(result.rows) else "[]"
+    rows = ",\n    ".join(map(_JSON_ROWS[result.kind].__mod__, _rendered_rows(result, _json_cell)))
+    rows = f"[\n    {rows}\n  ]" if rows else "[]"
     head = json.dumps({"kind": result.kind, "config": result.config.to_dict()}, indent=2)
     tail = json.dumps(
         {"aggregates": result.aggregates, "counterexamples": result.counterexamples,

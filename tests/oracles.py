@@ -16,6 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from fqdirections.pointset import PointSet
 from fqdirections.rng import XorShift64Star
 
 
@@ -115,6 +116,44 @@ def dense_axis_by_axis(values: np.ndarray, roots: np.ndarray, q: int, d: int) ->
     for _ in range(d):
         cube = np.moveaxis(np.matmul(cube, chars.T), -1, 0)
     return cube.reshape(values.shape)
+
+
+def matrix_rank_mod(matrix: np.ndarray, q: int) -> int:
+    """Rank of an integer matrix over F_q by exact Gaussian elimination."""
+    m = [[int(v) % q for v in row] for row in np.asarray(matrix)]
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], q - 2, q)
+        m[rank] = [(v * inv) % q for v in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [(a - factor * b) % q for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def apply_linear_map(E: PointSet, matrix: Sequence[Sequence[int]]) -> PointSet:
+    """Image {Ax : x in E} under an invertible d x d matrix over F_q.
+
+    Realizes a change of coordinates, so statements about coordinate
+    subspaces transfer to arbitrary subspaces.  Raises ValueError if the
+    matrix is singular over F_q.
+    """
+    A = np.asarray(matrix, dtype=np.int64) % E.q
+    if A.shape != (E.dim, E.dim):
+        raise ValueError(f"matrix must be {E.dim}x{E.dim}, got {A.shape}")
+    if matrix_rank_mod(A, E.q) != E.dim:
+        raise ValueError(f"matrix is singular over F_{E.q}")
+    coords = (E.coords() @ A.T) % E.q
+    return PointSet.from_coords(E.q, E.dim, coords)
 
 
 def fisher_yates_sample(total: int, count: int, seed: int) -> list[int]:

@@ -5,8 +5,10 @@ import math
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fqdirections import harness
@@ -527,9 +529,46 @@ def test_rows_view_reads_columns():
         res.rows[3]
 
 
+# one config of each kind; theorem-main mixes enumerated and sampled cells,
+# and salem-bounds' floor flags every set soft
+SCHEMA_CONFIGS = {
+    "theorem-main": {"kind": "theorem-main", "q": [3, 11], "d": 2, "k": 1, "trials": 6},
+    "salem-bounds": {"kind": "salem-bounds", "q": 5, "d": 3, "sizes": ["q+1"], "trials": 4, "ratio_floor": 2.0},
+    "sharpness": {"kind": "sharpness", "q": 3, "d": 3},
+}
+
+_SCALARS = (bool, int, float, Fraction)
+_PLAIN = (*_SCALARS, type(None), str, tuple)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_CONFIGS))
+def test_kind_blocks_give_their_measured_columns(kind):
+    # the columns between the leading eight and the two severities
+    config = CampaignConfig.from_mapping(SCHEMA_CONFIGS[kind])
+    for cell in harness._expand_cells(config):
+        for trials, _, picks in harness._blocks(config, cell):
+            measured, _, _ = harness._KINDS[kind][0](config, cell, trials, picks)
+            assert sorted(measured) == sorted(_COLUMNS[kind][8:-2])
+            for values in measured.values():
+                if isinstance(values, (list, np.ndarray)):
+                    assert np.shape(values) == (len(picks),)
+                else:
+                    assert type(values) in _SCALARS
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_CONFIGS))
+def test_result_views_give_plain_values(kind):
+    result = run_campaign(CampaignConfig.from_mapping(SCHEMA_CONFIGS[kind]))
+    rows = [*result.rows, result.rows[0], result.rows[-1]]
+    values = [value for column in result.columns.values() for value in column]
+    values += [value for row in rows for value in row.values()]
+    assert {type(value) for value in values} <= set(_PLAIN)
+    assert all(type(item) is str for value in values if type(value) is tuple for item in value)
+
+
 def test_empty_result_renders_header_only():
     cfg = CampaignConfig(kind="theorem-main", q_list=(3,), d_list=(2,), k_list=(1,))
-    empty = CampaignResult("theorem-main", cfg, {name: [] for name in _COLUMNS["theorem-main"]}, {}, ())
+    empty = CampaignResult("theorem-main", cfg, ({name: [] for name in _COLUMNS["theorem-main"]},), {}, ())
     text = emit_report(empty, "csv")
     assert text.count("\n") == 1
     assert text.startswith("kind,q,d,k,size,mode,trial,trial_seed,")
@@ -629,8 +668,8 @@ def test_block_memory_is_bounded_by_its_cells(branch, kind):
 def _literal_subset(E, k):
     cell = Cell(E.q, E.dim, k, E.cardinality, "random")
     config = CampaignConfig(kind="theorem-main", q_list=(E.q,), d_list=(E.dim,))
-    columns, _ = _block_rows(config, cell, [0], [None], E.indices()[None])
-    return columns["literal_subset"][0]
+    block, _ = _block_rows(config, cell, [0], [None], E.indices()[None])
+    return block["literal_subset"][0]
 
 
 @pytest.mark.parametrize("q,d,k", [(2, 3, 1), (3, 3, 1), (5, 3, 1), (3, 4, 1), (3, 4, 2), (2, 5, 3)])

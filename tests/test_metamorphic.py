@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from fqdirections.directions import direction_set
 from fqdirections.generators import gen_coordinate_subspace
 from fqdirections.incidence import nu_sweep
-from fqdirections.pointset import PointSet, apply_linear_map, matrix_rank_mod
+from fqdirections.pointset import PointSet
 from fqdirections.salem import difference_profile, salem_report
+from oracles import apply_linear_map, matrix_rank_mod
 
 
 @st.composite

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fqdirections.harness import _COLUMNS, CampaignConfig, CampaignResult, _json_cell, emit_report, run_campaign
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_theorem_blocks import THREE_GRIDS, set_budget
 
 CONFIGS = {
     **{f"golden-{name}": mapping for name, mapping in GOLDEN_CONFIGS.items()},
@@ -37,6 +38,24 @@ def test_report_matches_row_wise_reference(name):
     _assert_matches_reference(result)
 
 
+@pytest.mark.parametrize("budget", ["_BLOCK_CELLS=1", THREE_GRIDS])
+@pytest.mark.parametrize("name", ["auto-mixed", "salem-flagged", "golden-sharpness"])
+def test_report_across_block_boundaries(name, budget, monkeypatch, block_sizes):
+    # small budgets split each sampled cell into several blocks; the report
+    # still matches the row-wise reference and the default budget's report
+    config = CampaignConfig.from_mapping(CONFIGS[name])
+    whole = run_campaign(config)
+    block_sizes.clear()
+    set_budget(monkeypatch, config, budget)
+    split = run_campaign(config)
+    assert len(split.blocks) == sum(map(len, block_sizes))
+    if name != "golden-sharpness":
+        assert all(len(sizes) > 1 for sizes in block_sizes)
+    _assert_matches_reference(split)
+    for format in ("csv", "json"):
+        assert emit_report(split, format) == emit_report(whole, format)
+
+
 def test_reference_configs_cover_mixed_and_listed_cells():
     mixed = run_campaign(CampaignConfig.from_mapping(CONFIGS["auto-mixed"])).columns["trial_seed"]
     assert None in mixed and any(isinstance(seed, int) for seed in mixed)
@@ -57,7 +76,7 @@ def test_hand_built_result_quotes_and_types_like_reference():
     }
     columns = {name: values.get(name, list(range(5))) for name in _COLUMNS["sharpness"]}
     result = CampaignResult(
-        "sharpness", config, columns, {"cells_checked": 5, "bound": Fraction(1, 2)},
+        "sharpness", config, (columns,), {"cells_checked": 5, "bound": Fraction(1, 2)},
         ({"severity": "soft", "reason": "r,\"s\"", "fset": "3 2\n0 1\n"},),
     )
     _assert_matches_reference(result)
@@ -69,7 +88,7 @@ def test_carriage_return_is_quoted():
     # as csv.writer does from Python 3.12 on; 3.11 quotes only the line terminator's characters
     config = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
     columns = {name: ["cr\rhere"] for name in _COLUMNS["sharpness"]}
-    line = emit_report(CampaignResult("sharpness", config, columns, {}, ()), "csv").split("\n")[1]
+    line = emit_report(CampaignResult("sharpness", config, (columns,), {}, ()), "csv").split("\n")[1]
     assert line == ",".join(['"cr\rhere"'] * len(columns))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fqdirections import harness
 from fqdirections.directions import ambient_direction_count
 from fqdirections.errors import NumericalInconsistencyError
-from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, run_campaign
+from fqdirections.harness import _COLUMNS, CampaignConfig, Cell, Rows, _block_rows, run_campaign
 from fqdirections.pointset import PointSet, format_fset
 from fqdirections.salem import difference_bound_check
 
@@ -72,11 +72,11 @@ def test_block_rows_match_per_set_rows(block, floor):
     config = CampaignConfig(kind="salem-bounds", q_list=(cell.q,), d_list=(cell.d,), sizes=(cell.size,),
                             ratio_floor=floor)
     trials = range(len(picks))
-    columns, _ = _block_rows(config, cell, trials, list(trials), picks)
+    block, _ = _block_rows(config, cell, trials, list(trials), picks)
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t, config) for t, p in zip(trials, picks)
     ]
-    assert list(Rows(columns)) == expected
+    assert list(Rows(_COLUMNS["salem-bounds"], [block])) == expected
 
 
 CELL_CONFIGS = {

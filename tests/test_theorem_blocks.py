@@ -16,7 +16,7 @@ from fqdirections import grid, harness, incidence
 from fqdirections.directions import ambient_direction_count, coordinate_subspace_directions, direction_set
 from fqdirections.errors import NumericalInconsistencyError
 from fqdirections.generators import gen_random, gen_subspace_random
-from fqdirections.harness import CampaignConfig, Cell, Rows, _block_rows, run_campaign
+from fqdirections.harness import _COLUMNS, CampaignConfig, Cell, Rows, _block_rows, run_campaign
 from fqdirections.incidence import theorem_main_threshold
 from fqdirections.pointset import PointSet, format_fset
 
@@ -83,8 +83,8 @@ def test_block_rows_match_per_set_rows(block):
     cell, picks = block
     trials = range(len(picks))
     config = CampaignConfig(kind="theorem-main", q_list=(cell.q,), d_list=(cell.d,))
-    columns, _ = _block_rows(config, cell, trials, list(trials), picks)
-    rows = list(Rows(columns))
+    block, _ = _block_rows(config, cell, trials, list(trials), picks)
+    rows = list(Rows(_COLUMNS["theorem-main"], [block]))
     expected = [
         _reference_row(PointSet.from_indices(cell.q, cell.d, p), cell, t, t) for t, p in zip(trials, picks)
     ]
@@ -102,9 +102,7 @@ CELL_CONFIGS = {
 }
 
 
-# the test ids of the three- and two-grid budgets below, kept stable from
-# the pair caps they once named
-THREE_GRIDS, TWO_GRIDS = "_BLOCK_PAIRS=7", "_BLOCK_PAIRS=100"
+THREE_GRIDS, TWO_GRIDS = "_BLOCK_CELLS=3q^d", "_BLOCK_CELLS=2q^d"
 
 # _BLOCK_CELLS budgets, in cells of the config's smallest grid: whole cells
 # per block (the default), one set per block (one cell), and three, two or
