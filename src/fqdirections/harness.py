@@ -789,6 +789,13 @@ _JSON_ROWS = {
 }
 
 
+def _json_fraction(value: Any) -> str:
+    """A Fraction's text in the JSON tail; any other value json cannot encode is an error, not a string."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"report value {value!r} of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_report(result: CampaignResult, format: str) -> str:
     """Render the campaign to text; identical results render byte-identically.
 
@@ -808,7 +815,7 @@ def emit_report(result: CampaignResult, format: str) -> str:
     tail = json.dumps(
         {"aggregates": result.aggregates, "counterexamples": result.counterexamples,
          "hard_failure_count": result.hard_failure_count, "soft_flag_count": result.soft_flag_count, "ok": result.ok},
-        indent=2, default=str,
+        indent=2, default=_json_fraction,
     )
     # head ends with its closing "\n}" and tail opens with "{": splice rows between them
     return f'{head[:-2]},\n  "rows": {rows},{tail[1:]}\n'

@@ -595,6 +595,20 @@ def test_emit_report_rejects_unknown_format():
         emit_report(res, "xml")
 
 
+@pytest.mark.parametrize("value", [np.int64(0), np.bool_(True), np.array([1, 2])])
+def test_json_tail_refuses_values_json_cannot_encode(value):
+    # str() would have written np.int64(0) as the string "0" with no error
+    res = run_campaign(CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,)))
+    for bad in (
+        dataclasses.replace(res, aggregates={**res.aggregates, "hard_failures": value}),
+        dataclasses.replace(res, counterexamples=({"severity": "soft", "value": value},)),
+    ):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            emit_report(bad, "json")
+    fraction = dataclasses.replace(res, aggregates={"ratio": Fraction(3, 4)})
+    assert json.loads(emit_report(fraction, "json"))["aggregates"] == {"ratio": "3/4"}
+
+
 def test_exhaustive_limit_value():
     assert EXHAUSTIVE_LIMIT == 10**7
 

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqdirections import grid
+from fqdirections import grid, spectral
 from fqdirections.errors import SizeCapError
 from fqdirections.field import PrimeField, is_prime, prime_field
 from fqdirections.generators import gen_random
+from fqdirections.harness import CampaignConfig, run_campaign
 from fqdirections.pointset import PointSet
 from fqdirections.salem import difference_bound_check, difference_profile
 from fqdirections.spectral import (
     GridFunction,
     _LIVE_DIGIT_Q,
+    _WHOLE_STACK_MACS,
     _axis_by_axis,
     _characters,
+    _indicator_rows,
     _live_rows,
+    _whole_stack_power,
     check_size_cap,
     empty_table,
     forward_transform,
@@ -185,6 +189,16 @@ def _index_stacks(draw):
     return q, d, np.array(draw(st.lists(points, min_size=sets, max_size=sets)), dtype=np.int64).reshape(sets, n)
 
 
+def assert_both_paths_match_dense_loop(q, d, indices):
+    # indicator_power's two paths give the whole-cube loop's power byte for byte
+    field = prime_field(q)
+    whole = _whole_stack_power(indices, field, d)
+    live = _axis_by_axis(*_indicator_rows(indices, q, d), len(indices), field, d, power=True)
+    assert_same_bytes(whole, np.abs(dense_forward(indicator_masks(indices, q, d), q, d)) ** 2)
+    assert_same_bytes(live, whole)
+    assert_same_bytes(indicator_power(indices, field, d), whole)
+
+
 @given(_index_stacks())
 @settings(max_examples=150, deadline=None)
 def test_indicator_stack_matches_dense_loop(case):
@@ -192,6 +206,32 @@ def test_indicator_stack_matches_dense_loop(case):
     masks = indicator_masks(indices, q, d)
     assert np.array_equal(stack_transform(masks, q, d), dense_forward(masks, q, d))
     assert_power_matches_spectrum(q, d, indices)
+    assert_both_paths_match_dense_loop(q, d, indices)
+
+
+@pytest.mark.parametrize(
+    "q,d,n,sets,whole",
+    [
+        (13, 3, 14, 24, True),  # either side of _WHOLE_STACK_MACS
+        (13, 3, 14, 25, False),
+        (13, 3, 170, 24, True),
+        (13, 3, 170, 25, False),
+        (131, 1, 5, 122, True),  # above _LIVE_DIGIT_Q, d = 1
+        (131, 1, 5, 123, False),
+        (521, 1, 40, 7, True),  # characters built in blocks
+        (521, 1, 40, 8, False),
+        (7, 1, 3, 1, True),  # one set
+        (11, 3, 122, 1, True),
+        (31, 3, 32, 1, False),
+        (5, 3, 0, 3, True),  # empty sets
+        (31, 3, 0, 3, False),
+    ],
+)
+def test_power_paths_agree_either_side_of_cutoff(q, d, n, sets, whole):
+    assert (sets * d * q ** (d + 1) <= _WHOLE_STACK_MACS) == whole
+    rng = np.random.default_rng(q * n + sets)
+    indices = np.array([np.sort(rng.choice(q**d, n, replace=False)) for _ in range(sets)]).reshape(sets, n)
+    assert_both_paths_match_dense_loop(q, d, indices)
 
 
 @given(_index_stacks(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -355,6 +395,71 @@ def test_spectrum_power_retains_one_table():
         tracemalloc.stop()
     assert retained <= 1.25 * 16 * q**d
     assert E._spectrum is None
+
+
+def test_whole_stack_power_peak_memory():
+    # the largest block of q^2 + 1 points in F_11^3 holds the two complex
+    # stack buffers and index-sized scratch: the power is squared into one
+    # and reordered into the other
+    q, d, sets = 11, 3, 24
+    indices = np.array([gen_random(q, d, q * q + 1, seed).indices() for seed in range(sets)])
+    assert sets * d * q ** (d + 1) <= _WHOLE_STACK_MACS
+    _characters(prime_field(q))
+    tracemalloc.start()
+    try:
+        indicator_power(indices, prime_field(q), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * sets * q**d
+
+
+def _routes(monkeypatch):
+    """Record the (sets, q, d) of each stack indicator_power sends down each of its two paths."""
+    routes = {"whole": [], "live": []}
+
+    def whole(indices, field, dim):
+        routes["whole"].append((len(indices), field.q, dim))
+        return _whole_stack_power(indices, field, dim)
+
+    def live(rows, keys, tables, field, dim, power=False):
+        routes["live"].append((tables, field.q, dim))
+        return _axis_by_axis(rows, keys, tables, field, dim, power)
+
+    monkeypatch.setattr(spectral, "_whole_stack_power", whole)
+    monkeypatch.setattr(spectral, "_axis_by_axis", live)
+    return routes
+
+
+@pytest.mark.parametrize(
+    "kind,q,d,k,sizes,trials,mode,blocks",
+    [
+        ("theorem-main", 3, 2, 1, (4, 5, 6), 1, "exhaustive", [84, 126, 126]),
+        ("theorem-main", 11, 3, 2, ("q^k+1",), 20, "random", [20]),
+        ("theorem-main", 11, 3, 2, ("q^k+1",), 100, "random", [4, 24, 24, 24, 24]),
+        ("salem-bounds", 13, 3, None, ("q+1", "2*q", "q^2+1"), 10, "random", [10, 10, 10]),
+    ],
+)
+def test_small_grid_blocks_are_transformed_whole(monkeypatch, kind, q, d, k, sizes, trials, mode, blocks):
+    config = CampaignConfig(
+        kind=kind, q_list=(q,), d_list=(d,), k_list=(k,) if k else (), sizes=sizes, trials=trials, mode=mode
+    )
+    routes = _routes(monkeypatch)
+    run_campaign(config)
+    assert routes["live"] == []
+    assert sorted(routes["whole"]) == [(sets, q, d) for sets in blocks]
+
+
+def test_large_grid_stacks_take_the_live_loop(monkeypatch):
+    routes = _routes(monkeypatch)
+    run_campaign(
+        CampaignConfig(
+            kind="theorem-main", q_list=(31,), d_list=(3,), k_list=(1,), sizes=("q+1",), trials=3, mode="random"
+        )
+    )
+    gen_random(101, 3, 102, seed=1).spectrum_power()
+    assert routes["whole"] == []
+    assert routes["live"] == [(2, 31, 3), (1, 31, 3), (1, 101, 3)]
 
 
 def test_dense_transform_peak_memory():
