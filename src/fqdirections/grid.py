@@ -11,6 +11,9 @@ so index 0 is the origin and indices increase lexicographically.
 difference_multiplicities is the package's one pair kernel: every set's
 sparse mu, off which D(E), E - E, sum mu^2 and every nu(t) are read, as one
 (codes, counts) pair whose codes carry set b's offset b q^d (code // q^d).
+It works a group of sets at a time, each group's pair codes in a code space
+of its own sets' cells only, so they are built in the narrowest unsigned
+dtype that holds it: uint16 on grids of at most 2^16 cells.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: Pairs per row block of a dense mu count, unless the histogram has more
-#: cells; bounds memory, not results.
+#: Pair codes a group of sets builds at once, or one set's row block of a
+#: dense mu count unless its table has more cells; bounds memory, not results.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -77,39 +80,57 @@ def distinct(codes: np.ndarray) -> np.ndarray:
 def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse mu(z) = #{(x, y) in E x E : x - y = z} of each set of a (B, n) index stack.
 
-    Returns (codes, counts) ascending by code: support codes, set b's offset
-    by b q^d, and their multiplicities.  The code of x - y is index(x) -
-    index(y) plus q^(d-j) for each coordinate j with x_j < y_j, built one
-    coordinate at a time in int32 unless B q^d needs int64.  Counting is by
-    dense bincount when |E|^2 >= q^d, a row block of at most
-    max(_PAIR_BLOCK, B q^d) pairs at a time, else by sort and run length: no
-    table outgrows the pairs.
+    Returns (codes, counts) ascending by code: int64 support codes, set b's
+    offset by b q^d, and their int64 multiplicities.  The code of x - y is
+    index(x) - index(y) plus q^(d-j+1) for each coordinate j with x_j < y_j.
+
+    Sets go a group of G = max(1, _PAIR_BLOCK // max(q^d, n^2)) at a time.
+    A group's codes are offset within the group, so they are built in
+    np.min_scalar_type(G q^d - 1), from digits in np.min_scalar_type(q - 1);
+    unsigned arithmetic wraps, but the sum is exact since the true code fits.
+    Counting is by bincount into the group's G q^d slice of a dense table
+    when n^2 >= q^d (a set of n^2 > _PAIR_BLOCK pairs in row blocks of at
+    most max(_PAIR_BLOCK, q^d) pairs), else by sort and run length: no table
+    outgrows the pairs.
     """
     sets, n = indices.shape
     cells = q**d
-    dtype = np.int32 if sets * cells < 1 << 31 else np.int64
+    group = max(1, _PAIR_BLOCK // max(cells, n * n))
+    dtype = np.min_scalar_type(group * cells - 1)
     flat = indices.astype(dtype)
-    shifted = flat + (cells * np.arange(sets, dtype=dtype))[:, None]
-    borrows = [(flat // int(w) % q, dtype(q * w)) for w in radix_weights(q, d)]
+    local = flat + (np.arange(sets) % group * cells).astype(dtype)[:, None]
+    weights = radix_weights(q, d)
+    digits = [(indices // int(w) % q).astype(np.min_scalar_type(q - 1)) for w in weights]
+    borrows = list(zip(digits, (q * weights).astype(dtype)))
 
-    def codes(rows: slice) -> np.ndarray:
-        block = shifted[:, rows, None] - flat[:, None, :]
+    def codes(members: slice, rows: slice) -> np.ndarray:
+        block = local[members, rows, None] - flat[members, None, :]
         for digit, borrow in borrows:
-            block += (digit[:, rows, None] < digit[:, None, :]) * borrow
+            block += (digit[members, rows, None] < digit[members, None, :]) * borrow
         return block.ravel()
 
+    # an empty stack still makes one (empty) group
+    groups = [slice(start, start + group) for start in range(0, max(sets, 1), group)]
     if n * n >= cells:
         hist = np.zeros(sets * cells, dtype=np.int64)
-        rows = max(1, max(_PAIR_BLOCK, sets * cells) // max(1, sets * n))
-        for start in range(0, n, rows):
-            hist += np.bincount(codes(slice(start, start + rows)), minlength=sets * cells)
+        rows = max(_PAIR_BLOCK, cells) // n
+        for members in groups:
+            part = hist[members.start * cells : members.stop * cells]
+            part[:] = np.bincount(codes(members, slice(0, rows)), minlength=len(part))
+            for start in range(rows, n, rows):
+                part += np.bincount(codes(members, slice(start, start + rows)), minlength=len(part))
         support = np.flatnonzero(hist)
-        counts = hist[support]
-    else:
-        ordered = np.sort(codes(slice(None)))
+        return support, hist[support]
+    parts = []
+    for members in groups:
+        ordered = np.sort(codes(members, slice(None)))
         keep = np.ones(len(ordered), dtype=bool)
         keep[1:] = ordered[1:] != ordered[:-1]
         starts = np.flatnonzero(keep)
         support = ordered[starts].astype(np.int64)
-        counts = np.diff(starts, append=len(ordered))
-    return support, counts
+        support += members.start * cells
+        parts.append((support, np.diff(starts, append=len(ordered))))
+    if len(parts) == 1:
+        return parts[0]
+    supports, counts = zip(*parts)
+    return np.concatenate(supports), np.concatenate(counts)
