@@ -10,27 +10,20 @@ no partial output behind.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from functools import wraps
 
 import click
 
 from .directions import direction_set, sort_directions
-from .errors import ConfigError, FsetParseError, NumericalInconsistencyError, SizeCapError
+from .errors import ConfigError, NumericalInconsistencyError, SizeCapError
 from .generators import FAMILIES, GENERATOR_NAMES
 from .harness import GENERATORS, KINDS, MODES, CampaignConfig, run_campaign, write_report
 from .incidence import nu_brute, nu_spectral, nu_sweep
 from .pointset import format_fset, read_fset, write_fset
 from .salem import difference_profile, salem_report
 
-_INPUT_ERRORS = (
-    FsetParseError,
-    ConfigError,
-    SizeCapError,
-    NumericalInconsistencyError,
-    ValueError,
-    OSError,
-)
+# ConfigError and FsetParseError are ValueErrors
+_INPUT_ERRORS = (SizeCapError, NumericalInconsistencyError, ValueError, OSError)
 
 
 def _guarded(func):
@@ -47,12 +40,6 @@ def _guarded(func):
     return wrapper
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -65,12 +52,8 @@ def _join(vec) -> str:
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, help="Accepted and echoed in campaign reports; campaigns run on one thread.")
-@click.pass_context
-def main(ctx: click.Context, threads: int | None) -> None:
+def main() -> None:
     """Exact direction-set and Fourier experiments over prime-field grids."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 @main.command("gen")
@@ -146,12 +129,12 @@ def nu_cmd(in_path, k, slope_text, method) -> None:
         click.echo(f"nu_nondegenerate {rep.nu_nondegenerate}")
         click.echo(f"main_term {rep.main_term}")
         click.echo(f"diagonal_term {rep.diagonal_term}")
-        click.echo(f"remainder {_fmt(rep.remainder)}")
+        click.echo(f"remainder {rep.remainder:.6g}")
         return
     for rep in nu_sweep(E, k, method):
         click.echo(
             f"slope={_join(rep.slope)} nu={rep.nu} "
-            f"nondegenerate={rep.nu_nondegenerate} remainder={_fmt(rep.remainder)}"
+            f"nondegenerate={rep.nu_nondegenerate} remainder={rep.remainder:.6g}"
         )
 
 
@@ -165,9 +148,9 @@ def salem_cmd(in_path, threshold) -> None:
     click.echo(f"q {rep.q}")
     click.echo(f"d {rep.dim}")
     click.echo(f"size {rep.set_size}")
-    click.echo(f"max_nonzero_coeff {_fmt(rep.max_nonzero_coeff)}")
-    click.echo(f"salem_constant {_fmt(rep.salem_constant)}")
-    click.echo(f"threshold {_fmt(threshold)}")
+    click.echo(f"max_nonzero_coeff {rep.max_nonzero_coeff:.6g}")
+    click.echo(f"salem_constant {rep.salem_constant:.6g}")
+    click.echo(f"threshold {threshold:.6g}")
     click.echo(f"salem {'true' if rep.is_salem_at(threshold) else 'false'}")
 
 
@@ -207,43 +190,39 @@ def _finish_campaign(result, out_prefix: str | None) -> None:
     sys.exit(0 if result.ok else 1)
 
 
-# The options that set a config key are named by that key.
+def _config_option(key: str, **kwargs):
+    """The verify option named by config key `key`, defaulting to CampaignConfig's class attribute."""
+    default = getattr(CampaignConfig, key)
+    return click.option(f"--{key.replace('_', '-')}", default=default, show_default=True, **kwargs)
+
+
+# Every option but --out sets one config key: --campaign sets kind, --size sizes, the rest their own.
 @main.command("verify")
 @click.option("--campaign", "kind", type=click.Choice(KINDS), required=True)
 @click.option("--q", type=int, multiple=True, required=True)
 @click.option("--d", type=int, multiple=True, required=True)
 @click.option("--k", type=int, multiple=True)
 @click.option("--size", "sizes", multiple=True, help="Size or expression in q, d, k; repeatable.")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mode", type=click.Choice(MODES), default="auto", show_default=True)
-@click.option("--exhaustive", "exhaustive_flag", is_flag=True, help="Shorthand for --mode exhaustive.")
-@click.option("--generator", type=click.Choice(GENERATORS), default="random", show_default=True)
-@click.option("--salem-threshold", type=float, default=2.0, show_default=True)
-@click.option("--ratio-floor", type=float, default=0.25, show_default=True)
+@_config_option("trials")
+@_config_option("seed")
+@_config_option("mode", type=click.Choice(MODES))
+@_config_option("generator", type=click.Choice(GENERATORS))
+@_config_option("salem_threshold")
+@_config_option("ratio_floor")
 @click.option("--out", "out_prefix", type=click.Path(), default=None, help="Report path prefix.")
-@click.pass_context
 @_guarded
-def verify_cmd(ctx, exhaustive_flag, out_prefix, **keys) -> None:
+def verify_cmd(out_prefix, **keys) -> None:
     """Run one verification campaign from command-line flags."""
-    if exhaustive_flag:
-        keys["mode"] = "exhaustive"
-    if ctx.obj["threads"] is not None:
-        keys["threads"] = ctx.obj["threads"]
-    config = CampaignConfig.from_mapping(keys)
-    _finish_campaign(run_campaign(config), out_prefix)
+    _finish_campaign(run_campaign(CampaignConfig.from_mapping(keys)), out_prefix)
 
 
 @main.command("sweep")
 @click.argument("config_file", type=click.Path())
 @click.option("--out", "out_prefix", type=click.Path(), default=None, help="Override the config's output prefix.")
-@click.pass_context
 @_guarded
-def sweep_cmd(ctx, config_file, out_prefix) -> None:
+def sweep_cmd(config_file, out_prefix) -> None:
     """Run the campaign described by a JSON config file."""
     config = CampaignConfig.from_file(config_file)
-    if ctx.obj["threads"] is not None:
-        config = replace(config, threads=ctx.obj["threads"])
     _finish_campaign(run_campaign(config), out_prefix or config.output)
 
 

@@ -95,6 +95,10 @@ _SIZE_BINOPS = {
 }
 
 
+#: An integer power in a size expression may have at most about this many bits.
+_SIZE_POWER_BITS = 1 << 20
+
+
 def evaluate_size(expr: int | str, **variables: int | None) -> int:
     """Evaluate a set-size expression such as "q^k+1" or "ceil(q^1.5)".
 
@@ -111,6 +115,8 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
     else:
         try:
             value = _eval_size_node(ast.parse(expr.replace("^", "**"), mode="eval").body, variables, expr)
+        except ConfigError:
+            raise
         except SyntaxError as exc:
             raise ConfigError(f"bad size expression {expr!r}: {exc.msg}") from None
         except ZeroDivisionError:
@@ -141,6 +147,10 @@ def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: st
     if isinstance(node, ast.BinOp) and type(node.op) in _SIZE_BINOPS:
         left = _eval_size_node(node.left, variables, expr)
         right = _eval_size_node(node.right, variables, expr)
+        # an int power has at least (bit_length(left) - 1) * right bits; refuse it before computing it
+        if isinstance(node.op, ast.Pow) and isinstance(left, int) and isinstance(right, int):
+            if (abs(left).bit_length() - 1) * right > _SIZE_POWER_BITS:
+                raise ConfigError(f"power of over 2^20 bits in size expression {expr!r}")
         return _SIZE_BINOPS[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_size_node(node.operand, variables, expr)
@@ -315,16 +325,20 @@ class Cell:
     total: int | None = None
 
 
-def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int, expr: int | str) -> tuple[str, int]:
-    total = math.comb(q**d, size)
+def _resolve_cell_mode(config: CampaignConfig, q: int, d: int, size: int, expr: int | str) -> tuple[str, int | None]:
+    # C(q^d, size) >= 2^m and q^d < 2^25 (the size cap), so a count not taken is over 2^163 > 10^30
+    m = min(size, q**d - size)
+    total = math.comb(q**d, size) if m * (q**d).bit_length() <= 4096 else None
+    fits = total is not None and total <= EXHAUSTIVE_LIMIT
     if config.mode == "exhaustive":
-        if total > EXHAUSTIVE_LIMIT:
+        if not fits:
+            count = brief(2, m) if total is None else brief(total)
             raise ConfigError(
-                f"exhaustive enumeration of C({brief(q, d)}, {brief(size)}) = {brief(total)} sets "
+                f"exhaustive enumeration of C({brief(q, d)}, {brief(size)}) = {count} sets "
                 f"(size expression {brief(expr)}, q={q}, d={d}) exceeds the {EXHAUSTIVE_LIMIT} limit"
             )
         return "exhaustive", total
-    if config.mode == "auto" and config.generator == "random" and total <= EXHAUSTIVE_LIMIT:
+    if config.mode == "auto" and config.generator == "random" and fits:
         return "exhaustive", total
     return "random", total
 

@@ -153,7 +153,7 @@ def test_missing_file_exits_2(runner, tmp_path):
 def test_verify_exhaustive_exit_0(runner):
     result = invoke(
         runner, "verify", "--campaign", "theorem-main",
-        "--q", "3", "--d", "2", "--k", "1", "--exhaustive",
+        "--q", "3", "--d", "2", "--k", "1", "--mode", "exhaustive",
     )
     assert result.exit_code == 0
     assert "rows 126" in result.output
@@ -212,6 +212,25 @@ def test_verify_huge_exhaustive_count_exits_2(runner):
         "error: exhaustive enumeration of C(1030301, 10202) = over 10^30 sets "
         "(size expression 'q^2+1', q=101, d=3) exceeds the 10000000 limit\n"
     )
+
+
+def test_verify_exhaustive_count_over_10_to_30_is_refused_without_taking_it(runner):
+    # C(1031^2, 531480) has about 320,000 digits; taking it exactly took seconds
+    result = invoke(
+        runner, "verify", "--campaign", "salem-bounds", "--q", "1031", "--d", "2",
+        "--size", "q^2//2", "--mode", "exhaustive",
+    )
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: exhaustive enumeration of C(1062961, 531480) = over 10^30 sets "
+        "(size expression 'q^2//2', q=1031, d=2) exceeds the 10000000 limit\n"
+    )
+
+
+def test_verify_huge_power_in_size_exits_2(runner):
+    result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "3", "--size", "9^9^9")
+    assert result.exit_code == 2
+    assert result.output == "error: power of over 2^20 bits in size expression '9^9^9'\n"
 
 
 def test_sweep_runs_config(runner, tmp_path):
@@ -293,6 +312,16 @@ BAD_FIELD_VALUES = [
         (json.dumps({"q": [3], "d": [2]}), "config key 'kind' is required"),
         ("[1, 2]", "campaign config must be a JSON object"),
         ("not json", "config is not valid JSON: line 1: Expecting value"),
+        (json.dumps({**_BAD_CONFIG_BASE, "q": []}), "config needs at least one q"),
+        (json.dumps({**_BAD_CONFIG_BASE, "d": []}), "config needs at least one d"),
+        (json.dumps({**_BAD_CONFIG_BASE, "q": [65537]}), "q = 65537 exceeds the modulus cap 65536"),
+        (json.dumps({**_BAD_CONFIG_BASE, "k": [0]}), "k must be >= 1, got 0"),
+        (json.dumps({**_BAD_CONFIG_BASE, "threads": 0}), "threads must be >= 1, got 0"),
+        (
+            json.dumps({**_BAD_CONFIG_BASE, "d": [3], "sizes": [10], "generator": "subspace-random"}),
+            "size expression 10 gives 10 points, more than the 9 of H_2 (q=3, d=3, k=1)",
+        ),
+        (json.dumps({**_BAD_CONFIG_BASE, "sizes": ["q+'a'"]}), "non-numeric literal in size expression \"q+'a'\""),
     ],
 )
 def test_sweep_config_error_lines(runner, tmp_path, text, message):
@@ -337,19 +366,35 @@ def test_verify_sharpness_ignores_mode_and_generator(runner, tmp_path, base, fla
     assert outputs[0][0].startswith(f"wrote rep.csv\nwrote rep.json\ncampaign sharpness\nrows {rows}\n")
 
 
-@pytest.mark.parametrize("command", ["sweep", "verify"])
-def test_threads_flag_is_checked_for_sweep(runner, tmp_path, command):
-    cfg_path = tmp_path / "campaign.json"
-    cfg_path.write_text(json.dumps({"kind": "sharpness", "q": [3], "d": [2]}))
-    args = [str(cfg_path)] if command == "sweep" else ["--campaign", "sharpness", "--q", "3", "--d", "2"]
-    result = invoke(runner, "--threads", "0", command, *args)
-    assert result.exit_code == 2
-    assert result.output == "error: threads must be >= 1, got 0\n"
-
-
-def test_threads_flag_accepted(runner):
+def test_verify_lists_ten_counterexamples_and_counts_the_rest(runner):
+    # a floor no set reaches flags both ratios of each of the 6 sets
     result = invoke(
-        runner, "--threads", "2", "verify", "--campaign", "theorem-main",
-        "--q", "5", "--d", "2", "--k", "1", "--trials", "6", "--mode", "random",
+        runner, "verify", "--campaign", "salem-bounds", "--q", "5", "--d", "2", "--size", "q+1",
+        "--trials", "6", "--mode", "random", "--ratio-floor", "2.0",
     )
     assert result.exit_code == 0
+    flags = [
+        f"counterexample soft ratio-{ratio}-floor q=5 d=2 k=None size=6 trial={trial}\n"
+        for trial in range(5)
+        for ratio in ("ii", "diff")
+    ]
+    assert result.output == (
+        "campaign salem-bounds\nrows 6\nhard_failures 0\nsoft_flags 12\n"
+        + "".join(flags)
+        + "... 2 more in the JSON report\nok true\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # campaigns run on one thread; the config key threads is only echoed
+        ["--threads", "2", "verify", "--campaign", "sharpness", "--q", "3", "--d", "2"],
+        # --mode exhaustive is the one spelling
+        ["verify", "--campaign", "sharpness", "--q", "3", "--d", "2", "--exhaustive"],
+    ],
+)
+def test_removed_options_exit_2(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert "Error: No such option" in result.output

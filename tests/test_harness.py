@@ -73,6 +73,29 @@ def test_evaluate_size_rejects_bad_input():
             evaluate_size(expr, q=5, d=2, k=1)
 
 
+def test_evaluate_size_refuses_huge_powers_before_taking_them():
+    # 9^(9^9) has about 1.2e9 bits; 10^5000 (16,610 bits) and 1^(9^9) are taken
+    with pytest.raises(ConfigError) as err:
+        evaluate_size("9^9^9", q=3, d=3, k=1)
+    assert str(err.value) == "power of over 2^20 bits in size expression '9^9^9'"
+    assert evaluate_size("10^5000", q=3, d=3, k=1) == 10**5000
+    assert evaluate_size("1^9^9 + (-1)^9^9 + 2", q=3, d=3, k=1) == 2
+
+
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("x+1", "unknown variable 'x' in size expression 'x+1'"),
+        ("q+'a'", "non-numeric literal in size expression \"q+'a'\""),
+        ("q.real", "unsupported syntax in size expression 'q.real'"),
+    ],
+)
+def test_evaluate_size_errors_are_not_wrapped_twice(expr, message):
+    with pytest.raises(ConfigError) as err:
+        evaluate_size(expr, q=3, d=3, k=1)
+    assert str(err.value) == message
+
+
 # -- config ----------------------------------------------------------------
 
 def test_config_from_json_round_trip():

@@ -102,9 +102,8 @@ CELL_CONFIGS = {
 }
 
 
-# the test ids of the three- and two-grid budgets below, kept stable from
-# the pair caps they once named
-THREE_GRIDS, TWO_GRIDS = "_BLOCK_PAIRS=7", "_BLOCK_PAIRS=100"
+# the three- and two-grid budgets, by test id
+THREE_GRIDS, TWO_GRIDS = "_BLOCK_CELLS=3q^d", "_BLOCK_CELLS=2q^d"
 
 # _BLOCK_CELLS budgets, in cells of the config's smallest grid: whole cells
 # per block (the default), one set per block (one cell), and three, two or
