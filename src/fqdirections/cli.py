@@ -140,7 +140,9 @@ def nu_cmd(in_path, k, slope_text, method) -> None:
 
 @main.command("salem")
 @click.option("--in", "in_path", type=click.Path(), required=True, help="Input .fset file.")
-@click.option("--threshold", type=float, default=2.0, show_default=True, help="Flatness classification bound.")
+@click.option(
+    "--threshold", default=CampaignConfig.salem_threshold, show_default=True, help="Flatness classification bound."
+)
 @_guarded
 def salem_cmd(in_path, threshold) -> None:
     """Print the measured spectral-flatness constant of a set."""

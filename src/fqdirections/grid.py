@@ -130,7 +130,5 @@ def difference_multiplicities(indices: np.ndarray, q: int, d: int) -> tuple[np.n
         support = ordered[starts].astype(np.int64)
         support += members.start * cells
         parts.append((support, np.diff(starts, append=len(ordered))))
-    if len(parts) == 1:
-        return parts[0]
     supports, counts = zip(*parts)
     return np.concatenate(supports), np.concatenate(counts)

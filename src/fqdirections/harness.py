@@ -62,11 +62,11 @@ EXHAUSTIVE_LIMIT = 10**7
 #: them when |E|^2 < q^d or else counts them into the group's slice of a
 #: B q^d table.  A block's traced peak is about 60 bytes a cell
 #: (tests/test_harness.py bounds it).  Sets of more than two pairs a grid
-#: cell get half the cells, which keeps their blocks within
-#: spectral._WHOLE_STACK_MACS where d q <= 64, so they are transformed
-#: whole: sets this dense leave the live-row loop few empty rows to skip.
-#: Full blocks (49 sets of 122 points in F_11^3, 29 of 170 in F_13^3) fall
-#: to that loop, and indicator_power took 1.5 and 2.3 times as long a set.
+#: cell get half the cells, a working-set budget for dense blocks: without
+#: it a set cost more even when every full block was transformed whole
+#: (spectral._WHOLE_STACK_MACS raised to 2^22), 276 against 221 us on
+#: theorem-main F_11^3 with |E| = 122, 297 against 279 us on salem-bounds
+#: F_13^3 with |E| = 170 (run_campaign, one BLAS thread).
 _BLOCK_CELLS = 1 << 16
 
 MODES = ("auto", "random", "exhaustive")
@@ -295,6 +295,9 @@ class CampaignConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for key in ("salem_threshold", "ratio_floor"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.salem_threshold <= 0:
             raise ConfigError(f"salem_threshold must be > 0, got {self.salem_threshold}")
         if self.ratio_floor < 0:
@@ -773,8 +776,8 @@ def _format_column(values: Any, n: int, render: Callable[[Any], str]) -> list[st
     """The texts of a block column's n rows.
 
     A block's constant is rendered once and its text repeated, a range or a
-    typed numpy column by one map of its type's rule, and anything else once
-    per distinct object, keyed by identity.
+    typed numpy column by one map of its type's rule, and anything else row
+    by row.
     """
     if not isinstance(values, _PER_ROW):
         return [render(values)] * n
@@ -785,9 +788,7 @@ def _format_column(values: Any, n: int, render: Callable[[Any], str]) -> list[st
         if kind in _TYPED_TEXT and (kind != "f" or np.isfinite(values).all()):
             return list(map(_TYPED_TEXT[kind], values.tolist()))
         values = values.tolist()
-    ids = list(map(id, values))
-    memo = {key: render(value) for key, value in dict(zip(ids, values)).items()}
-    return list(map(memo.__getitem__, ids))
+    return list(map(render, values))
 
 
 def _rendered_rows(result: CampaignResult, render: Callable[[Any], str]) -> Iterator[tuple[str, ...]]:

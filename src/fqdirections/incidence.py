@@ -24,9 +24,10 @@ gathers R(t) for a block of slope rows from a stack of spectra in one np.take
 and assembles the decomposition, rounding to the nearest integer with a guard
 band; it never builds mu.  The two must agree exactly, and campaigns check
 that they do in every block: `mu_slope_counts` and `slope_counts` run the
-routes for a stack of B equal-size sets.  On one set, `_counts` is the one way
-into each route: a B = 1 kernel call on the set's cached mu or spectrum, for
-every slope or for one.  `theorem_main_threshold`, `nu_sweep`, `nu_brute`,
+routes for a stack of B equal-size sets, each slope by its code in F_q^k.  On
+one set, `_counts` is the one way into each route: a B = 1 kernel call on the
+set's cached mu or spectrum, for every slope or for one.  Both read a slope's
+entries mod q.  `theorem_main_threshold`, `nu_sweep`, `nu_brute`,
 `nu_spectral` and `remainder_spectral` read it.
 """
 
@@ -37,7 +38,6 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import ceil
-from typing import Sequence
 
 import numpy as np
 
@@ -143,16 +143,15 @@ def _frequency_tables(q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(svecs.T), ((-svecs) % q) @ weights
 
 
-def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """R(t) for each set of a (B, q^d) power stack and each slope tuple (all of length k).
+def _remainders(power: np.ndarray, q: int, d: int, k: int, slopes: np.ndarray) -> np.ndarray:
+    """R(t) for each set of a (B, q^d) power stack and each slope code t in F_q^k.
 
     Row t of a gather block probes the frequencies m = (s.t, -s_1, ..., -s_k,
     0, ..., 0) in the global mixed-radix layout, one per nonzero s, in every
     set at once; a block holds at most _SLOPE_BLOCK gathered entries.
     """
-    k = len(slopes[0])
     svecs_t, rest = _frequency_tables(q, d, k)
-    T = np.asarray(slopes, dtype=np.int64)
+    T = grid.decode_indices(slopes, q, k)
     rows = max(1, _SLOPE_BLOCK // (len(power) * len(rest)))
     sums = np.empty((len(power), len(T)))
     for start in range(0, len(T), rows):
@@ -164,17 +163,22 @@ def _remainders(power: np.ndarray, q: int, d: int, slopes: Sequence[tuple[int, .
     return q ** (2 * d - k) * sums
 
 
-def _spectral_counts(
-    power: np.ndarray, size: int, q: int, d: int, slopes: Sequence[tuple[int, ...]]
+def slope_counts(
+    power: np.ndarray, size: int, q: int, d: int, k: int, slopes: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """nu and R(t) for each set of a power stack of size-`size` sets and each slope tuple.
+    """Spectral route for a stack of B sets of `size` points, each slope code at once.
 
-    nu is rounded to the exact integer.  Raises NumericalInconsistencyError
-    naming the first slope, of the first set in stack order, whose float
-    lands farther than the guard band from the nearest integer.
+    power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power), and
+    slopes are codes in F_q^k (grid.encode), all_slopes order by default.
+    Returns (nu, remainders), each (B, len(slopes)), nu rounded to the exact
+    integer.  Row b equals the B = 1 call on set b's power bit for bit,
+    remainders included.  Raises NumericalInconsistencyError naming the
+    first slope, of the first set in stack order, whose float lands farther
+    than the guard band from the nearest integer.
     """
-    main, diag = _terms(size, q, len(slopes[0]))
-    remainders = _remainders(power, q, d, slopes)
+    slopes = np.arange(q**k) if slopes is None else slopes
+    main, diag = _terms(size, q, k)
+    remainders = _remainders(power, q, d, k, slopes)
     values = float(main - diag) + remainders
     nu = np.rint(values)
     off = np.abs(values - nu)
@@ -183,20 +187,9 @@ def _spectral_counts(
         b, i = outside[0]
         raise NumericalInconsistencyError(
             f"spectral incidence value {float(values[b, i])!r} is {off[b, i]:.3e} from the "
-            f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {slopes[i]}"
+            f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {grid.decode(int(slopes[i]), q, k)}"
         )
     return nu.astype(np.int64), remainders
-
-
-def slope_counts(power: np.ndarray, size: int, q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral route for a stack of B sets of `size` points, every slope at once.
-
-    power is the (B, q^d) stack of |Ehat|^2 (spectral.indicator_power).
-    Returns (nu, remainders), each (B, q^k) in all_slopes order, from one
-    gather per block of slope rows.  Row b equals the B = 1 call on set b's
-    power bit for bit, remainders included.
-    """
-    return _spectral_counts(power, size, q, d, all_slopes(q, k))
 
 
 def _counts(
@@ -213,11 +206,12 @@ def _counts(
         raise ValueError(f"unknown method {method!r}")
     q = E.q
     slopes = all_slopes(q, k) if slope is None else [tuple(slope)]
+    codes = np.arange(q**k) if slope is None else np.array([grid.encode([int(t) % q for t in slope], q)])
     if method == "spectral":
-        nu, remainders = _spectral_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, slopes)
+        nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, k, codes)
         return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
     nondegenerate, degenerate = mu_slope_counts(*E.difference_multiplicity(), 1, E.cardinality, q, E.dim, k)
-    row = nondegenerate[0] if slope is None else nondegenerate[0, [grid.encode([int(t) % q for t in slope], q)]]
+    row = nondegenerate[0, codes]
     return slopes, row + degenerate[0], row, None
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -233,6 +234,16 @@ def test_verify_huge_power_in_size_exits_2(runner):
     assert result.output == "error: power of over 2^20 bits in size expression '9^9^9'\n"
 
 
+def test_verify_non_finite_thresholds_exit_2(runner):
+    # NaN passes every range check, and the JSON report would echo it as NaN
+    result = invoke(
+        runner, "verify", "--campaign", "salem-bounds", "--q", "3", "--d", "2", "--size", "4", "--trials", "2",
+        "--mode", "random", "--ratio-floor", "nan", "--salem-threshold", "nan",
+    )
+    assert result.exit_code == 2
+    assert result.output == "error: salem_threshold must be finite, got nan\n"
+
+
 def test_sweep_runs_config(runner, tmp_path):
     config = {
         "kind": "salem-bounds",
@@ -317,6 +328,10 @@ BAD_FIELD_VALUES = [
         (json.dumps({**_BAD_CONFIG_BASE, "q": [65537]}), "q = 65537 exceeds the modulus cap 65536"),
         (json.dumps({**_BAD_CONFIG_BASE, "k": [0]}), "k must be >= 1, got 0"),
         (json.dumps({**_BAD_CONFIG_BASE, "threads": 0}), "threads must be >= 1, got 0"),
+        (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": math.nan}), "salem_threshold must be finite, got nan"),
+        (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": math.inf}), "salem_threshold must be finite, got inf"),
+        (json.dumps({**_BAD_CONFIG_BASE, "ratio_floor": math.nan}), "ratio_floor must be finite, got nan"),
+        (json.dumps({**_BAD_CONFIG_BASE, "ratio_floor": -math.inf}), "ratio_floor must be finite, got -inf"),
         (
             json.dumps({**_BAD_CONFIG_BASE, "d": [3], "sizes": [10], "generator": "subspace-random"}),
             "size expression 10 gives 10 points, more than the 9 of H_2 (q=3, d=3, k=1)",

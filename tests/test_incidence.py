@@ -221,6 +221,18 @@ def test_each_query_calls_its_route_kernel_once(monkeypatch, method):
         assert calls == {"mu_slope_counts": 0, "_remainders": 0, kernel: 1}
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_slope_entries_count_mod_q(k):
+    # both routes encode a slope's entries mod q, so t and t + q count alike
+    E = gen_random(5, 3, 14, seed=8)
+    for single in (nu_spectral, nu_brute):
+        for slope in all_slopes(5, k):
+            report, shifted = single(E, slope), single(E, tuple(t + 5 for t in slope))
+            assert (shifted.nu, shifted.nu_nondegenerate, shifted.remainder) == (
+                report.nu, report.nu_nondegenerate, report.remainder
+            )
+
+
 @given(_sets_and_k())
 @settings(max_examples=30, deadline=None)
 def test_pair_differences_read_off_mu(case):

@@ -143,8 +143,8 @@ PARTITIONS = {
 }
 
 
-# this file's test ids of the three- and two-grid budgets, kept from the pair caps they once named
-PAIR_CAP_IDS = {THREE_GRIDS: "_BLOCK_PAIRS=7", TWO_GRIDS: "_BLOCK_PAIRS=100"}
+# this file's test ids of the three-grid budget, kept from the pair cap they once named
+PAIR_CAP_IDS = {THREE_GRIDS: "_BLOCK_PAIRS=7"}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
