@@ -17,7 +17,7 @@ import click
 from .directions import direction_set, sort_directions
 from .errors import ConfigError, NumericalInconsistencyError, SizeCapError
 from .generators import FAMILIES, GENERATOR_NAMES
-from .harness import GENERATORS, KINDS, MODES, CampaignConfig, run_campaign, write_report
+from .harness import GENERATORS, KINDS, MODES, CampaignConfig, check_salem_threshold, run_campaign, write_report
 from .incidence import nu_brute, nu_spectral, nu_sweep
 from .pointset import format_fset, read_fset, write_fset
 from .salem import difference_profile, salem_report
@@ -146,6 +146,7 @@ def nu_cmd(in_path, k, slope_text, method) -> None:
 @_guarded
 def salem_cmd(in_path, threshold) -> None:
     """Print the measured spectral-flatness constant of a set."""
+    check_salem_threshold(threshold)
     rep = salem_report(read_fset(in_path))
     click.echo(f"q {rep.q}")
     click.echo(f"d {rep.dim}")

@@ -188,6 +188,14 @@ def _field(types: type | tuple[type, ...], what: str, items: str = "", convert: 
 _int_list = _field(int, "must be an integer or a list of integers", "must hold integers")
 
 
+def check_salem_threshold(threshold: float) -> None:
+    """A flatness classification bound must be finite and > 0, in a campaign config and for the salem command."""
+    if not math.isfinite(threshold):
+        raise ConfigError(f"salem_threshold must be finite, got {threshold}")
+    if threshold <= 0:
+        raise ConfigError(f"salem_threshold must be > 0, got {threshold}")
+
+
 def _ints(value: Any, key: str) -> tuple[int, ...]:
     if isinstance(value, bool):
         raise ConfigError(f"config field {key!r} must hold integers")
@@ -295,11 +303,9 @@ class CampaignConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        for key in ("salem_threshold", "ratio_floor"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.salem_threshold <= 0:
-            raise ConfigError(f"salem_threshold must be > 0, got {self.salem_threshold}")
+        check_salem_threshold(self.salem_threshold)
+        if not math.isfinite(self.ratio_floor):
+            raise ConfigError(f"ratio_floor must be finite, got {self.ratio_floor}")
         if self.ratio_floor < 0:
             raise ConfigError(f"ratio_floor must be >= 0, got {self.ratio_floor}")
         if self.kind == "salem-bounds" and not self.sizes:
@@ -760,49 +766,59 @@ def _csv_cell(value: Any) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
+#: JSON text of a report value by its exact type, the text json.dumps gives it, without the call.
+_JSON_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "null",
+    bool: _CSV_TEXT[bool],
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
 def _json_cell(value: Any) -> str:
     """A row value's text in the indent=2 report: a list as json.dumps lays it out, six spaces in."""
-    if isinstance(value, tuple) and value:
-        return json.dumps(value, indent=2).replace("\n", "\n      ")
+    if type(value) in _JSON_TEXT:
+        return _JSON_TEXT[type(value)](value)
+    if isinstance(value, tuple):
+        return json.dumps(value, indent=2).replace("\n", "\n      ") if value else "[]"
     return json.dumps(str(value) if isinstance(value, Fraction) else value)
 
 
-#: A numpy column's value texts by dtype kind, in CSV and JSON alike (JSON
-#: spells NaN and the infinities its own way, so only finite float columns).
-_TYPED_TEXT: dict[str, Callable] = {"b": ("false", "true").__getitem__, "i": int.__repr__, "f": float.__repr__}
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
-def _format_column(values: Any, n: int, render: Callable[[Any], str]) -> list[str]:
-    """The texts of a block column's n rows.
+def _column_texts(values: list | range | np.ndarray, render: Callable[[Any], str]) -> list[str]:
+    """A per-row column's texts: a range or a typed numpy column by its type's rule, anything else row by row.
 
-    A block's constant is rendered once and its text repeated, a range or a
-    typed numpy column by one map of its type's rule, and anything else row
-    by row.
+    The typed texts are the same in CSV and JSON (JSON spells NaN and the
+    infinities its own way, so only finite float columns).
     """
-    if not isinstance(values, _PER_ROW):
-        return [render(values)] * n
-    if isinstance(values, range):
-        return list(map(int.__repr__, values))
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
-        if kind in _TYPED_TEXT and (kind != "f" or np.isfinite(values).all()):
-            return list(map(_TYPED_TEXT[kind], values.tolist()))
+        if kind == "b":
+            return _BOOL_TEXT.take(values.view(np.uint8)).tolist()
+        if kind == "i" or kind == "f" and np.isfinite(values).all():
+            return list(map(repr, values.tolist()))
         values = values.tolist()
-    return list(map(render, values))
+    return list(map(repr if isinstance(values, range) else render, values))
 
 
-def _rendered_rows(result: CampaignResult, render: Callable[[Any], str]) -> Iterator[tuple[str, ...]]:
-    """Each row's value texts in column order, a block at a time."""
-    names = _COLUMNS[result.kind]
-    for block, n in zip(result.blocks, map(_block_length, result.blocks)):
-        yield from zip(*[_format_column(block[name], n, render) for name in names])
+def _row_texts(result: CampaignResult, render: Callable[[Any], str], leads: list[str], end: str) -> Iterator[str]:
+    """Each row's text, a block at a time: every column's lead and value text, then end.
 
-
-#: Each kind's JSON row: its keys as json.dumps(indent=2) lays them out, a %s for each value.
-_JSON_ROWS = {
-    kind: "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
-    for kind, names in _COLUMNS.items()
-}
+    A block's constant is rendered once and folded, with the leads around
+    it, into the fixed text between its per-row columns' texts.
+    """
+    for block in result.blocks:
+        pieces, fixed = [], ""
+        for lead, name in zip(leads, _COLUMNS[result.kind]):
+            values = block[name]
+            if isinstance(values, _PER_ROW):
+                pieces += [itertools.repeat(fixed + lead), _column_texts(values, render)]
+                fixed = ""
+            else:
+                fixed += lead + render(values)
+        yield from map("".join, zip(*pieces, itertools.repeat(fixed + end)))
 
 
 def _json_fraction(value: Any) -> str:
@@ -815,17 +831,21 @@ def _json_fraction(value: Any) -> str:
 def emit_report(result: CampaignResult, format: str) -> str:
     """Render the campaign to text; identical results render byte-identically.
 
-    Rows are rendered a block at a time, a column at a time.  The JSON is
-    the text that json.dumps(indent=2) gives the whole document: a row is
-    its kind's template filled with each value's own encoding, and the
-    entries around rows are encoded whole.
+    One writer gives both formats' rows a block at a time, joining each
+    per-row column's texts with fixed text: the column leads (a comma, or a
+    JSON key) and the block's constants.  The JSON is the text that
+    json.dumps(indent=2) gives the whole document; the entries around rows
+    are encoded whole.
     """
+    names = _COLUMNS[result.kind]
+    commas = [","] * (len(names) - 1)
     if format == "csv":
-        lines = map(",".join, _rendered_rows(result, _csv_cell))
-        return "\n".join(itertools.chain([",".join(_COLUMNS[result.kind])], lines)) + "\n"
+        lines = _row_texts(result, _csv_cell, ["", *commas], "")
+        return "\n".join(itertools.chain([",".join(names)], lines)) + "\n"
     if format != "json":
         raise ConfigError(f"unknown report format {format!r}; expected csv or json")
-    rows = ",\n    ".join(map(_JSON_ROWS[result.kind].__mod__, _rendered_rows(result, _json_cell)))
+    leads = [lead + f"\n      {json.dumps(name)}: " for lead, name in zip(["{", *commas], names)]
+    rows = ",\n    ".join(_row_texts(result, _json_cell, leads, "\n    }"))
     rows = f"[\n    {rows}\n  ]" if rows else "[]"
     head = json.dumps({"kind": result.kind, "config": result.config.to_dict()}, indent=2)
     tail = json.dumps(

@@ -126,6 +126,17 @@ def test_salem_output(runner, line_fset):
     assert "salem false" in result.output
 
 
+@pytest.mark.parametrize(
+    "threshold, message",
+    [("nan", "must be finite, got nan"), ("inf", "must be finite, got inf"), ("-1", "must be > 0, got -1.0")],
+)
+def test_salem_bad_threshold_exits_2(runner, line_fset, threshold, message):
+    # the rule and the message a campaign config gives for salem_threshold
+    result = invoke(runner, "salem", "--in", line_fset, "--threshold", threshold)
+    assert result.exit_code == 2
+    assert result.output == f"error: salem_threshold {message}\n"
+
+
 def test_diff_output(runner, line_fset):
     result = invoke(runner, "diff", "--in", line_fset)
     lines = result.output.splitlines()

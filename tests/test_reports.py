@@ -1,4 +1,4 @@
-"""emit_report renders a column at a time; it must match the row-wise reference byte for byte."""
+"""emit_report renders a block at a time; it must match the row-wise reference byte for byte."""
 
 from __future__ import annotations
 
@@ -84,6 +84,45 @@ def test_hand_built_result_quotes_and_types_like_reference():
     assert '"a,b"' in text and '"say ""hi"""' in text and '"two\nlines"' in text and '"x,y;q""z"' in text
 
 
+def test_hand_built_blocks_fold_constants_like_reference():
+    # typed numpy columns, and constants at a row's edges and between its per-row columns, over blocks of 3 and 1 rows
+    config = CampaignConfig(kind="salem-bounds", q_list=(3,), d_list=(2,), sizes=(4,))
+    odd = ['x,y "%s" 100%\nz', "%d,%%", '"', "\n", ("a,b", 'c"\n%')]
+    three = {
+        "kind": odd[0],  # the first column a constant
+        "q": np.array([-5, 2**53 + 1, 2**63 - 1]),
+        "d": odd[1],
+        "k": None,
+        "size": range(3),
+        "mode": odd[2],
+        "trial": [0, 1, 2],
+        "trial_seed": [None, 7, -(2**63)],
+        "direction_count": np.array([1, -1, 0], dtype=np.int64),
+        "ambient_count": 4,
+        "full_coverage": np.array([True, False, True]),
+        "diff_size": Fraction(9, 2),
+        "bound_ii": np.array([-0.0, 5e-324, 1.5]),
+        "bound_iii": np.array([0.1, float("nan"), -float("inf")]),  # not finite: rendered value by value
+        "bound_diff": 2.5,
+        "is_salem": np.array([False, False, True]),
+        "hard_fail": np.array([True, True, False]),
+        "soft_flags": odd[4],  # the last column a constant
+    }
+    one = {
+        "kind": ["single"],  # this block's first and last columns per-row, its constants in the middle
+        "q": odd[3],
+        "mode": np.array([True]),
+        "ratio_ii": np.array([float("nan")]),
+        "is_salem": np.array([True]),
+        "soft_flags": [("r",)],
+    }
+    filler = {name: float(i) if i % 2 else i for i, name in enumerate(_COLUMNS["salem-bounds"])}
+    blocks = ({**filler, **three}, {**filler, **one})
+    result = CampaignResult("salem-bounds", config, blocks, {"cells": []}, ())
+    _assert_matches_reference(result)
+    assert len(result.rows) == 4
+
+
 def test_carriage_return_is_quoted():
     # as csv.writer does from Python 3.12 on; 3.11 quotes only the line terminator's characters
     config = CampaignConfig(kind="sharpness", q_list=(3,), d_list=(2,))
@@ -127,7 +166,13 @@ class _Colour(IntEnum):
     RED = 1
 
 
-@pytest.mark.parametrize("value", [_Colour.RED, np.float64(0.5), np.float64("nan")])
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [_Colour.RED, np.float64(0.5), np.float64("nan"), np.str_("x"), _Text('a "b"')]
+)
 def test_json_cell_sends_other_types_through_json_dumps(value):
     assert _json_cell(value) == json.dumps(value)
 

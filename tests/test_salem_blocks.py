@@ -143,12 +143,8 @@ PARTITIONS = {
 }
 
 
-# this file's test ids of the three-grid budget, kept from the pair cap they once named
-PAIR_CAP_IDS = {THREE_GRIDS: "_BLOCK_PAIRS=7"}
-
-
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("budget", [pytest.param(budget, id=PAIR_CAP_IDS.get(budget, budget)) for budget in BUDGETS])
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
 def test_campaign_rows_match_per_set_rows(name, budget, threads, monkeypatch, block_sizes):
     config = CampaignConfig.from_mapping({**CELL_CONFIGS[name], "threads": threads})
