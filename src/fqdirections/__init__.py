@@ -50,17 +50,16 @@ from .incidence import (
     theorem_main_threshold,
 )
 from .pointset import PointSet, format_fset, parse_fset, read_fset, write_fset
-from .rng import XorShift64Star, mix64, sample_block, sample_without_replacement
+from .rng import mix64, sample_block, sample_without_replacement
 from .salem import (
     BoundCheckRecord,
     DifferenceProfile,
     SalemReport,
     difference_bound_check,
     difference_profile,
-    mu_spectrum_identity_defect,
     salem_report,
 )
-from .spectral import DEFAULT_SIZE_CAP, GridFunction, check_size_cap, forward_transform, plancherel_defect
+from .spectral import DEFAULT_SIZE_CAP, GridFunction, check_size_cap, forward_transform
 
 __version__ = "0.1.0"
 

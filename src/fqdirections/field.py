@@ -60,17 +60,6 @@ class PrimeField:
         inv.setflags(write=False)
         self.inverse_table = inv
 
-    # -- scalar operations -------------------------------------------------
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; a must be nonzero mod q."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
-        return int(self.inverse_table[a])
-
-    # -- identity ----------------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
 

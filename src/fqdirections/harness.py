@@ -123,6 +123,9 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
             raise ConfigError(f"division by zero in size expression {expr!r}") from None
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"bad size expression {expr!r}: {exc}") from None
+        except MemoryError:
+            # ast.parse raises a bare MemoryError when nesting overflows the parser's stack
+            raise ConfigError(f"bad size expression {expr!r}: nested too deeply or too large") from None
     if isinstance(value, complex):
         raise ConfigError(f"size expression {expr!r} evaluates to non-real {value!r}")
     if isinstance(value, float):

@@ -75,8 +75,11 @@ class PointSet:
     @classmethod
     def from_coords(cls, q: int, dim: int, coords: np.ndarray) -> "PointSet":
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.size == 0:
-            return cls.from_indices(q, dim, [])
+        if coords.ndim != 2 or coords.shape[1] != dim:
+            raise ValueError(f"coordinates must form an (n, {dim}) array, got shape {coords.shape}")
+        outside = ((coords < 0) | (coords >= q)).any(axis=1)
+        if outside.any():
+            _check_point(coords[outside.argmax()].tolist(), q, dim)
         return cls.from_indices(q, dim, grid.encode_coords(coords, q))
 
     @classmethod

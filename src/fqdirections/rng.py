@@ -7,8 +7,8 @@ platform, so instead of a platform library RNG the package pins xorshift64*:
 
 with all arithmetic mod 2^64.  A zero seed is remapped to a fixed nonzero
 constant (the all-zero state is a fixed point of the shifts).  Test vectors
-live in the README and the test suite.  XorShift64Star is the scalar
-reference for the stream.
+live in the README and the test suite.  The scalar reference for the
+stream, XorShift64Star, lives beside the test oracles in tests/oracles.py.
 
 Bounded draws use a plain modulo reduction; the bias is below bound / 2^64,
 irrelevant at desk scale, and keeps the draw count per request fixed.
@@ -22,7 +22,7 @@ gather, before the shuffle starts; longer samples restart from a chunk's
 last state (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 8(14), 2003;
 Haramoto et al., "Efficient jump ahead for F2-linear random number
 generators", INFORMS J. Comput. 20(3), 2008).  The stream is the scalar
-generator's, bit for bit.
+reference's, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,30 +37,6 @@ from .errors import brief
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
-
-
-class XorShift64Star:
-    """Minimal xorshift64* stream; deterministic in the seed."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        state = seed & _MASK64
-        self.state = state if state else _ZERO_SEED_REPLACEMENT
-
-    def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * _MULTIPLIER) & _MASK64
-
-    def below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound); bound must be positive."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return self.next_u64() % bound
 
 
 def mix64(*parts: int) -> int:

@@ -36,7 +36,7 @@ from .directions import canonical_codes
 from .errors import NumericalInconsistencyError
 from .field import PrimeField
 from .pointset import PointSet
-from .spectral import GridFunction, empty_table, forward_transform
+from .spectral import empty_table
 
 #: Relative tolerance for the fourth-moment Parseval identity.
 PARSEVAL_TOLERANCE = 1e-6
@@ -99,14 +99,6 @@ def difference_profile(E: PointSet) -> DifferenceProfile:
     """mu(z) counted exactly over ordered pairs (x = y included), read off E's cached sparse mu."""
     codes, counts = E.difference_multiplicity()
     return DifferenceProfile(field=E.field, dim=E.dim, codes=codes, counts=counts, total=E.cardinality**2)
-
-
-def mu_spectrum_identity_defect(E: PointSet) -> float:
-    """max_m |muhat(m) - q^d |Ehat(m)|^2|; callers assert < 1e-6 * |E|^2."""
-    mu = difference_profile(E).mu.astype(np.complex128)
-    mu_hat = forward_transform(GridFunction(E.field, E.dim, mu))
-    target = float(E.q) ** E.dim * E.spectrum_power()
-    return float(np.max(np.abs(mu_hat.values - target)))
 
 
 @dataclass(frozen=True)

@@ -327,15 +327,3 @@ def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndar
     if len(indices) * dim * field.q ** (dim + 1) <= _WHOLE_STACK_MACS:
         return _whole_stack_power(indices, field, dim)
     return _axis_by_axis(*_indicator_rows(indices, field.q, dim), len(indices), field, dim, power=True)
-
-
-def plancherel_defect(f: GridFunction) -> float:
-    """|sum_m |fhat(m)|^2 - q^(-d) sum_x |f(x)|^2|.
-
-    Exactly zero in exact arithmetic; callers assert it stays below
-    1e-9 * max(1, sum_x |f(x)|^2).
-    """
-    spec = forward_transform(f)
-    lhs = float(np.sum(np.abs(spec.values) ** 2))
-    rhs = float(np.sum(np.abs(f.values) ** 2)) * float(f.field.q) ** (-f.dim)
-    return abs(lhs - rhs)

@@ -3,6 +3,8 @@
 Everything here is written the slow, obvious way: explicit Python loops,
 no vectorization, no shared helpers from the package beyond data access.
 Tests freeze these as the ground truth the optimized code must reproduce.
+The two identity defects (plancherel_defect, mu_spectrum_identity_defect)
+instead measure the package's own transform against an exact identity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from fqdirections.pointset import PointSet
-from fqdirections.rng import XorShift64Star
+from fqdirections.salem import difference_profile
+from fqdirections.spectral import GridFunction, forward_transform
+
+_MASK64 = (1 << 64) - 1
 
 
 def dft_direct(values: np.ndarray, q: int, d: int, frequencies: Sequence[int] | None = None) -> np.ndarray:
@@ -156,6 +161,35 @@ def apply_linear_map(E: PointSet, matrix: Sequence[Sequence[int]]) -> PointSet:
     return PointSet.from_coords(E.q, E.dim, coords)
 
 
+class XorShift64Star:
+    """The scalar xorshift64* stream, stepped one state at a time; rng.sample_block must match it bit for bit.
+
+        x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27;  output = x * 2685821657736338717
+
+    mod 2^64, with a zero seed remapped to 0x9E3779B97F4A7C15.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        state = seed & _MASK64
+        self.state = state if state else 0x9E3779B97F4A7C15
+
+    def next_u64(self) -> int:
+        x = self.state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * 2685821657736338717) & _MASK64
+
+    def below(self, bound: int) -> int:
+        """Draw in [0, bound) by plain modulo reduction; bound must be positive."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        return self.next_u64() % bound
+
+
 def fisher_yates_sample(total: int, count: int, seed: int) -> list[int]:
     """First count entries of a partial Fisher-Yates shuffle of range(total).
 
@@ -173,6 +207,26 @@ def fisher_yates_sample(total: int, count: int, seed: int) -> list[int]:
         moved[j] = value_i
         out.append(value_j)
     return out
+
+
+def plancherel_defect(f: GridFunction) -> float:
+    """|sum_m |fhat(m)|^2 - q^(-d) sum_x |f(x)|^2|.
+
+    Exactly zero in exact arithmetic; tests assert it stays below
+    1e-9 * max(1, sum_x |f(x)|^2).
+    """
+    spec = forward_transform(f)
+    lhs = float(np.sum(np.abs(spec.values) ** 2))
+    rhs = float(np.sum(np.abs(f.values) ** 2)) * float(f.field.q) ** (-f.dim)
+    return abs(lhs - rhs)
+
+
+def mu_spectrum_identity_defect(E: PointSet) -> float:
+    """max_m |muhat(m) - q^d |Ehat(m)|^2|; tests assert < 1e-6 * |E|^2."""
+    mu = difference_profile(E).mu.astype(np.complex128)
+    mu_hat = forward_transform(GridFunction(E.field, E.dim, mu))
+    target = float(E.q) ** E.dim * E.spectrum_power()
+    return float(np.max(np.abs(mu_hat.values - target)))
 
 
 def _csv_value(value: Any) -> str:

@@ -26,9 +26,11 @@ from fqdirections.harness import CampaignConfig, emit_report, run_campaign
 from fqdirections.incidence import all_slopes, remainder_spectral, theorem_main_threshold
 from fqdirections.pointset import PointSet
 from fqdirections.rng import mix64
-from fqdirections.salem import difference_profile, mu_spectrum_identity_defect
-from fqdirections.spectral import GridFunction, plancherel_defect
+from fqdirections.salem import difference_profile
+from fqdirections.spectral import GridFunction
 from fqdirections.field import PrimeField
+
+from oracles import mu_spectrum_identity_defect, plancherel_defect
 
 MASTER_SEED = 20260823
 IDENTITY_CELLS = [(q, d) for q in (3, 5, 7) for d in (2, 3)]

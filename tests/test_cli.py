@@ -197,6 +197,16 @@ def test_verify_bad_size_expression_exits_2(runner):
     assert result.output == "error: bad size expression 'ceil(1e400)': cannot convert float infinity to integer\n"
 
 
+#: A size expression nested past the parser's stack, where ast.parse raises MemoryError.
+DEEP_SIZE = "-" * 10000 + "1"
+
+
+def test_verify_deeply_nested_size_exits_2(runner):
+    result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "2", "--size", DEEP_SIZE)
+    assert result.exit_code == 2
+    assert result.output == f"error: bad size expression {DEEP_SIZE!r}: nested too deeply or too large\n"
+
+
 def test_verify_huge_size_exits_2(runner):
     # a size of 5001 digits is named by its expression, not spelled out
     result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "2", "--size", "10^5000")
@@ -348,6 +358,11 @@ BAD_FIELD_VALUES = [
             "size expression 10 gives 10 points, more than the 9 of H_2 (q=3, d=3, k=1)",
         ),
         (json.dumps({**_BAD_CONFIG_BASE, "sizes": ["q+'a'"]}), "non-numeric literal in size expression \"q+'a'\""),
+        pytest.param(
+            json.dumps({**_BAD_CONFIG_BASE, "sizes": [DEEP_SIZE]}),
+            f"bad size expression {DEEP_SIZE!r}: nested too deeply or too large",
+            id="deeply-nested-size",
+        ),
     ],
 )
 def test_sweep_config_error_lines(runner, tmp_path, text, message):

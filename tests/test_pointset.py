@@ -36,6 +36,9 @@ def test_point_validation():
         PointSet.from_points(5, 2, [(1, 1), (1, 1)])
     with pytest.raises(ValueError):
         PointSet.from_indices(5, 2, [25])
+    for coords in ([[0, 5]], [[0, -1]], [[0, 0, 1]], [[1]], [0, 1]):
+        with pytest.raises(ValueError):
+            PointSet.from_coords(3, 2, coords)
 
 
 def test_empty_and_full():

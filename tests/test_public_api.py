@@ -8,7 +8,11 @@ from pathlib import Path
 
 import fqdirections
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+#: Exported though nothing else names it: the scalar definition of a direction class.
+UNREFERENCED_EXPORTS = {"canonical_direction"}
 
 EXPORTS = [
     "BoundCheckRecord",
@@ -30,7 +34,6 @@ EXPORTS = [
     "SizeCapError",
     "SlopeOutcome",
     "ThresholdReport",
-    "XorShift64Star",
     "__version__",
     "all_slopes",
     "ambient_direction_count",
@@ -53,12 +56,10 @@ EXPORTS = [
     "gen_subspace_random",
     "is_prime",
     "mix64",
-    "mu_spectrum_identity_defect",
     "nu_brute",
     "nu_spectral",
     "nu_sweep",
     "parse_fset",
-    "plancherel_defect",
     "read_fset",
     "remainder_spectral",
     "run_campaign",
@@ -81,6 +82,20 @@ def test_all_is_unique_and_resolves():
 
 def test_all_is_pinned():
     assert sorted(fqdirections.__all__) == EXPORTS
+
+
+def test_every_export_is_referenced():
+    # an export that only tests use belongs in tests/oracles.py, not the library
+    files = [path for path in (ROOT / "src" / "fqdirections").glob("*.py") if path.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), README]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    unreferenced = set()
+    for name in fqdirections.__all__:
+        word = re.escape(name)
+        definition = re.compile(rf"^(?:def|class) {word}\b|^{word}\b[^=\n]*=", re.M)
+        if not re.search(rf"\b{word}\b", definition.sub("", text)):
+            unreferenced.add(name)
+    assert unreferenced == UNREFERENCED_EXPORTS
 
 
 def test_readme_library_example_imports_only_exports():

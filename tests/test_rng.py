@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fqdirections import rng
-from fqdirections.rng import XorShift64Star, mix64, sample_block, sample_without_replacement
+from fqdirections.rng import mix64, sample_block, sample_without_replacement
+from oracles import XorShift64Star
 
 # Frozen stream prefixes; recomputed independently from the recurrence
 # x ^= x >> 12; x ^= x << 25; x ^= x >> 27; out = x * 2685821657736338717 mod 2^64.

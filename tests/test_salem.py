@@ -18,11 +18,11 @@ from fqdirections.pointset import PointSet
 from fqdirections.salem import (
     difference_bound_check,
     difference_profile,
-    mu_spectrum_identity_defect,
     salem_report,
 )
 
 import oracles
+from oracles import mu_spectrum_identity_defect
 
 
 @pytest.mark.parametrize(

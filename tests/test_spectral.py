@@ -25,10 +25,10 @@ from fqdirections.spectral import (
     empty_table,
     forward_transform,
     indicator_power,
-    plancherel_defect,
 )
 
 import oracles
+from oracles import plancherel_defect
 
 
 def random_function(q, d, seed):
