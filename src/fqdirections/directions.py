@@ -24,11 +24,13 @@ canonical code; above, it computes the codes, since at q = 101, d = 3 a
 table would take about 200 ms and a transient 94 MB to build.
 
 canonical_codes works on a stack of sets at once: set b's codes are offset
-by b q^d, as the stacked mu kernel returns them, so one sort classes every
-set of a campaign block, and |D(E)| of each set is a bincount of the
-offsets.  Campaign blocks read nu(t) off the same stacked mu and compare it
-with the spectral route (see incidence).  direction_set and
-directions_of_codes are the one-set case.
+by b q^d, as the stacked mu kernel returns them, so one sort classes a
+whole stack.  Campaign blocks need only counts: _direction_marks marks each
+set's canonical codes in a (B, q^d) bool array, and |D(E)| of each set is
+the count of its row's marks, less vector 0, with no sort.  Campaign blocks
+read nu(t) off the same stacked mu and compare it with the spectral route
+(see incidence).  direction_set and directions_of_codes are the one-set
+case.
 """
 
 from __future__ import annotations
@@ -113,6 +115,21 @@ def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
     canon = grid.distinct(canonical_of(local, field, d) + (codes - local))
     # vector 0 canonicalizes to itself, set b's to b q^d
     return canon[canon % cells != 0]
+
+
+def _direction_marks(codes: np.ndarray, field: PrimeField, d: int, sets: int) -> np.ndarray:
+    """A (sets, q^d) bool array marking each set's canonical codes, vector 0 cleared.
+
+    codes is a stack's support of mu, set b's offset by b q^d as in
+    canonical_codes.  A row's count of marks is |D(E)| of its set, with no
+    sort.
+    """
+    cells = field.q**d
+    local = codes % cells
+    mark = np.zeros((sets, cells), dtype=bool)
+    mark.ravel()[canonical_of(local, field, d) + (codes - local)] = True
+    mark[:, 0] = False
+    return mark
 
 
 def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:

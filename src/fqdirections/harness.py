@@ -39,7 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .directions import ambient_direction_count, canonical_codes
+from .directions import _direction_marks, ambient_direction_count
 from .errors import ConfigError, NumericalInconsistencyError, brief
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, index_block
@@ -583,11 +583,11 @@ def _theorem_block(
         )
     holds = ~threshold_failures(nu, size, q, k).any(axis=1)
     covered = (nondeg > 0).all(axis=1)
-    owner, vector = np.divmod(canonical_codes(codes, field, d), q**d)
-    dir_counts = np.bincount(owner, minlength=len(picks))
+    mark = _direction_marks(codes, field, d, len(picks))
+    dir_counts = np.count_nonzero(mark, axis=1)
     # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
     # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
-    tails = np.bincount(owner[vector % q ** (d - k - 1) == 0], minlength=len(picks))
+    tails = np.count_nonzero(mark[:, :: q ** (d - k - 1)], axis=1)
     literal = tails == ambient_direction_count(q, k + 1)
     ambient_n = ambient_direction_count(q, d)
     full = dir_counts == ambient_n
@@ -697,7 +697,7 @@ def _sharpness_block(
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
     codes, _ = difference_multiplicities(picks, q, d)
-    dir_counts = np.bincount(canonical_codes(codes, prime_field(q), d) // q**d, minlength=len(picks))
+    dir_counts = np.count_nonzero(_direction_marks(codes, prime_field(q), d, len(picks)), axis=1)
     expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
     exact = (dir_counts == expected) & (picks.shape[1] == cell.size)
     fewer = dir_counts < next_count

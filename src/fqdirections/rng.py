@@ -23,6 +23,19 @@ last state (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 8(14), 2003;
 Haramoto et al., "Efficient jump ahead for F2-linear random number
 generators", INFORMS J. Comput. 20(3), 2008).  The stream is the scalar
 reference's, bit for bit.
+
+The partial Fisher-Yates pass is resolved for a whole block at once, with
+no loop over draws.  Step i swaps positions i and j_i >= i, so:
+
+    out[i] = j_i, unless an earlier step m had j_m = j_i: then the value
+             the last such step placed;
+    step m places what position m held before step m: m itself, unless an
+             earlier step wrote position m: then what the last such placed.
+
+Following "the last earlier step that wrote here" ends at a step that read
+its own untouched position, whose index is the placed value.  One stable
+per-row sort of the targets finds every link, and pointer jumping follows
+them all, about log2(count) rounds; memory stays O(B count) whatever total.
 """
 
 from __future__ import annotations
@@ -116,26 +129,39 @@ def sample_block(total: int, count: int, seeds: Sequence[int]) -> np.ndarray:
         outputs[:, start : start + states.shape[1]] = states
         state = states[:, -1]
     outputs *= np.uint64(_MULTIPLIER)
-    # draw i picks j = i + below(total - i) and swaps positions i and j
+    # step i draws j_i = i + below(total - i) and swaps positions i and j_i;
+    # every step resolves at once by the identity in the module docstring
     steps = np.arange(count, dtype=np.uint64)
     outputs %= np.uint64(total) - steps
     outputs += steps
-    picks = []
-    for row in outputs.tolist():
-        displaced: dict[int, int] = {}
-        get = displaced.get
-        out = [0] * count
-        for i, j in enumerate(row):
-            out[i] = get(j, j)
-            displaced[j] = get(i, i)
-        picks.append(out)
-    return np.array(picks, dtype=np.int64).reshape(len(picks), count)
+    targets = outputs.view(np.int64)
+    # steps are flat, row * count + i; each row's sorted stably by target
+    order = np.argsort(targets, axis=1, kind="stable")
+    ordered = np.take_along_axis(targets, order, axis=1)
+    offsets = np.arange(len(targets))[:, None] * count
+    step = order + offsets
+    same = ordered[:, 1:] == ordered[:, :-1]
+    # a step with j_p = p links to itself; nothing reads what it places
+    last = np.ones(targets.shape, dtype=bool)
+    last[:, :-1] = ~same
+    last &= ordered < count
+    placed = np.arange(targets.size)
+    placed[(ordered + offsets)[last]] = step[last]
+    while True:
+        jumped = placed[placed]
+        if np.array_equal(jumped, placed):
+            break
+        placed = jumped
+    # a step sharing an earlier step's target draws what that step placed
+    out = targets.ravel().copy()
+    out[step[:, 1:][same]] = placed[step[:, :-1][same]] % count
+    return out.reshape(targets.shape)
 
 
 def sample_without_replacement(total: int, count: int, seed: int) -> list[int]:
     """First `count` entries of a seeded partial Fisher-Yates shuffle of range(total).
 
-    Sparse bookkeeping keeps memory at O(count) even for large totals.
+    Memory stays O(count) even for large totals.
     The one-seed case of sample_block.
     """
     return sample_block(total, count, [seed])[0].tolist()

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .directions import canonical_codes
+from .directions import _direction_marks
 from .errors import NumericalInconsistencyError
 from .field import PrimeField
 from .pointset import PointSet
@@ -182,7 +182,7 @@ def difference_bounds(
     sets = len(power)
     codes, counts = mu
     _check_squares_exact(size * size)
-    dirs = np.bincount(canonical_codes(codes, field, d) // q**d, minlength=sets)
+    dirs = np.count_nonzero(_direction_marks(codes, field, d, sets), axis=1)
     # set b's run of mu starts at its offset b q^d, and is empty only when the set is
     runs = np.searchsorted(codes, q**d * np.arange(sets))
     diff_size = np.diff(runs, append=len(codes))

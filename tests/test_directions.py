@@ -17,6 +17,7 @@ from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_coordinate_subspace, gen_random
 from fqdirections.incidence import mu_slope_counts
 from fqdirections.pointset import PointSet
+from fqdirections.rng import mix64, sample_block
 from fqdirections.salem import difference_bound_check
 
 import oracles
@@ -272,3 +273,61 @@ def test_large_grid_builds_no_table(monkeypatch):
     E = gen_random(101, 3, 40, seed=2)
     assert direction_set(E) == oracles.directions_enumerate(E.points(), 101)
     assert (101, 3) not in directions._CANONICAL_TABLES
+
+
+# -- per-set class counts of a campaign block --------------------------------
+
+
+def _random_stack(q, d, size, sets):
+    return sample_block(q**d, size, [mix64(29, q, d, size, b) for b in range(sets)])
+
+
+def _subspace_stack(q, d, k):
+    return gen_coordinate_subspace(q, d, k).indices()[None]
+
+
+def _refuse_sort(codes):
+    raise AssertionError("a campaign stack was sorted")
+
+
+@pytest.mark.parametrize(
+    "q, d, k, picks",
+    [
+        # theorem-main at k = d - 1 (random-mid's cell) and at k < d - 1
+        (11, 3, 2, _random_stack(11, 3, 122, 20)),
+        (5, 3, 1, _random_stack(5, 3, 6, 100)),
+        (3, 4, 1, _random_stack(3, 4, 4, 50)),
+        (7, 4, 2, _random_stack(7, 4, 50, 27)),
+        # salem-bounds at q + 1, 2q and q^2 + 1 (salem-mid's cells)
+        (13, 3, 1, _random_stack(13, 3, 14, 10)),
+        (13, 3, 1, _random_stack(13, 3, 26, 10)),
+        (13, 3, 1, _random_stack(13, 3, 170, 10)),
+        # sharpness: the one-set blocks H_k
+        (5, 3, 1, _subspace_stack(5, 3, 1)),
+        (5, 3, 2, _subspace_stack(5, 3, 2)),
+        (3, 4, 3, _subspace_stack(3, 4, 3)),
+        # one-point sets determine no direction
+        (3, 2, 1, _random_stack(3, 2, 1, 7)),
+        # 29 and 30 sets of F_13^3 hold 63,713 and 65,910 cells, either side of 2^16
+        # (harness._BLOCK_CELLS); both mark alike
+        (13, 3, 2, _random_stack(13, 3, 14, 29)),
+        (13, 3, 2, _random_stack(13, 3, 14, 30)),
+        # one set of a grid above the canonical table's limit
+        (101, 3, 1, _random_stack(101, 3, 102, 1)),
+    ],
+)
+def test_direction_marks_match_sorted_canonical_codes(q, d, k, picks, monkeypatch):
+    field, cells, sets = prime_field(q), q**d, len(picks)
+    codes, _ = grid.difference_multiplicities(picks, q, d)
+    owner, vector = np.divmod(canonical_codes(codes, field, d), cells)
+    stride = q ** (d - k - 1)
+    monkeypatch.setattr(grid, "distinct", _refuse_sort)
+    mark = directions._direction_marks(codes, field, d, sets)
+    counts = np.count_nonzero(mark, axis=1)
+    assert counts.tolist() == np.bincount(owner, minlength=sets).tolist()
+    tails = np.count_nonzero(mark[:, ::stride], axis=1)
+    assert tails.tolist() == np.bincount(owner[vector % stride == 0], minlength=sets).tolist()
+    if picks.shape[1] == 1:
+        assert not counts.any()
+    if picks.shape[1] == q**k:
+        assert counts.tolist() == [ambient_direction_count(q, k)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +128,42 @@ def test_sample_block_across_table_chunks(count):
 def test_sample_block_over_several_gathers():
     seeds = [mix64(11, seed) for seed in range(2 * rng._JUMP_ROWS + 3)] + EDGE_SEEDS
     _assert_matches_scalar(1 << 24, W + 5, seeds)
+
+
+@pytest.mark.parametrize("total", range(1, W + 1))
+def test_sample_block_where_draws_collide_most(total):
+    # with count near total almost every target was written by an earlier step
+    for count in range(max(0, total - 3), total + 1):
+        _assert_matches_scalar(total, count, EDGE_SEEDS)
+
+
+@pytest.mark.parametrize("total, count", [(4, 4), (9, 6), (W, W), (W + 1, W - 2), (2 * W + 3, 2 * W + 3)])
+def test_sample_block_collisions_over_several_gathers(total, count):
+    seeds = [mix64(13, seed) for seed in range(2 * rng._JUMP_ROWS + 2)]
+    _assert_matches_scalar(total, count, seeds)
+
+
+def test_sample_block_repeated_seed_gives_identical_rows():
+    # 0 and 2^64 both stand for the remapped zero seed
+    seeds = [5, 0, 5, 2**64, 9, 5, 0]
+    block = sample_block(12, 12, seeds)
+    for seed, row in zip(seeds, block.tolist()):
+        assert row == block[seeds.index(seed)].tolist() == oracles.fisher_yates_sample(12, 12, seed)
+    assert block[1].tolist() == block[3].tolist()
+    _assert_matches_scalar(1 << 40, 100, [7] * 130)
+
+
+def test_sample_block_memory_is_sized_by_the_draws_not_the_total():
+    seeds, count = [mix64(17, seed) for seed in range(8)], 200
+    sample_block(1 << 63, count, seeds)  # builds the cached jump table
+    tracemalloc.start()
+    try:
+        sample_block(1 << 63, count, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (16, B, 64) uint64 gather and a few (B, count) int64 arrays
+    assert peak < 32 * 8 * len(seeds) * count
 
 
 def test_sample_block_edges():
