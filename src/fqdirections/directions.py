@@ -18,10 +18,12 @@ are decoded back into tuples.
 
 canonical_of gives the canonical code of vectors of F_q^n: D(E) takes it
 in dimension d, a difference's slope in dimension k+1 on its first k+1
-coordinates (incidence.mu_slope_counts).  On grids of at most _TABLE_CELLS
-cells it is one gather from a cached read-only table of every vector's
-canonical code; above, it computes the codes, since at q = 101, d = 3 a
-table would take about 200 ms and a transient 94 MB to build.
+coordinates (incidence.mu_slope_counts).  A code's base-q digits are
+scaled by the inverse of its leading digit and read back as a code, with
+no (n, d) coordinate rows.  On grids of at most _TABLE_CELLS cells that is
+done once for every vector into a cached read-only table, and a query is
+one gather; above, each query computes its codes, since at q = 101, d = 3
+a table would take about 200 ms and a transient 94 MB to build.
 
 canonical_codes works on a stack of sets at once: set b's codes are offset
 by b q^d, as the stacked mu kernel returns them, so one sort classes a
@@ -67,37 +69,44 @@ def canonical_direction(z: Sequence[int], q: int) -> Direction:
     return tuple((scale * c) % q for c in vec)
 
 
-def canonicalize_rows(diffs: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Row-wise canonical representatives of an (n, d) array of nonzero vectors."""
-    q = field.q
-    lead_pos = np.argmax(diffs != 0, axis=1)
-    lead = diffs[np.arange(len(diffs)), lead_pos]
-    scale = field.inverse_table[lead]
-    return (diffs * scale[:, None]) % q
-
-
 def _canonical_table(field: PrimeField, n: int) -> np.ndarray:
     """The canonical code of every vector code of F_q^n, 0 for 0; built once per (q, n), read-only."""
     q = field.q
     table = _CANONICAL_TABLES.get((q, n))
     if table is None:
-        vectors = grid.decode_indices(np.arange(q**n, dtype=np.int64), q, n)
-        table = grid.encode_coords(canonicalize_rows(vectors, field), q).astype(np.int32)
+        table = _scaled_codes(np.arange(q**n, dtype=np.int64), field, n).astype(np.int32)
         table.flags.writeable = False
         table = _CANONICAL_TABLES.setdefault((q, n), table)
     return table
 
 
-def canonical_of(local: np.ndarray, field: PrimeField, n: int) -> np.ndarray:
-    """Canonical code of each vector code in [0, q^n); code 0 maps to 0.
-
-    A gather from the cached table when q^n <= _TABLE_CELLS, computed
-    otherwise; both give the same codes.
-    """
+def _scaled_codes(local: np.ndarray, field: PrimeField, n: int) -> np.ndarray:
+    """Canonical code of each int64 vector code in [0, q^n), computed from its base-q digits."""
     q = field.q
-    if q**n <= _TABLE_CELLS:
+    digits = []
+    lead = np.zeros_like(local)
+    for _ in range(n):
+        local, digit = np.divmod(local, q)
+        digits.append(digit)
+        # digits come least significant first, so the last nonzero one leads
+        np.copyto(lead, digit, where=digit != 0)
+    scale = field.inverse_table[lead]
+    code = np.zeros_like(lead)
+    for digit in reversed(digits):
+        code *= q
+        code += digit * scale % q
+    return code
+
+
+def canonical_of(local: np.ndarray, field: PrimeField, n: int) -> np.ndarray:
+    """Canonical code of each int64 vector code in [0, q^n); code 0 maps to 0.
+
+    A gather from the cached table when q^n <= _TABLE_CELLS, computed from
+    the digits otherwise; the table holds the computed codes.
+    """
+    if field.q**n <= _TABLE_CELLS:
         return np.take(_canonical_table(field, n), local)
-    return grid.encode_coords(canonicalize_rows(grid.decode_indices(local, q, n), field), q)
+    return _scaled_codes(local, field, n)
 
 
 def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
@@ -138,7 +147,7 @@ def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Dir
     Repeated codes are allowed; see canonical_codes.
     """
     reps = grid.decode_indices(canonical_codes(codes, field, d), field.q, d)
-    return set(map(tuple, reps.tolist()))
+    return set(zip(*reps.T.tolist()))
 
 
 def direction_set(E: PointSet) -> set[Direction]:

@@ -31,13 +31,19 @@ class ConfigError(ValueError):
 #: Integers of this many digits or more are not spelled out in error text.
 _ERROR_DIGITS = 30
 
+#: Strings longer than this are shown in error text by a prefix of this many characters.
+_ERROR_CHARS = 60
+
 
 def brief(value: int | str, exponent: int = 1) -> str:
     """value**exponent for error text, not spelled out from 10^30 in magnitude on, or a string value quoted.
 
     For value >= 2 a power of at least 2^100 > 10^30 is not taken, however large the exponent.
+    A string of more than _ERROR_CHARS characters is quoted by its prefix and its length.
     """
     if isinstance(value, str):
+        if len(value) > _ERROR_CHARS:
+            return f"{value[:_ERROR_CHARS]!r}... ({len(value)} characters)"
         return repr(value)
     if value >= 2 and (value.bit_length() - 1) * exponent >= 100:
         return f"over 10^{_ERROR_DIGITS}"

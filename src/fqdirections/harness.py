@@ -118,19 +118,19 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
         except ConfigError:
             raise
         except SyntaxError as exc:
-            raise ConfigError(f"bad size expression {expr!r}: {exc.msg}") from None
+            raise ConfigError(f"bad size expression {brief(expr)}: {exc.msg}") from None
         except ZeroDivisionError:
-            raise ConfigError(f"division by zero in size expression {expr!r}") from None
+            raise ConfigError(f"division by zero in size expression {brief(expr)}") from None
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ConfigError(f"bad size expression {expr!r}: {exc}") from None
+            raise ConfigError(f"bad size expression {brief(expr)}: {exc}") from None
         except MemoryError:
             # ast.parse raises a bare MemoryError when nesting overflows the parser's stack
-            raise ConfigError(f"bad size expression {expr!r}: nested too deeply or too large") from None
+            raise ConfigError(f"bad size expression {brief(expr)}: nested too deeply or too large") from None
     if isinstance(value, complex):
-        raise ConfigError(f"size expression {expr!r} evaluates to non-real {value!r}")
+        raise ConfigError(f"size expression {brief(expr)} evaluates to non-real {value!r}")
     if isinstance(value, float):
         if not value.is_integer():
-            raise ConfigError(f"size expression {expr!r} evaluates to non-integer {value!r}")
+            raise ConfigError(f"size expression {brief(expr)} evaluates to non-integer {value!r}")
         value = int(value)
     if value < 1:
         raise ConfigError(f"size expression {brief(expr)} evaluates to {brief(value)}, need >= 1")
@@ -140,12 +140,12 @@ def evaluate_size(expr: int | str, **variables: int | None) -> int:
 def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: str) -> int | float:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ConfigError(f"non-numeric literal in size expression {expr!r}")
+            raise ConfigError(f"non-numeric literal in size expression {brief(expr)}")
         return node.value
     if isinstance(node, ast.Name):
         value = variables.get(node.id)
         if value is None:
-            raise ConfigError(f"unknown variable {node.id!r} in size expression {expr!r}")
+            raise ConfigError(f"unknown variable {brief(node.id)} in size expression {brief(expr)}")
         return value
     if isinstance(node, ast.BinOp) and type(node.op) in _SIZE_BINOPS:
         left = _eval_size_node(node.left, variables, expr)
@@ -153,7 +153,7 @@ def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: st
         # an int power has at least (bit_length(left) - 1) * right bits; refuse it before computing it
         if isinstance(node.op, ast.Pow) and isinstance(left, int) and isinstance(right, int):
             if (abs(left).bit_length() - 1) * right > _SIZE_POWER_BITS:
-                raise ConfigError(f"power of over 2^20 bits in size expression {expr!r}")
+                raise ConfigError(f"power of over 2^20 bits in size expression {brief(expr)}")
         return _SIZE_BINOPS[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_size_node(node.operand, variables, expr)
@@ -162,7 +162,7 @@ def _eval_size_node(node: ast.AST, variables: Mapping[str, int | None], expr: st
         func = _SIZE_FUNCS.get(node.func.id)
         if func is not None:
             return func(*(_eval_size_node(arg, variables, expr) for arg in node.args))
-    raise ConfigError(f"unsupported syntax in size expression {expr!r}")
+    raise ConfigError(f"unsupported syntax in size expression {brief(expr)}")
 
 
 # -- configuration ---------------------------------------------------------

@@ -20,6 +20,10 @@ counts) pair of grid.difference_multiplicities, a stack's codes offset by
 b q^d for set b: |E - E|, sum mu^2, D(E) and the brute incidence route are
 read off its support, and campaigns cross-check it against the spectral
 route in every block.  The dense q^d table is built only when asked for.
+
+The spectral side of the fourth-moment identity, sum_m |Ehat(m)|^4, is
+summed off the cached power a block of at most 2^15 columns at a time,
+with the bits of one np.sum and no second q^d table (_fourth_moments).
 """
 
 from __future__ import annotations
@@ -36,13 +40,15 @@ from .directions import _direction_marks
 from .errors import NumericalInconsistencyError
 from .field import PrimeField
 from .pointset import PointSet
-from .spectral import empty_table
 
 #: Relative tolerance for the fourth-moment Parseval identity.
 PARSEVAL_TOLERANCE = 1e-6
 
 #: |E|^2 from which sum mu^2 <= |E|^3 may no longer fit in int64.
 _SQUARES_EXACT_TOTAL = 1 << 42
+
+#: Most columns of a power stack that difference_bounds squares at once.
+_SQUARES_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -168,6 +174,30 @@ def bound_shapes(size: int, q: int, d: int) -> dict[str, float | int]:
     return {"bound_ii": min(square / q, float(q ** (d - 1))), "bound_iii": size, "bound_diff": min(square, q**d)}
 
 
+def _fourth_moments(power: np.ndarray) -> np.ndarray:
+    """np.sum(np.square(power), axis=1) bit for bit, squaring at most _SQUARES_BLOCK columns at a time.
+
+    numpy sums a contiguous row pairwise: a row of more than 128 values is
+    split at half its length rounded down to a multiple of 8, and the two
+    parts' sums are added.  Splitting a wide row the same way until each
+    part fits one block of a reused scratch, and adding the parts' np.sum
+    in the same tree order, gives the same bits.  A row of at most
+    _SQUARES_BLOCK values is one block: np.square, then np.sum.
+    """
+    sets, cells = power.shape
+    return _pairwise_squares(power, np.empty(sets * min(cells, _SQUARES_BLOCK)), 0, cells)
+
+
+def _pairwise_squares(power: np.ndarray, scratch: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The sum of squares of power's columns start:stop in numpy's pairwise tree, each block squared into scratch."""
+    width = stop - start
+    if width <= _SQUARES_BLOCK:
+        squares = scratch[: len(power) * width].reshape(len(power), width)
+        return np.sum(np.square(power[:, start:stop], out=squares), axis=1)
+    middle = start + width // 2 - width // 2 % 8
+    return _pairwise_squares(power, scratch, start, middle) + _pairwise_squares(power, scratch, middle, stop)
+
+
 def difference_bounds(
     power: np.ndarray, mu: tuple, size: int, field: PrimeField, d: int, trials: Sequence[int] | None = None
 ) -> dict[str, np.ndarray]:
@@ -187,8 +217,7 @@ def difference_bounds(
     runs = np.searchsorted(codes, q**d * np.arange(sets))
     diff_size = np.diff(runs, append=len(codes))
     lhs = np.add.reduceat(counts * counts, runs) if size else np.zeros(sets, np.int64)
-    squares = np.square(power, out=empty_table(power.size, np.float64).reshape(power.shape))
-    rhs = float(q) ** (3 * d) * np.sum(squares, axis=1)
+    rhs = float(q) ** (3 * d) * _fourth_moments(power)
     defect_rel = np.abs(lhs - rhs) / np.maximum(1.0, lhs)
     bad = np.flatnonzero(~(defect_rel <= PARSEVAL_TOLERANCE))
     if len(bad):

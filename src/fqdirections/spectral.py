@@ -71,14 +71,17 @@ def empty_table(n: int, dtype) -> np.ndarray:
     """An uninitialised flat table; from 4 MiB up on pages of its own, unmapped when freed.
 
     On the heap, a block numpy cached above a dead table pinned its pages and
-    peak RSS hung on allocation order.  Whole 2 MiB pages fault in as huge pages.
+    peak RSS hung on allocation order.  The table starts on a 2 MiB boundary
+    and is advised huge pages up to the 2 MiB boundary past its end, which
+    the mapping's spare 4 MiB holds, so its tail faults in as one huge page
+    rather than hundreds of 4 KiB ones.
     """
     nbytes = n * np.dtype(dtype).itemsize
     if nbytes < 1 << 22 or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.empty(n, dtype)
-    pages = mmap.mmap(-1, nbytes + (1 << 21), flags=mmap.MAP_PRIVATE)
+    pages = mmap.mmap(-1, nbytes + (1 << 22), flags=mmap.MAP_PRIVATE)
     start = -np.frombuffer(pages, np.uint8, count=1).ctypes.data % (1 << 21)
-    pages.madvise(mmap.MADV_HUGEPAGE, start, nbytes >> 21 << 21)
+    pages.madvise(mmap.MADV_HUGEPAGE, start, -(-nbytes >> 21) << 21)
     return np.frombuffer(pages, dtype, count=n, offset=start)
 
 

@@ -94,6 +94,16 @@ def directions_enumerate(points, q: int) -> set[tuple[int, ...]]:
     return found
 
 
+def canonicalize_rows(diffs: np.ndarray, q: int) -> np.ndarray:
+    """Row-wise canonical representatives of an (n, d) array of vectors; a zero row stays zero.
+
+    Each row is scaled by the inverse of its first nonzero coordinate.
+    """
+    lead = diffs[np.arange(len(diffs)), np.argmax(diffs != 0, axis=1)]
+    inverse = np.array([pow(c, q - 2, q) for c in range(q)], dtype=np.int64)
+    return diffs * inverse[lead][:, None] % q
+
+
 def mu_direct(points, q: int) -> dict[tuple[int, ...], int]:
     """Difference multiplicities by dictionary count over ordered pairs."""
     table: dict[tuple[int, ...], int] = {}

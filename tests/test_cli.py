@@ -204,7 +204,9 @@ DEEP_SIZE = "-" * 10000 + "1"
 def test_verify_deeply_nested_size_exits_2(runner):
     result = invoke(runner, "verify", "--campaign", "theorem-main", "--q", "3", "--d", "2", "--size", DEEP_SIZE)
     assert result.exit_code == 2
-    assert result.output == f"error: bad size expression {DEEP_SIZE!r}: nested too deeply or too large\n"
+    assert result.output == (
+        f"error: bad size expression '{'-' * 60}'... (10001 characters): nested too deeply or too large\n"
+    )
 
 
 def test_verify_huge_size_exits_2(runner):
@@ -360,7 +362,7 @@ BAD_FIELD_VALUES = [
         (json.dumps({**_BAD_CONFIG_BASE, "sizes": ["q+'a'"]}), "non-numeric literal in size expression \"q+'a'\""),
         pytest.param(
             json.dumps({**_BAD_CONFIG_BASE, "sizes": [DEEP_SIZE]}),
-            f"bad size expression {DEEP_SIZE!r}: nested too deeply or too large",
+            f"bad size expression '{'-' * 60}'... (10001 characters): nested too deeply or too large",
             id="deeply-nested-size",
         ),
     ],

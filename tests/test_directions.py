@@ -7,7 +7,7 @@ from fqdirections.directions import (
     ambient_direction_count,
     canonical_codes,
     canonical_direction,
-    canonicalize_rows,
+    canonical_of,
     coordinate_subspace_directions,
     direction_set,
     directions_of_codes,
@@ -48,9 +48,8 @@ def test_canonical_direction_scaling_invariance(q):
 
 def test_canonicalize_rows_matches_scalar():
     q = 7
-    F = PrimeField(q)
     rows = np.array([oracles.index_to_point(i, q, 2) for i in range(1, q**2)])
-    out = canonicalize_rows(rows, F)
+    out = oracles.canonicalize_rows(rows, q)
     for row, got in zip(rows, out):
         assert tuple(int(v) for v in got) == canonical_direction(tuple(row), q)
 
@@ -270,9 +269,30 @@ def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
 def test_large_grid_builds_no_table(monkeypatch):
     # a table for F_101^3 would take about 200 ms and a transient 94 MB to build
     monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
-    E = gen_random(101, 3, 40, seed=2)
-    assert direction_set(E) == oracles.directions_enumerate(E.points(), 101)
+    E = gen_random(101, 3, 102, seed=2)
+    dirs = direction_set(E)
+    assert dirs == oracles.directions_enumerate(E.points(), 101)
+    assert all(type(c) is int for rep in dirs for c in rep)
     assert (101, 3) not in directions._CANONICAL_TABLES
+
+
+def _rows_canonical_codes(local, q, n):
+    return grid.encode_coords(oracles.canonicalize_rows(grid.decode_indices(local, q, n), q), q)
+
+
+@pytest.mark.parametrize(
+    "q, n, local",
+    [
+        # F_257^2 holds 66,049 cells, just above the table's 2^16: every vector
+        (257, 2, np.arange(257**2, dtype=np.int64)),
+        (101, 3, np.concatenate([[0, 1, 101**3 - 1], np.random.default_rng(5).integers(0, 101**3, 20000)])),
+    ],
+)
+def test_computed_canonical_codes_match_rows(q, n, local, monkeypatch):
+    monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
+    assert q**n > directions._TABLE_CELLS
+    assert np.array_equal(canonical_of(local, prime_field(q), n), _rows_canonical_codes(local, q, n))
+    assert not directions._CANONICAL_TABLES
 
 
 # -- per-set class counts of a campaign block --------------------------------

@@ -88,6 +88,13 @@ def test_evaluate_size_refuses_huge_powers_before_taking_them():
         ("x+1", "unknown variable 'x' in size expression 'x+1'"),
         ("q+'a'", "non-numeric literal in size expression \"q+'a'\""),
         ("q.real", "unsupported syntax in size expression 'q.real'"),
+        # a name or expression of more than 60 characters is quoted by its first 60 and its length
+        ("z" * 60, f"unknown variable {'z' * 60!r} in size expression {'z' * 60!r}"),
+        (
+            "z" * 61,
+            f"unknown variable {'z' * 60!r}... (61 characters) in size expression {'z' * 60!r}... (61 characters)",
+        ),
+        ("z+" + "1" * 99, f"unknown variable 'z' in size expression {'z+' + '1' * 58!r}... (101 characters)"),
     ],
 )
 def test_evaluate_size_errors_are_not_wrapped_twice(expr, message):

@@ -1,4 +1,5 @@
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from fqdirections.generators import (
 from fqdirections.incidence import nu_sweep
 from fqdirections.pointset import PointSet
 from fqdirections.salem import (
+    _fourth_moments,
     difference_bound_check,
     difference_profile,
     salem_report,
@@ -177,6 +179,35 @@ def test_subspace_ratios_degrade():
     rec = difference_bound_check(gen_coordinate_subspace(7, 2, 1))
     assert rec.direction_count == 1
     assert rec.ratio_ii < 0.25
+
+
+@pytest.mark.parametrize("shape", [(1, 1_030_301), (3, 70_001), (2, 2**15 + 1), (20, 1_331), (126, 9)])
+def test_fourth_moments_keep_numpys_pairwise_bits(shape):
+    # a row wider than 2^15 is squared and summed a block at a time, the
+    # blocks' sums added in numpy's pairwise tree; summing the blocks one
+    # after another would round differently on the wide rows
+    rng = np.random.default_rng(shape[1])
+    power = rng.random(shape) * rng.random(shape) ** 8
+    assert np.array_equal(_fourth_moments(power), np.sum(np.square(power), axis=1))
+
+
+def test_bound_check_of_a_cached_spectrum_maps_no_pages(monkeypatch):
+    # at F_101^3 the fourth-moment squares fit a reused block, not a fresh
+    # 8 MB table on pages of its own (spectral.empty_table)
+    E = gen_random(101, 3, 102, seed=4)
+    E.spectrum_power()
+    E.difference_multiplicity()
+    mapped = []
+
+    class CountedPages(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            mapped.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", CountedPages)
+    rec = difference_bound_check(E)
+    assert mapped == []
+    assert rec.parseval_defect_rel <= 1e-6
 
 
 def test_parseval_mismatch_raises(monkeypatch):

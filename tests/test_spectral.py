@@ -516,9 +516,30 @@ def test_empty_table_maps_large_tables_on_their_own_pages():
 
 
 @_OWN_PAGES
+def test_empty_table_advises_huge_pages_to_its_end(monkeypatch):
+    # 4 MiB and 8,000 bytes fill no whole number of 2 MiB pages; the tail
+    # past the last whole one is advised too, inside the mapping
+    advised = []
+
+    class RecordedPages(mmap.mmap):
+        def madvise(self, option, start, length):
+            advised.append((option, start, length))
+            return super().madvise(option, start, length)
+
+    monkeypatch.setattr(mmap, "mmap", RecordedPages)
+    table = empty_table((1 << 19) + 1000, np.float64)
+    pages = _owner(table)
+    data = table.ctypes.data - np.frombuffer(pages, np.uint8, count=1).ctypes.data
+    ((option, start, length),) = advised
+    assert isinstance(pages, RecordedPages) and option == mmap.MADV_HUGEPAGE
+    assert start <= data and data + table.nbytes <= start + length <= len(pages)
+
+
+@_OWN_PAGES
 def test_page_backed_power_and_fourth_moment_keep_their_bits():
-    # q = 101, d = 3: the spectrum, its power and the fourth-moment squares
-    # are all page-backed tables; values must match the plain numpy route
+    # q = 101, d = 3: the spectrum and its power are page-backed tables and
+    # the fourth-moment squares are taken a block at a time; values must
+    # match the plain numpy route
     E = gen_random(101, 3, 102, seed=1)
     power = E.spectrum_power()
     assert isinstance(_owner(E.spectrum().values), mmap.mmap) and isinstance(_owner(power), mmap.mmap)
