@@ -45,6 +45,11 @@ CONFIGS = {
         "kind": "theorem-main", "q": 5, "d": 3, "k": 1, "sizes": ["q^k+1", 25],
         "trials": 5, "seed": 20261019, "mode": "random", "generator": "subspace-random",
     },
+    # d = 4 with k = 1 and k = 2: slope codes of k + 1 < d - 1 and of k + 1 = d - 1
+    "theorem-main-d4-random": {
+        "kind": "theorem-main", "q": 5, "d": 4, "k": [1, 2], "sizes": ["q^k+1", 40],
+        "trials": 4, "seed": 20261021, "mode": "random",
+    },
 }
 
 FORMATS = ("csv", "json")
