@@ -12,27 +12,22 @@ Everything here is a view of one primitive, the difference multiplicity
 mu(z) (grid.difference_multiplicities, cached per set by
 PointSet.difference_multiplicity): D(E) is the set of canonical classes of
 the support of mu.  Classing works on flat grid codes rather than on rows:
-the support codes, distinct already, are canonicalized once each and the
-canonical codes are deduplicated with a 1-D sort; just the |D(E)| survivors
-are decoded back into tuples.
+canonical_support canonicalizes a stack's support codes once each, set b's
+offset b q^d kept, and _direction_marks marks them in a (B, q^d) bool array
+with vector 0 cleared, so |D(E)| of each set is the count of its row's
+marks, with no sort.  The same canonical codes give every slope count
+(incidence.mu_slope_counts): a difference with z_1 != 0 has the canonical
+form z / z_1, whose first k+1 coordinates are (1, t_1, ..., t_k).
+direction_set and directions_of_codes are the one-set case, the marked
+codes of its one row decoded into tuples.
 
-canonical_of gives the canonical code of vectors of F_q^n: D(E) takes it
-in dimension d, a difference's slope in dimension k+1 on its first k+1
-coordinates (incidence.mu_slope_counts).  A code's base-q digits are
-scaled by the inverse of its leading digit and read back as a code, with
-no (n, d) coordinate rows.  On grids of at most _TABLE_CELLS cells that is
-done once for every vector into a cached read-only table, and a query is
-one gather; above, each query computes its codes, since at q = 101, d = 3
-a table would take about 200 ms and a transient 94 MB to build.
-
-canonical_codes works on a stack of sets at once: set b's codes are offset
-by b q^d, as the stacked mu kernel returns them, so one sort classes a
-whole stack.  Campaign blocks need only counts: _direction_marks marks each
-set's canonical codes in a (B, q^d) bool array, and |D(E)| of each set is
-the count of its row's marks, less vector 0, with no sort.  Campaign blocks
-read nu(t) off the same stacked mu and compare it with the spectral route
-(see incidence).  direction_set and directions_of_codes are the one-set
-case.
+canonical_of gives the canonical code of vectors of F_q^n.  A code's base-q
+digits are scaled by the inverse of its leading digit and read back as a
+code, with no (n, d) coordinate rows.  On grids of at most _TABLE_CELLS
+cells that is done once for every vector into a cached read-only table, and
+a query is one gather; above, each query computes its codes, since at
+q = 101, d = 3 a table would take about 200 ms and a transient 94 MB to
+build.
 """
 
 from __future__ import annotations
@@ -109,34 +104,23 @@ def canonical_of(local: np.ndarray, field: PrimeField, n: int) -> np.ndarray:
     return _scaled_codes(local, field, n)
 
 
-def canonical_codes(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
-    """Sorted distinct canonical codes of the nonzero vectors among the given codes.
+def canonical_support(codes: np.ndarray, field: PrimeField, d: int) -> np.ndarray:
+    """Canonical code of each code of a stacked support of mu, set b's offset b q^d kept.
 
-    Codes may carry a set offset: a code in [b q^d, (b+1) q^d) is the vector
-    code - b q^d of set b, and its canonical code keeps that offset, so one
-    call classes a whole stack of sets.  Vector 0 of every set is skipped.
-    Each code given is canonicalized, so callers pass distinct codes (the
-    support of mu is); a repeated code costs one more row but leaves the
-    result unchanged.
+    A code in [b q^d, (b+1) q^d) is the vector code - b q^d of set b;
+    vector 0 of set b maps to b q^d.
     """
-    cells = field.q**d
-    local = codes % cells
-    canon = grid.distinct(canonical_of(local, field, d) + (codes - local))
-    # vector 0 canonicalizes to itself, set b's to b q^d
-    return canon[canon % cells != 0]
+    local = codes % field.q**d
+    return canonical_of(local, field, d) + (codes - local)
 
 
-def _direction_marks(codes: np.ndarray, field: PrimeField, d: int, sets: int) -> np.ndarray:
-    """A (sets, q^d) bool array marking each set's canonical codes, vector 0 cleared.
+def _direction_marks(canon: np.ndarray, cells: int, sets: int) -> np.ndarray:
+    """A (sets, cells) bool array marking each set's canonical codes (canonical_support), vector 0 cleared.
 
-    codes is a stack's support of mu, set b's offset by b q^d as in
-    canonical_codes.  A row's count of marks is |D(E)| of its set, with no
-    sort.
+    A row's count of marks is |D(E)| of its set, with no sort.
     """
-    cells = field.q**d
-    local = codes % cells
     mark = np.zeros((sets, cells), dtype=bool)
-    mark.ravel()[canonical_of(local, field, d) + (codes - local)] = True
+    mark.ravel()[canon] = True
     mark[:, 0] = False
     return mark
 
@@ -144,9 +128,10 @@ def _direction_marks(codes: np.ndarray, field: PrimeField, d: int, sets: int) ->
 def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
     """Directions of the vectors whose flat grid codes (of one set) are given; code 0 is skipped.
 
-    Repeated codes are allowed; see canonical_codes.
+    Repeated codes are allowed.
     """
-    reps = grid.decode_indices(canonical_codes(codes, field, d), field.q, d)
+    marked = np.flatnonzero(_direction_marks(canonical_of(codes, field, d), field.q**d, 1))
+    reps = grid.decode_indices(marked, field.q, d)
     return set(zip(*reps.T.tolist()))
 
 

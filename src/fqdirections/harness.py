@@ -39,7 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .directions import _direction_marks, ambient_direction_count
+from .directions import _direction_marks, ambient_direction_count, canonical_support
 from .errors import ConfigError, NumericalInconsistencyError, brief
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, index_block
@@ -565,15 +565,16 @@ def _theorem_block(
     """The block's measured columns and hard checks, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
-    slope of every set; one stacked mu gives every D(E) and the pair-count
-    nu.  After the guard band, a disagreement of the two raises, naming the
-    first such slope of the first such set.
+    slope of every set; one stacked mu, its support canonicalized once, gives
+    every D(E) and the pair-count nu.  After the guard band, a disagreement of
+    the two raises, naming the first such slope of the first such set.
     """
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
     nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k)
     codes, counts = difference_multiplicities(picks, q, d)
-    nondeg, degenerate = mu_slope_counts(codes, counts, len(picks), size, q, d, k)
+    canon = canonical_support(codes, field, d)
+    nondeg, degenerate = mu_slope_counts(canon, counts, len(picks), size, q, d, k)
     disagree = np.argwhere(nondeg + degenerate[:, None] != nu)
     if len(disagree):
         b, i = disagree[0]
@@ -583,7 +584,7 @@ def _theorem_block(
         )
     holds = ~threshold_failures(nu, size, q, k).any(axis=1)
     covered = (nondeg > 0).all(axis=1)
-    mark = _direction_marks(codes, field, d, len(picks))
+    mark = _direction_marks(canon, q**d, len(picks))
     dir_counts = np.count_nonzero(mark, axis=1)
     # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
     # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
@@ -696,8 +697,8 @@ def _sharpness_block(
 ) -> tuple[dict[str, Any], dict, dict]:
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
-    codes, _ = difference_multiplicities(picks, q, d)
-    dir_counts = np.count_nonzero(_direction_marks(codes, prime_field(q), d, len(picks)), axis=1)
+    canon = canonical_support(difference_multiplicities(picks, q, d)[0], prime_field(q), d)
+    dir_counts = np.count_nonzero(_direction_marks(canon, q**d, len(picks)), axis=1)
     expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
     exact = (dir_counts == expected) & (picks.shape[1] == cell.size)
     fewer = dir_counts < next_count

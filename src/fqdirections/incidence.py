@@ -16,10 +16,11 @@ once.  The brute route is a read-off of mu, the package's one primitive, the
 (codes, counts) pair of grid.difference_multiplicities, each set's offset in
 the stack carried in its codes.  A difference z with z_1 != 0 satisfies
 exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of
-those slope codes gives every count.  The canonical form of the prefix
-(z_1, ..., z_{k+1}) is (1, t_1, ..., t_k), so a slope code is
-directions.canonical_of in dimension k+1, less q^k: one gather from a cached
-table when q^(k+1) is at most directions._TABLE_CELLS.  The spectral route
+those slope codes gives every count.  It reads the support's canonical
+codes (directions.canonical_support), the same codes D(E) is marked from:
+the canonical form of such a z is z / z_1, so the code of its first k+1
+coordinates is q^k plus the slope code, and z_1 = ... = z_(k+1) = 0
+exactly when that prefix of the canonical form is 0.  The spectral route
 gathers R(t) for a block of slope rows from a stack of spectra in one np.take
 and assembles the decomposition, rounding to the nearest integer with a guard
 band; it never builds mu.  The two must agree exactly, and campaigns check
@@ -44,7 +45,6 @@ import numpy as np
 from . import grid
 from .directions import canonical_of
 from .errors import NumericalInconsistencyError
-from .field import prime_field
 from .pointset import PointSet
 
 #: Maximum allowed distance between the assembled spectral value and the
@@ -113,23 +113,22 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
 
 
 def mu_slope_counts(
-    codes: np.ndarray, counts: np.ndarray, sets: int, size: int, q: int, d: int, k: int
+    canon: np.ndarray, counts: np.ndarray, sets: int, size: int, q: int, d: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Brute route off a stacked mu (grid.difference_multiplicities) of sets of `size` points.
+    """Brute route off a stacked mu of sets of `size` points: its support's canonical codes and its counts.
 
-    Returns nu_nondegenerate, (sets, q^k) in all_slopes order, and the
-    (sets,) degenerate counts: the mass of mu on z_1 = ... = z_(k+1) = 0
-    less the |E| pairs x = y.  The float64 weighted sums are exact below
-    |E|^2 = 2^53.
+    canon is directions.canonical_support of the codes.  Returns
+    nu_nondegenerate, (sets, q^k) in all_slopes order, and the (sets,)
+    degenerate counts: the mass of mu on z_1 = ... = z_(k+1) = 0 less the
+    |E| pairs x = y.  The float64 weighted sums are exact below |E|^2 = 2^53.
     """
     qk = q**k
-    owner = codes // q**d
-    prefix = (codes - owner * q**d) // q ** (d - k - 1)
-    # z_1 != 0 exactly when the prefix is at least q^k; its canonical
-    # prefix (1, t_1, ..., t_k) then has code q^k + code(t)
+    owner = canon // q**d
+    prefix = (canon - owner * q**d) // q ** (d - k - 1)
+    # z_1 != 0 exactly when the canonical prefix (1, t_1, ..., t_k) is at
+    # least q^k, and its code is then q^k + code(t); scaling keeps zeros
     live = prefix >= qk
-    slopes = canonical_of(prefix[live], prime_field(q), k + 1) - qk
-    nondegenerate = np.bincount(owner[live] * qk + slopes, counts[live], minlength=sets * qk)
+    nondegenerate = np.bincount(owner[live] * qk + prefix[live] - qk, counts[live], minlength=sets * qk)
     agreeing = np.bincount(owner[prefix == 0], counts[prefix == 0], minlength=sets)
     return nondegenerate.astype(np.int64).reshape(sets, qk), agreeing.astype(np.int64) - size
 
@@ -210,7 +209,9 @@ def _counts(
     if method == "spectral":
         nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, k, codes)
         return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
-    nondegenerate, degenerate = mu_slope_counts(*E.difference_multiplicity(), 1, E.cardinality, q, E.dim, k)
+    support, counts = E.difference_multiplicity()
+    canon = canonical_of(support, E.field, E.dim)
+    nondegenerate, degenerate = mu_slope_counts(canon, counts, 1, E.cardinality, q, E.dim, k)
     row = nondegenerate[0, codes]
     return slopes, row + degenerate[0], row, None
 

@@ -24,10 +24,20 @@ from .field import PrimeField, prime_field
 from .spectral import GridFunction, check_size_cap, forward_transform, indicator_power
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64; ValueError for floats and bools, not truncation.  Empty input may be float64."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {array.dtype} values")
+    return array.astype(np.int64, copy=False)
+
+
 def _check_point(point: Sequence[int], q: int, dim: int) -> None:
     if len(point) != dim:
         raise ValueError(f"point {tuple(point)} does not have {dim} coordinates")
-    if any(not (0 <= int(c) < q) for c in point):
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in point):
+        raise ValueError(f"point {tuple(point)} has coordinates that are not integers")
+    if any(not (0 <= c < q) for c in point):
         raise ValueError(f"point {tuple(point)} has coordinates outside [0, {q})")
 
 
@@ -57,7 +67,7 @@ class PointSet:
     def from_indices(cls, q: int, dim: int, indices: Iterable[int]) -> "PointSet":
         field = prime_field(q)
         n = check_size_cap(q, dim)
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = _integers(list(indices), "point indices")
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError("point index out of range")
         ordered = grid.distinct(idx)
@@ -74,7 +84,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, q: int, dim: int, coords: np.ndarray) -> "PointSet":
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = _integers(coords, "coordinates")
         if coords.ndim != 2 or coords.shape[1] != dim:
             raise ValueError(f"coordinates must form an (n, {dim}) array, got shape {coords.shape}")
         outside = ((coords < 0) | (coords >= q)).any(axis=1)
@@ -140,7 +150,7 @@ class PointSet:
     def translate(self, shift: Sequence[int]) -> "PointSet":
         if len(shift) != self.dim:
             raise ValueError(f"shift must have {self.dim} coordinates")
-        coords = (self.coords() + np.asarray(shift, dtype=np.int64)) % self.q
+        coords = (self.coords() + _integers(shift, "shift coordinates")) % self.q
         return PointSet.from_coords(self.q, self.dim, coords)
 
     def indicator(self) -> GridFunction:

@@ -17,9 +17,10 @@ has C_E = q^(dim/2) * something large, a paraboloid has C_E = 1 on the nose.
 
 mu is the package's one primitive, cached per set as the sparse (codes,
 counts) pair of grid.difference_multiplicities, a stack's codes offset by
-b q^d for set b: |E - E|, sum mu^2, D(E) and the brute incidence route are
-read off its support, and campaigns cross-check it against the spectral
-route in every block.  The dense q^d table is built only when asked for.
+b q^d for set b: |E - E| and sum mu^2 are read off its support, D(E) and
+the brute incidence route off its canonical codes, and campaigns
+cross-check it against the spectral route in every block.  The dense q^d
+table is built only when asked for.
 
 The spectral side of the fourth-moment identity, sum_m |Ehat(m)|^4, is
 summed off the cached power a block of at most 2^15 columns at a time,
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .directions import _direction_marks
+from .directions import _direction_marks, canonical_support
 from .errors import NumericalInconsistencyError
 from .field import PrimeField
 from .pointset import PointSet
@@ -212,7 +213,7 @@ def difference_bounds(
     sets = len(power)
     codes, counts = mu
     _check_squares_exact(size * size)
-    dirs = np.count_nonzero(_direction_marks(codes, field, d, sets), axis=1)
+    dirs = np.count_nonzero(_direction_marks(canonical_support(codes, field, d), q**d, sets), axis=1)
     # set b's run of mu starts at its offset b q^d, and is empty only when the set is
     runs = np.searchsorted(codes, q**d * np.arange(sets))
     diff_size = np.diff(runs, append=len(codes))

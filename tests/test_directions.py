@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from fqdirections import directions, grid
 from fqdirections.directions import (
     ambient_direction_count,
-    canonical_codes,
     canonical_direction,
     canonical_of,
+    canonical_support,
     coordinate_subspace_directions,
     direction_set,
     directions_of_codes,
@@ -220,31 +220,39 @@ def _pair_differences(indices, q, d):
     return [tuple((a - b) % q for a, b in zip(x, y)) for x in points for y in points if x != y]
 
 
+def _stacked_canonical_codes(indices, q, d):
+    """Set b's canonical codes, offset by b q^d, from canonical_direction over its pair differences."""
+    found = set()
+    for b, row in enumerate(indices):
+        points = grid.decode_indices(row, q, d)
+        diffs = (points[:, None, :] - points[None, :, :]).reshape(-1, d) % q
+        for z in np.unique(diffs[diffs.any(axis=1)], axis=0).tolist():
+            found.add(b * q**d + grid.encode(canonical_direction(z, q), q))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("side", ["table", "computed"])
 @given(_index_stacks())
 @settings(max_examples=60, deadline=None)
 def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
-    # at the limit q^d both F_q^d and F_q^(k+1) are tabled; just below
-    # q^(k+1) neither is
+    # at the limit F_q^d is tabled, and no F_q^(k+1) below it ever is; just
+    # below the limit nothing is
     q, d, k, indices = case
-    field = prime_field(q)
+    field, cells, sets = prime_field(q), q**d, len(indices)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(directions, "_CANONICAL_TABLES", {})
-        mp.setattr(directions, "_TABLE_CELLS", q**d if side == "table" else q ** min(k + 1, d) - 1)
+        mp.setattr(directions, "_TABLE_CELLS", cells if side == "table" else cells - 1)
         codes, counts = grid.difference_multiplicities(indices, q, d)
-        owner = codes // q**d
-        expected = {
-            b * q**d + grid.encode(canonical_direction(z, q), q)
-            for b, row in enumerate(indices)
-            for z in _pair_differences(row, q, d)
-        }
-        assert canonical_codes(codes, field, d).tolist() == sorted(expected)
+        canon = canonical_support(codes, field, d)
+        mark = directions._direction_marks(canon, cells, sets)
+        assert np.flatnonzero(mark).tolist() == _stacked_canonical_codes(indices, q, d)
+        owner = codes // cells
         for b, row in enumerate(indices):
             points = [grid.decode(int(i), q, d) for i in row]
-            mine = codes[owner == b] - b * q**d
+            mine = codes[owner == b] - b * cells
             assert directions_of_codes(mine, field, d) == oracles.directions_enumerate(points, q)
         if d >= 2:
-            nondeg, degenerate = mu_slope_counts(codes, counts, len(indices), indices.shape[1], q, d, k)
+            nondeg, degenerate = mu_slope_counts(canon, counts, sets, indices.shape[1], q, d, k)
             for b, row in enumerate(indices):
                 expected_nondeg = [0] * q**k
                 expected_degenerate = 0
@@ -256,24 +264,35 @@ def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
                 assert nondeg[b].tolist() == expected_nondeg
                 assert degenerate[b] == expected_degenerate
         built = directions._CANONICAL_TABLES
-        if side == "table":
-            assert (q, d) in built and (d < 2 or (q, k + 1) in built)
-        else:
-            assert not built
+        assert list(built) == ([(q, d)] if side == "table" else [])
         for table in built.values():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
 
 
+def _refuse_sort(codes):
+    raise AssertionError("class codes were sorted")
+
+
 def test_large_grid_builds_no_table(monkeypatch):
     # a table for F_101^3 would take about 200 ms and a transient 94 MB to build
     monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
     E = gen_random(101, 3, 102, seed=2)
+    E.difference_multiplicity()
+    # D(E) is read off the marks: nothing sorts the class codes
+    monkeypatch.setattr(grid, "distinct", _refuse_sort)
     dirs = direction_set(E)
     assert dirs == oracles.directions_enumerate(E.points(), 101)
     assert all(type(c) is int for rep in dirs for c in rep)
     assert (101, 3) not in directions._CANONICAL_TABLES
+
+
+@pytest.mark.parametrize("q, d, n", [(5, 3, 2), (3, 4, 3), (101, 3, 1)])
+def test_coordinate_subspace_directions_sort_nothing(q, d, n, monkeypatch):
+    points = gen_coordinate_subspace(q, d, n).points()
+    monkeypatch.setattr(grid, "distinct", _refuse_sort)
+    assert coordinate_subspace_directions(q, d, n) == oracles.directions_enumerate(points, q)
 
 
 def _rows_canonical_codes(local, q, n):
@@ -306,10 +325,6 @@ def _subspace_stack(q, d, k):
     return gen_coordinate_subspace(q, d, k).indices()[None]
 
 
-def _refuse_sort(codes):
-    raise AssertionError("a campaign stack was sorted")
-
-
 @pytest.mark.parametrize(
     "q, d, k, picks",
     [
@@ -339,10 +354,10 @@ def _refuse_sort(codes):
 def test_direction_marks_match_sorted_canonical_codes(q, d, k, picks, monkeypatch):
     field, cells, sets = prime_field(q), q**d, len(picks)
     codes, _ = grid.difference_multiplicities(picks, q, d)
-    owner, vector = np.divmod(canonical_codes(codes, field, d), cells)
+    owner, vector = np.divmod(np.array(_stacked_canonical_codes(picks, q, d), dtype=np.int64), cells)
     stride = q ** (d - k - 1)
     monkeypatch.setattr(grid, "distinct", _refuse_sort)
-    mark = directions._direction_marks(codes, field, d, sets)
+    mark = directions._direction_marks(canonical_support(codes, field, d), cells, sets)
     counts = np.count_nonzero(mark, axis=1)
     assert counts.tolist() == np.bincount(owner, minlength=sets).tolist()
     tails = np.count_nonzero(mark[:, ::stride], axis=1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqdirections.errors import FsetParseError, SizeCapError
+from fqdirections.generators import gen_random
 from fqdirections.pointset import (
     PointSet,
     format_fset,
@@ -39,6 +40,24 @@ def test_point_validation():
     for coords in ([[0, 5]], [[0, -1]], [[0, 0, 1]], [[1]], [0, 1]):
         with pytest.raises(ValueError):
             PointSet.from_coords(3, 2, coords)
+    # floats and bools are refused, not truncated to the integers below them
+    for indices in ([1.7, 4.2], [1.0], [True], np.array([0.5])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSet.from_indices(3, 2, indices)
+    for coords in ([[0.5, 1.9]], np.array([[True, False]])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSet.from_coords(3, 2, coords)
+    for point in ((0.5, 1.2), (True, 0), (1.0, 0)):
+        with pytest.raises(ValueError, match="not integers"):
+            PointSet.from_points(3, 2, [point])
+    with pytest.raises(ValueError, match="must be integers"):
+        PointSet.from_points(3, 2, [(0, 1)]).translate((0.5, 0))
+    # numpy integers and empty input, whatever its dtype, still build sets
+    assert PointSet.from_indices(3, 2, np.array([4, 1], dtype=np.uint8)).points() == [(0, 1), (1, 1)]
+    assert PointSet.from_points(3, 2, [(np.int64(1), np.uint16(2))]).points() == [(1, 2)]
+    assert PointSet.from_coords(3, 2, np.array([[2, 0]], dtype=np.int32)).points() == [(2, 0)]
+    assert len(PointSet.from_indices(3, 2, [])) == len(PointSet.from_coords(3, 2, np.empty((0, 2)))) == 0
+    assert len(gen_random(3, 2, 0, seed=1)) == 0
 
 
 def test_empty_and_full():
@@ -60,9 +79,10 @@ def test_contains_validates_the_point():
     assert not E.contains((0, 0))
     assert not PointSet.from_points(5, 2, [(0, 0)]).contains((4, 4))
     assert not PointSet.empty(5, 2).contains((0, 0))
-    for bad in ((0, -1), (5, 0), (4,), (4, 4, 0)):
+    for bad in ((0, -1), (5, 0), (4,), (4, 4, 0), (0.5, 0), (4.0, 4), (True, 0)):
         with pytest.raises(ValueError):
             E.contains(bad)
+    assert E.contains((np.int64(4), np.uint8(4)))
 
 
 def test_indices_are_ascending_read_only_and_small():
