@@ -10,8 +10,8 @@ so index 0 is the origin and indices increase lexicographically.
 
 difference_multiplicities is the package's one pair kernel: every set's
 sparse mu, off which E - E and sum mu^2 are read, and D(E) and every nu(t)
-off its support's canonical codes (directions.canonical_support), as one
-(codes, counts) pair whose codes carry set b's offset b q^d (code // q^d).
+off its class masses (directions.class_masses), as one (codes, counts)
+pair whose codes carry set b's offset b q^d (code // q^d).
 It works a group of sets at a time, each group's pair codes in a code space
 of its own sets' cells only, so they are built in the narrowest unsigned
 dtype that holds it: uint16 on grids of at most 2^16 cells.

@@ -39,12 +39,12 @@ from typing import Any
 
 import numpy as np
 
-from .directions import _direction_marks, ambient_direction_count, canonical_support
+from .directions import ambient_direction_count, class_masses, subspace_classes
 from .errors import ConfigError, NumericalInconsistencyError, brief
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, index_block
 from .grid import decode, difference_multiplicities
-from .incidence import mu_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
+from .incidence import class_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, _write_in_place, format_fset
 from .rng import mix64
 from .salem import bound_shapes, difference_bounds
@@ -565,16 +565,15 @@ def _theorem_block(
     """The block's measured columns and hard checks, read off stacked arrays.
 
     One stacked transform and slope gather give the spectral nu of every
-    slope of every set; one stacked mu, its support canonicalized once, gives
+    slope of every set; one stacked mu, binned once into class masses, gives
     every D(E) and the pair-count nu.  After the guard band, a disagreement of
     the two raises, naming the first such slope of the first such set.
     """
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
     nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k)
-    codes, counts = difference_multiplicities(picks, q, d)
-    canon = canonical_support(codes, field, d)
-    nondeg, degenerate = mu_slope_counts(canon, counts, len(picks), size, q, d, k)
+    masses = class_masses(*difference_multiplicities(picks, q, d), len(picks), field, d)
+    nondeg, degenerate = class_slope_counts(masses, q, d, k)
     disagree = np.argwhere(nondeg + degenerate[:, None] != nu)
     if len(disagree):
         b, i = disagree[0]
@@ -584,12 +583,9 @@ def _theorem_block(
         )
     holds = ~threshold_failures(nu, size, q, k).any(axis=1)
     covered = (nondeg > 0).all(axis=1)
-    mark = _direction_marks(canon, q**d, len(picks))
-    dir_counts = np.count_nonzero(mark, axis=1)
-    # canonical scaling keeps zero coordinates zero, so D(H_(k+1)) <= D(E)
-    # exactly when D(E) holds as many zero-tailed directions as H_(k+1) has
-    tails = np.count_nonzero(mark[:, :: q ** (d - k - 1)], axis=1)
-    literal = tails == ambient_direction_count(q, k + 1)
+    dir_counts = np.count_nonzero(masses[:, 1:], axis=1)
+    # D(H_(k+1)) <= D(E) exactly when E's mu charges every class of H_(k+1)
+    literal = masses[:, subspace_classes(q, d, k + 1)].all(axis=1)
     ambient_n = ambient_direction_count(q, d)
     full = dir_counts == ambient_n
     hard = {
@@ -697,8 +693,8 @@ def _sharpness_block(
 ) -> tuple[dict[str, Any], dict, dict]:
     """|D(H_k)| read off the stacked mu: exactly H_k's (q^k - 1)/(q - 1), fewer than H_(k+1)'s."""
     q, d, k = cell.q, cell.d, cell.k
-    canon = canonical_support(difference_multiplicities(picks, q, d)[0], prime_field(q), d)
-    dir_counts = np.count_nonzero(_direction_marks(canon, q**d, len(picks)), axis=1)
+    masses = class_masses(*difference_multiplicities(picks, q, d), len(picks), prime_field(q), d)
+    dir_counts = np.count_nonzero(masses[:, 1:], axis=1)
     expected, next_count = ambient_direction_count(q, k), ambient_direction_count(q, k + 1)
     exact = (dir_counts == expected) & (picks.shape[1] == cell.size)
     fewer = dir_counts < next_count

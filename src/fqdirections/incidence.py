@@ -12,24 +12,21 @@ frequencies and is therefore nonnegative:
     R(t) = q^(2d-k) * sum_{s != 0} |Ehat(s.t, -s_1, ..., -s_k, 0, ..., 0)|^2.
 
 Two independent routes are provided, and each computes nu for every slope at
-once.  The brute route is a read-off of mu, the package's one primitive, the
-(codes, counts) pair of grid.difference_multiplicities, each set's offset in
-the stack carried in its codes.  A difference z with z_1 != 0 satisfies
-exactly one slope, (z_2, ..., z_{k+1}) / z_1, so one mu-weighted bincount of
-those slope codes gives every count.  It reads the support's canonical
-codes (directions.canonical_support), the same codes D(E) is marked from:
-the canonical form of such a z is z / z_1, so the code of its first k+1
-coordinates is q^k plus the slope code, and z_1 = ... = z_(k+1) = 0
-exactly when that prefix of the canonical form is 0.  The spectral route
-gathers R(t) for a block of slope rows from a stack of spectra in one np.take
-and assembles the decomposition, rounding to the nearest integer with a guard
-band; it never builds mu.  The two must agree exactly, and campaigns check
-that they do in every block: `mu_slope_counts` and `slope_counts` run the
-routes for a stack of B equal-size sets, each slope by its code in F_q^k.  On
-one set, `_counts` is the one way into each route: a B = 1 kernel call on the
-set's cached mu or spectrum, for every slope or for one.  Both read a slope's
-entries mod q.  `theorem_main_threshold`, `nu_sweep`, `nu_brute`,
-`nu_spectral` and `remainder_spectral` read it.
+once.  The brute route is a read-off of mu, the package's one primitive,
+through its class masses (directions.class_masses): a difference z with
+z_1 != 0 satisfies exactly one slope, (z_2, ..., z_{k+1}) / z_1, the prefix
+of its canonical form z / z_1, so nu_nondegenerate of every slope is a
+fixed slice of the masses, as is the mass on z_1 = ... = z_(k+1) = 0.  The
+spectral route gathers R(t) for a block of slope rows from a stack of
+spectra in one np.take and assembles the decomposition, rounding to the
+nearest integer with a guard band; it never builds mu.  The two must agree
+exactly, and campaigns check that they do in every block:
+`class_slope_counts` and `slope_counts` run the routes for a stack of B
+equal-size sets, each slope by its code in F_q^k.  On one set, `_counts` is
+the one way into each route: a B = 1 kernel call on the set's cached mu or
+spectrum, for every slope or for one.  Both read a slope's entries mod q.
+`theorem_main_threshold`, `nu_sweep`, `nu_brute`, `nu_spectral` and
+`remainder_spectral` read it.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from math import ceil
 import numpy as np
 
 from . import grid
-from .directions import canonical_of
+from .directions import class_masses
 from .errors import NumericalInconsistencyError
 from .pointset import PointSet
 
@@ -112,25 +109,18 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     return int((groups * (groups - 1)).sum())
 
 
-def mu_slope_counts(
-    canon: np.ndarray, counts: np.ndarray, sets: int, size: int, q: int, d: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brute route off a stacked mu of sets of `size` points: its support's canonical codes and its counts.
+def class_slope_counts(masses: np.ndarray, q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brute route off the (sets, C) class masses of a stack of sets (directions.class_masses).
 
-    canon is directions.canonical_support of the codes.  Returns
-    nu_nondegenerate, (sets, q^k) in all_slopes order, and the (sets,)
-    degenerate counts: the mass of mu on z_1 = ... = z_(k+1) = 0 less the
-    |E| pairs x = y.  The float64 weighted sums are exact below |E|^2 = 2^53.
+    Returns nu_nondegenerate, (sets, q^k) in all_slopes order: the mass on
+    the last q^(d-1) classes, of canonical form (1, t_1, ..., t_(d-1)), summed
+    over each run of q^(d-1-k) classes that share (t_1, ..., t_k).  And the
+    (sets,) degenerate counts: the mass on the nonzero classes with
+    z_1 = ... = z_(k+1) = 0, those of canonical code below q^(d-k-1).
     """
-    qk = q**k
-    owner = canon // q**d
-    prefix = (canon - owner * q**d) // q ** (d - k - 1)
-    # z_1 != 0 exactly when the canonical prefix (1, t_1, ..., t_k) is at
-    # least q^k, and its code is then q^k + code(t); scaling keeps zeros
-    live = prefix >= qk
-    nondegenerate = np.bincount(owner[live] * qk + prefix[live] - qk, counts[live], minlength=sets * qk)
-    agreeing = np.bincount(owner[prefix == 0], counts[prefix == 0], minlength=sets)
-    return nondegenerate.astype(np.int64).reshape(sets, qk), agreeing.astype(np.int64) - size
+    sets = len(masses)
+    nondegenerate = masses[:, -(q ** (d - 1)) :].reshape(sets, q**k, q ** (d - 1 - k)).sum(axis=2)
+    return nondegenerate, masses[:, 1 : 1 + (q ** (d - k - 1) - 1) // (q - 1)].sum(axis=1)
 
 
 @cache
@@ -209,9 +199,8 @@ def _counts(
     if method == "spectral":
         nu, remainders = slope_counts(E.spectrum_power()[None], E.cardinality, q, E.dim, k, codes)
         return slopes, nu[0], nu[0] - degenerate_pair_count(E, k), remainders[0]
-    support, counts = E.difference_multiplicity()
-    canon = canonical_of(support, E.field, E.dim)
-    nondegenerate, degenerate = mu_slope_counts(canon, counts, 1, E.cardinality, q, E.dim, k)
+    masses = class_masses(*E.difference_multiplicity(), 1, E.field, E.dim)
+    nondegenerate, degenerate = class_slope_counts(masses, q, E.dim, k)
     row = nondegenerate[0, codes]
     return slopes, row + degenerate[0], row, None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import os
 import stat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,11 @@ from .spectral import GridFunction, check_size_cap, forward_transform, indicator
 def _integers(values, what: str) -> np.ndarray:
     """values as int64; ValueError for floats and bools, not truncation.  Empty input may be float64."""
     array = np.asarray(values)
+    if not isinstance(values, np.ndarray) and array.ndim in (1, 2):
+        # numpy reads [True, 2] as int64, so the items of a list, or of its rows, are checked by type too
+        items = chain.from_iterable(values) if array.ndim == 2 else values
+        if not {bool, np.bool_}.isdisjoint(map(type, items)):
+            raise ValueError(f"{what} must be integers, got bool values")
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got {array.dtype} values")
     return array.astype(np.int64, copy=False)
@@ -67,7 +73,7 @@ class PointSet:
     def from_indices(cls, q: int, dim: int, indices: Iterable[int]) -> "PointSet":
         field = prime_field(q)
         n = check_size_cap(q, dim)
-        idx = _integers(list(indices), "point indices")
+        idx = _integers(indices if isinstance(indices, np.ndarray) else list(indices), "point indices")
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError("point index out of range")
         ordered = grid.distinct(idx)

@@ -1,21 +1,28 @@
+import collections
+import functools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fqdirections import directions, grid
 from fqdirections.directions import (
     ambient_direction_count,
     canonical_direction,
-    canonical_of,
-    canonical_support,
+    class_codes,
+    class_masses,
+    class_ranks,
+    code_ranks,
     coordinate_subspace_directions,
     direction_set,
     directions_of_codes,
     sort_directions,
+    subspace_classes,
 )
 from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_coordinate_subspace, gen_random
-from fqdirections.incidence import mu_slope_counts
+from fqdirections.incidence import class_slope_counts
 from fqdirections.pointset import PointSet
 from fqdirections.rng import mix64, sample_block
 from fqdirections.salem import difference_bound_check
@@ -201,7 +208,26 @@ def test_directions_of_codes_skips_zero_and_repeats():
     assert directions_of_codes(np.array([], dtype=np.int64), F, 2) == set()
 
 
-# -- canonical-code tables and the computed path ---------------------------
+# -- class masses, class-rank tables and the computed path ------------------
+
+
+@functools.cache
+def _class_order(q, d):
+    """Canonical codes of F_q^d, 0 first, then ascending, from canonical_direction: a class's rank is its place."""
+    codes = {grid.encode(canonical_direction(grid.decode(i, q, d), q), q) for i in range(1, q**d)}
+    return (0, *sorted(codes))
+
+
+def _tallied_masses(indices, q, d):
+    """M of each set of a stack, tallied by canonical_direction over its ordered pairs, x = y on class 0."""
+    rank = {code: r for r, code in enumerate(_class_order(q, d))}
+    masses = np.zeros((len(indices), len(rank)), dtype=np.int64)
+    for b, row in enumerate(indices):
+        points = [grid.decode(int(i), q, d) for i in row]
+        diffs = collections.Counter(tuple((a - c) % q for a, c in zip(x, y)) for x in points for y in points)
+        for z, count in diffs.items():
+            masses[b, rank[grid.encode(canonical_direction(z, q), q)] if any(z) else 0] += count
+    return masses
 
 
 @st.composite
@@ -235,24 +261,23 @@ def _stacked_canonical_codes(indices, q, d):
 @given(_index_stacks())
 @settings(max_examples=60, deadline=None)
 def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
-    # at the limit F_q^d is tabled, and no F_q^(k+1) below it ever is; just
-    # below the limit nothing is
+    # class masses, D(E) and the brute slope counts at the table's limit, where
+    # F_q^d is tabled, and just below it, where nothing is
     q, d, k, indices = case
     field, cells, sets = prime_field(q), q**d, len(indices)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(directions, "_CANONICAL_TABLES", {})
+        mp.setattr(directions, "_RANK_TABLES", {})
         mp.setattr(directions, "_TABLE_CELLS", cells if side == "table" else cells - 1)
         codes, counts = grid.difference_multiplicities(indices, q, d)
-        canon = canonical_support(codes, field, d)
-        mark = directions._direction_marks(canon, cells, sets)
-        assert np.flatnonzero(mark).tolist() == _stacked_canonical_codes(indices, q, d)
+        masses = class_masses(codes, counts, sets, field, d)
+        assert np.array_equal(masses, _tallied_masses(indices, q, d))
         owner = codes // cells
         for b, row in enumerate(indices):
             points = [grid.decode(int(i), q, d) for i in row]
             mine = codes[owner == b] - b * cells
             assert directions_of_codes(mine, field, d) == oracles.directions_enumerate(points, q)
         if d >= 2:
-            nondeg, degenerate = mu_slope_counts(canon, counts, sets, indices.shape[1], q, d, k)
+            nondeg, degenerate = class_slope_counts(masses, q, d, k)
             for b, row in enumerate(indices):
                 expected_nondeg = [0] * q**k
                 expected_degenerate = 0
@@ -263,12 +288,69 @@ def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
                         expected_degenerate += 1
                 assert nondeg[b].tolist() == expected_nondeg
                 assert degenerate[b] == expected_degenerate
-        built = directions._CANONICAL_TABLES
+        built = directions._RANK_TABLES
         assert list(built) == ([(q, d)] if side == "table" else [])
         for table in built.values():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
+
+
+@st.composite
+def _mass_cases(draw):
+    # F_257^2's 66,049 cells are just above the table's 2^16
+    q, d = draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (257, 2)]))
+    cells = q**d
+    dense = draw(st.booleans())
+    least_dense = math.isqrt(cells - 1) + 1
+    if dense:
+        n = draw(st.integers(min_value=least_dense, max_value=max(least_dense, min(cells, 12))))
+    else:
+        n = draw(st.integers(min_value=0, max_value=least_dense - 1))
+    sets = draw(st.integers(min_value=1, max_value=1 if cells > 1 << 16 else 3))
+    points = st.lists(st.integers(min_value=0, max_value=cells - 1), min_size=n, max_size=n, unique=True)
+    picks = np.array(draw(st.lists(points, min_size=sets, max_size=sets)), dtype=np.int64).reshape(sets, n)
+    return q, d, dense, picks
+
+
+@given(_mass_cases())
+@example((257, 2, True, np.random.default_rng(3).permutation(257**2)[:257][None]))
+@example((257, 2, False, np.random.default_rng(4).permutation(257**2)[:40][None]))
+@settings(max_examples=40, deadline=None)
+def test_class_masses_match_a_scalar_tally(case):
+    # both branches of the mu kernel: a dense count when n^2 >= q^d, else a sort
+    q, d, dense, picks = case
+    sets, n = picks.shape
+    assert (n * n >= q**d) == dense
+    codes, counts = grid.difference_multiplicities(picks, q, d)
+    masses = class_masses(codes, counts, sets, prime_field(q), d)
+    assert masses.dtype == np.int64
+    assert np.array_equal(masses, _tallied_masses(picks, q, d))
+    assert masses.sum(axis=1).tolist() == [n * n] * sets
+    assert masses[:, 0].tolist() == [n] * sets
+    assert (q, d) in directions._RANK_TABLES or q**d > directions._TABLE_CELLS
+    assert (257, 2) not in directions._RANK_TABLES
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 3), (13, 3), (257, 2), (101, 3)])
+def test_class_ranks_round_trip(q, n):
+    ranks = np.arange(1 + (q**n - 1) // (q - 1))
+    codes = class_codes(ranks, q, n)
+    assert np.array_equal(code_ranks(codes, q, n), ranks)
+    # ascending canonical codes, each its own class's representative
+    assert codes[0] == 0 and (np.diff(codes) > 0).all()
+    reps = grid.decode_indices(codes[1:], q, n)
+    assert np.array_equal(oracles.canonicalize_rows(reps, q), reps)
+    if q**n <= 1 << 17:
+        assert tuple(codes.tolist()) == _class_order(q, n)
+
+
+def test_subspace_classes_are_the_zero_tailed_classes():
+    for q, d in [(2, 4), (3, 3), (5, 3), (7, 2)]:
+        codes = class_codes(np.arange(1 + (q**d - 1) // (q - 1)), q, d)
+        for n in range(1, d + 1):
+            expected = np.flatnonzero(codes % q ** (d - n) == 0)[1:]
+            assert np.array_equal(subspace_classes(q, d, n), expected)
 
 
 def _refuse_sort(codes):
@@ -277,15 +359,15 @@ def _refuse_sort(codes):
 
 def test_large_grid_builds_no_table(monkeypatch):
     # a table for F_101^3 would take about 200 ms and a transient 94 MB to build
-    monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
+    monkeypatch.setattr(directions, "_RANK_TABLES", {})
     E = gen_random(101, 3, 102, seed=2)
     E.difference_multiplicity()
-    # D(E) is read off the marks: nothing sorts the class codes
+    # D(E) is read off the class masses: nothing sorts the class codes
     monkeypatch.setattr(grid, "distinct", _refuse_sort)
     dirs = direction_set(E)
     assert dirs == oracles.directions_enumerate(E.points(), 101)
     assert all(type(c) is int for rep in dirs for c in rep)
-    assert (101, 3) not in directions._CANONICAL_TABLES
+    assert (101, 3) not in directions._RANK_TABLES
 
 
 @pytest.mark.parametrize("q, d, n", [(5, 3, 2), (3, 4, 3), (101, 3, 1)])
@@ -308,10 +390,12 @@ def _rows_canonical_codes(local, q, n):
     ],
 )
 def test_computed_canonical_codes_match_rows(q, n, local, monkeypatch):
-    monkeypatch.setattr(directions, "_CANONICAL_TABLES", {})
+    monkeypatch.setattr(directions, "_RANK_TABLES", {})
     assert q**n > directions._TABLE_CELLS
-    assert np.array_equal(canonical_of(local, prime_field(q), n), _rows_canonical_codes(local, q, n))
-    assert not directions._CANONICAL_TABLES
+    field, canon = prime_field(q), _rows_canonical_codes(local, q, n)
+    assert np.array_equal(directions._scaled_codes(local, field, n), canon)
+    assert np.array_equal(class_ranks(local, field, n), code_ranks(canon, q, n))
+    assert not directions._RANK_TABLES
 
 
 # -- per-set class counts of a campaign block --------------------------------
@@ -344,23 +428,25 @@ def _subspace_stack(q, d, k):
         # one-point sets determine no direction
         (3, 2, 1, _random_stack(3, 2, 1, 7)),
         # 29 and 30 sets of F_13^3 hold 63,713 and 65,910 cells, either side of 2^16
-        # (harness._BLOCK_CELLS); both mark alike
+        # (harness._BLOCK_CELLS); both count alike
         (13, 3, 2, _random_stack(13, 3, 14, 29)),
         (13, 3, 2, _random_stack(13, 3, 14, 30)),
-        # one set of a grid above the canonical table's limit
+        # one set of a grid above the class-rank table's limit
         (101, 3, 1, _random_stack(101, 3, 102, 1)),
     ],
 )
 def test_direction_marks_match_sorted_canonical_codes(q, d, k, picks, monkeypatch):
+    # a class is marked when the set's mu charges it: |D(E)| and the H_(k+1)
+    # tail are counts of nonzero class masses, checked against sorted codes
     field, cells, sets = prime_field(q), q**d, len(picks)
-    codes, _ = grid.difference_multiplicities(picks, q, d)
+    codes, mu_counts = grid.difference_multiplicities(picks, q, d)
     owner, vector = np.divmod(np.array(_stacked_canonical_codes(picks, q, d), dtype=np.int64), cells)
     stride = q ** (d - k - 1)
     monkeypatch.setattr(grid, "distinct", _refuse_sort)
-    mark = directions._direction_marks(canonical_support(codes, field, d), cells, sets)
-    counts = np.count_nonzero(mark, axis=1)
+    masses = class_masses(codes, mu_counts, sets, field, d)
+    counts = np.count_nonzero(masses[:, 1:], axis=1)
     assert counts.tolist() == np.bincount(owner, minlength=sets).tolist()
-    tails = np.count_nonzero(mark[:, ::stride], axis=1)
+    tails = np.count_nonzero(masses[:, subspace_classes(q, d, k + 1)], axis=1)
     assert tails.tolist() == np.bincount(owner[vector % stride == 0], minlength=sets).tolist()
     if picks.shape[1] == 1:
         assert not counts.any()

@@ -196,7 +196,7 @@ def test_sweep_kernels_match_pair_oracle(case):
 def test_each_query_calls_its_route_kernel_once(monkeypatch, method):
     # one kernel call of the query's own route, none of the other route's
     calls = {}
-    for name in ("mu_slope_counts", "_remainders"):
+    for name in ("class_slope_counts", "_remainders"):
         def counted(*args, _name=name, _kernel=getattr(incidence, name)):
             calls[_name] += 1
             return _kernel(*args)
@@ -214,11 +214,11 @@ def test_each_query_calls_its_route_kernel_once(monkeypatch, method):
     ]
     if method == "spectral":
         queries.append(lambda: remainder_spectral(E, (1, 3)))
-    kernel = "_remainders" if method == "spectral" else "mu_slope_counts"
+    kernel = "_remainders" if method == "spectral" else "class_slope_counts"
     for query in queries:
-        calls.update(mu_slope_counts=0, _remainders=0)
+        calls.update(class_slope_counts=0, _remainders=0)
         query()
-        assert calls == {"mu_slope_counts": 0, "_remainders": 0, kernel: 1}
+        assert calls == {"class_slope_counts": 0, "_remainders": 0, kernel: 1}
 
 
 @pytest.mark.parametrize("k", [1, 2])

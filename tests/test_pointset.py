@@ -60,6 +60,29 @@ def test_point_validation():
     assert len(gen_random(3, 2, 0, seed=1)) == 0
 
 
+def test_bools_mixed_into_integer_lists_are_refused():
+    # numpy reads [True, 2] as int64, so list input is checked element by element
+    for indices in ([True, 2], [2, np.True_], (i == 0 or i for i in range(3))):
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSet.from_indices(3, 2, indices)
+    for coords in ([[True, 2]], [[0, 1], [2, False]], [np.array([0, 1]), [np.True_, 1]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSet.from_coords(3, 2, coords)
+    with pytest.raises(ValueError, match="must be integers"):
+        PointSet.from_points(3, 2, [(0, 1)]).translate((True, 0))
+    assert PointSet.from_coords(3, 2, [np.array([1, 2]), [0, 1]]).points() == [(0, 1), (1, 2)]
+
+
+def test_from_indices_takes_an_array_whole():
+    # an ndarray goes to the dtype check as it is, with no list of numpy scalars in between
+    picks = np.array([7, 3, 0], dtype=np.int32)
+    assert PointSet.from_indices(3, 2, picks).indices().tolist() == [0, 3, 7]
+    for indices in (np.array([True, False]), np.array([1.0, 2.0]), np.array([[True]])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PointSet.from_indices(3, 2, indices)
+    assert PointSet.from_indices(3, 2, np.array([], dtype=np.float64)).cardinality == 0
+
+
 def test_empty_and_full():
     assert len(PointSet.empty(3, 2)) == 0
     assert len(PointSet.full(3, 2)) == 9

@@ -285,3 +285,25 @@ def test_route_disagreement_inside_a_block(monkeypatch):
     assert [len(picks) for picks in blocks] == [3, 3]
     nu = theorem_main_threshold(sets[4], 1, "brute").outcomes[3].nu
     assert str(err.value) == f"pair-count nu {nu} and spectral nu {nu + 1} disagree at slope (3,) of trial 4"
+
+
+def test_misplaced_class_mass_inside_a_block(monkeypatch):
+    # one unit of every set's mass moved from class 0 onto the last class,
+    # (1, Q-1, Q-1), raises the pair-count nu of slope (Q-1,) by one
+    config = CampaignConfig.from_mapping(
+        {"kind": "theorem-main", "q": Q, "d": D, "k": 1, "sizes": [9], "trials": 6, "seed": 2, "mode": "random"}
+    )
+    original = harness.class_masses
+
+    def misplaced(codes, counts, sets, field, d):
+        masses = original(codes, counts, sets, field, d)
+        masses[:, 0] -= 1
+        masses[:, -1] += 1
+        return masses
+
+    monkeypatch.setattr(harness, "class_masses", misplaced)
+    with pytest.raises(NumericalInconsistencyError) as err:
+        run_campaign(config)
+    E = next(_reference_sets(config, harness._expand_cells(config)[0]))[2]
+    nu = theorem_main_threshold(E, 1, "brute").outcomes[Q - 1].nu
+    assert str(err.value) == f"pair-count nu {nu + 1} and spectral nu {nu} disagree at slope ({Q - 1},) of trial 0"
