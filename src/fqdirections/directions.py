@@ -15,11 +15,11 @@ b's mass of mu on class c, with one bincount per stack.  Classes run by
 ascending canonical code, the zero vector first, so M[b, 0] = |E|; a code c
 with q^p <= c < 2 q^p has rank 1 + (q^p - 1)/(q - 1) + c - q^p (code_ranks,
 inverted by class_codes).  Each view is then a fixed slice of M.  D(E) is a
-row's nonzero classes.  The last q^(d-1) classes, by ascending t, are those
-of canonical form z / z_1 = (1, t_1, ..., t_(d-1)), and the first
-1 + (q^(d-k-1) - 1)/(q - 1) those with z_1 = ... = z_(k+1) = 0
-(incidence.class_slope_counts).  H_n's classes are those whose code is a
-multiple of q^(d-n), since scaling keeps zeros (subspace_classes).
+row's nonzero classes.  class_slope_counts reads two blocks: the last
+q^(d-1) classes, by ascending t, are those of canonical form z / z_1 =
+(1, t_1, ..., t_(d-1)), and the (q^(d-k-1) - 1)/(q - 1) right after the zero
+vector those with z_1 = ... = z_(k+1) = 0.  H_n's classes are those whose
+code is a multiple of q^(d-n), since scaling keeps zeros (subspace_classes).
 
 class_ranks gives the class rank of vectors of F_q^n: a code's base-q
 digits are scaled by the inverse of its leading digit and read back as a
@@ -124,18 +124,26 @@ def class_masses(codes: np.ndarray, counts: np.ndarray, sets: int, field: PrimeF
     return masses.astype(np.int64).reshape(sets, classes)
 
 
+def class_slope_counts(masses: np.ndarray, q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brute incidence route off the (sets, C) class masses of a stack of sets (class_masses).
+
+    Returns nu_nondegenerate, (sets, q^k) in all_slopes order: the mass on
+    the last q^(d-1) classes, of canonical form (1, t_1, ..., t_(d-1)), summed
+    over each run of q^(d-1-k) classes that share (t_1, ..., t_k).  And the
+    (sets,) degenerate counts: the mass on the nonzero classes with
+    z_1 = ... = z_(k+1) = 0, those of canonical code below q^(d-k-1).
+    """
+    sets = len(masses)
+    nondegenerate = masses[:, -(q ** (d - 1)) :].reshape(sets, q**k, q ** (d - 1 - k)).sum(axis=2)
+    return nondegenerate, masses[:, 1 : 1 + (q ** (d - k - 1) - 1) // (q - 1)].sum(axis=1)
+
+
 @cache
 def subspace_classes(q: int, d: int, n: int) -> np.ndarray:
     """Ascending ranks in F_q^d of the classes of H_n, read-only: q^(d-n) times the canonical codes of F_q^n."""
     ranks = code_ranks(class_codes(np.arange(1, 1 + (q**n - 1) // (q - 1)), q, n) * q ** (d - n), q, d)
     ranks.flags.writeable = False
     return ranks
-
-
-def directions_of_codes(codes: np.ndarray, field: PrimeField, d: int) -> set[Direction]:
-    """Directions of the vectors whose flat grid codes (of one set) are given; code 0 and repeats are allowed."""
-    masses = class_masses(codes, np.ones_like(codes), 1, field, d)[0]
-    return _directions_of_ranks(np.flatnonzero(masses[1:]) + 1, field.q, d)
 
 
 def _directions_of_ranks(ranks: np.ndarray, q: int, d: int) -> set[Direction]:
@@ -145,7 +153,8 @@ def _directions_of_ranks(ranks: np.ndarray, q: int, d: int) -> set[Direction]:
 
 def direction_set(E: PointSet) -> set[Direction]:
     """Directions determined by E: canonical forms of x - y over distinct pairs."""
-    return directions_of_codes(E.difference_multiplicity()[0], E.field, E.dim)
+    masses = class_masses(*E.difference_multiplicity(), 1, E.field, E.dim)[0]
+    return _directions_of_ranks(np.flatnonzero(masses[1:]) + 1, E.q, E.dim)
 
 
 def ambient_direction_count(q: int, d: int) -> int:

@@ -39,12 +39,12 @@ from typing import Any
 
 import numpy as np
 
-from .directions import ambient_direction_count, class_masses, subspace_classes
+from .directions import ambient_direction_count, class_masses, class_slope_counts, subspace_classes
 from .errors import ConfigError, NumericalInconsistencyError, brief
 from .field import MAX_MODULUS, is_prime, prime_field
 from .generators import gen_coordinate_subspace, index_block
 from .grid import decode, difference_multiplicities
-from .incidence import class_slope_counts, slope_counts, threshold_failures, threshold_lower_bound
+from .incidence import slope_counts, threshold_failures, threshold_lower_bound
 from .pointset import PointSet, _write_in_place, format_fset
 from .rng import mix64
 from .salem import bound_shapes, difference_bounds
@@ -302,8 +302,8 @@ class CampaignConfig:
                 raise ConfigError(f"k must be >= 1, got {k}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2^64), got {brief(self.seed)}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         check_salem_threshold(self.salem_threshold)
@@ -571,7 +571,7 @@ def _theorem_block(
     """
     q, d, k, size = cell.q, cell.d, cell.k, cell.size
     field = prime_field(q)
-    nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k)
+    nu, _ = slope_counts(indicator_power(picks, field, d), size, q, d, k, trials=trials)
     masses = class_masses(*difference_multiplicities(picks, q, d), len(picks), field, d)
     nondeg, degenerate = class_slope_counts(masses, q, d, k)
     disagree = np.argwhere(nondeg + degenerate[:, None] != nu)

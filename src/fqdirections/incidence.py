@@ -16,21 +16,22 @@ once.  The brute route is a read-off of mu, the package's one primitive,
 through its class masses (directions.class_masses): a difference z with
 z_1 != 0 satisfies exactly one slope, (z_2, ..., z_{k+1}) / z_1, the prefix
 of its canonical form z / z_1, so nu_nondegenerate of every slope is a
-fixed slice of the masses, as is the mass on z_1 = ... = z_(k+1) = 0.  The
-spectral route gathers R(t) for a block of slope rows from a stack of
-spectra in one np.take and assembles the decomposition, rounding to the
-nearest integer with a guard band; it never builds mu.  The two must agree
-exactly, and campaigns check that they do in every block:
-`class_slope_counts` and `slope_counts` run the routes for a stack of B
-equal-size sets, each slope by its code in F_q^k.  On one set, `_counts` is
-the one way into each route: a B = 1 kernel call on the set's cached mu or
-spectrum, for every slope or for one.  Both read a slope's entries mod q.
-`theorem_main_threshold`, `nu_sweep`, `nu_brute`, `nu_spectral` and
-`remainder_spectral` read it.
+fixed slice of the masses, as is the mass on z_1 = ... = z_(k+1) = 0
+(directions.class_slope_counts).  The spectral route gathers R(t) for a
+block of slope rows from a stack of spectra in one np.take and assembles
+the decomposition, rounding to the nearest integer with a guard band; it
+never builds mu.  The two must agree exactly, and campaigns check that they
+do in every block: `class_slope_counts` and `slope_counts` run the routes
+for a stack of B equal-size sets, each slope by its code in F_q^k.  On one
+set, `_counts` is the one way into each route: a B = 1 kernel call on the
+set's cached mu or spectrum, for every slope or for one.  Both read a
+slope's entries mod q.  `theorem_main_threshold`, `nu_sweep`, `nu_brute`,
+`nu_spectral` and `remainder_spectral` read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -40,7 +41,7 @@ from math import ceil
 import numpy as np
 
 from . import grid
-from .directions import class_masses
+from .directions import class_masses, class_slope_counts
 from .errors import NumericalInconsistencyError
 from .pointset import PointSet
 
@@ -109,20 +110,6 @@ def degenerate_pair_count(E: PointSet, k: int) -> int:
     return int((groups * (groups - 1)).sum())
 
 
-def class_slope_counts(masses: np.ndarray, q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brute route off the (sets, C) class masses of a stack of sets (directions.class_masses).
-
-    Returns nu_nondegenerate, (sets, q^k) in all_slopes order: the mass on
-    the last q^(d-1) classes, of canonical form (1, t_1, ..., t_(d-1)), summed
-    over each run of q^(d-1-k) classes that share (t_1, ..., t_k).  And the
-    (sets,) degenerate counts: the mass on the nonzero classes with
-    z_1 = ... = z_(k+1) = 0, those of canonical code below q^(d-k-1).
-    """
-    sets = len(masses)
-    nondegenerate = masses[:, -(q ** (d - 1)) :].reshape(sets, q**k, q ** (d - 1 - k)).sum(axis=2)
-    return nondegenerate, masses[:, 1 : 1 + (q ** (d - k - 1) - 1) // (q - 1)].sum(axis=1)
-
-
 @cache
 def _frequency_tables(q: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero frequency parameters s, transposed, and the index
@@ -153,7 +140,8 @@ def _remainders(power: np.ndarray, q: int, d: int, k: int, slopes: np.ndarray) -
 
 
 def slope_counts(
-    power: np.ndarray, size: int, q: int, d: int, k: int, slopes: np.ndarray | None = None
+    power: np.ndarray, size: int, q: int, d: int, k: int, slopes: np.ndarray | None = None,
+    trials: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral route for a stack of B sets of `size` points, each slope code at once.
 
@@ -163,7 +151,7 @@ def slope_counts(
     integer.  Row b equals the B = 1 call on set b's power bit for bit,
     remainders included.  Raises NumericalInconsistencyError naming the
     first slope, of the first set in stack order, whose float lands farther
-    than the guard band from the nearest integer.
+    than the guard band from the nearest integer, and its trial if given.
     """
     slopes = np.arange(q**k) if slopes is None else slopes
     main, diag = _terms(size, q, k)
@@ -177,6 +165,7 @@ def slope_counts(
         raise NumericalInconsistencyError(
             f"spectral incidence value {float(values[b, i])!r} is {off[b, i]:.3e} from the "
             f"nearest integer (guard band {ROUNDING_GUARD:g}) at slope {grid.decode(int(slopes[i]), q, k)}"
+            + ("" if trials is None else f" of trial {trials[b]}")
         )
     return nu.astype(np.int64), remainders
 

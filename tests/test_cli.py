@@ -351,6 +351,7 @@ BAD_FIELD_VALUES = [
         (json.dumps({**_BAD_CONFIG_BASE, "q": [65537]}), "q = 65537 exceeds the modulus cap 65536"),
         (json.dumps({**_BAD_CONFIG_BASE, "k": [0]}), "k must be >= 1, got 0"),
         (json.dumps({**_BAD_CONFIG_BASE, "threads": 0}), "threads must be >= 1, got 0"),
+        (json.dumps({**_BAD_CONFIG_BASE, "seed": 2**64}), "seed must be in [0, 2^64), got 18446744073709551616"),
         (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": math.nan}), "salem_threshold must be finite, got nan"),
         (json.dumps({**_BAD_CONFIG_BASE, "salem_threshold": math.inf}), "salem_threshold must be finite, got inf"),
         (json.dumps({**_BAD_CONFIG_BASE, "ratio_floor": math.nan}), "ratio_floor must be finite, got nan"),

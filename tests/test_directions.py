@@ -13,16 +13,15 @@ from fqdirections.directions import (
     class_codes,
     class_masses,
     class_ranks,
+    class_slope_counts,
     code_ranks,
     coordinate_subspace_directions,
     direction_set,
-    directions_of_codes,
     sort_directions,
     subspace_classes,
 )
 from fqdirections.field import PrimeField, prime_field
 from fqdirections.generators import gen_coordinate_subspace, gen_random
-from fqdirections.incidence import class_slope_counts
 from fqdirections.pointset import PointSet
 from fqdirections.rng import mix64, sample_block
 from fqdirections.salem import difference_bound_check
@@ -200,14 +199,6 @@ def test_direction_count_routes_agree_across_pair_blocks(E):
         _assert_routes_agree(E)
 
 
-def test_directions_of_codes_skips_zero_and_repeats():
-    F = PrimeField(5)
-    codes = np.array([0, 7, 7, 14, 0, 5], dtype=np.int64)  # (1,2), (1,2), (2,4), (1,0)
-    assert directions_of_codes(codes, F, 2) == {(1, 2), (1, 0)}
-    assert directions_of_codes(np.zeros(3, dtype=np.int64), F, 2) == set()
-    assert directions_of_codes(np.array([], dtype=np.int64), F, 2) == set()
-
-
 # -- class masses, class-rank tables and the computed path ------------------
 
 
@@ -271,11 +262,9 @@ def test_canonical_codes_on_both_sides_of_the_table_limit(side, case):
         codes, counts = grid.difference_multiplicities(indices, q, d)
         masses = class_masses(codes, counts, sets, field, d)
         assert np.array_equal(masses, _tallied_masses(indices, q, d))
-        owner = codes // cells
-        for b, row in enumerate(indices):
+        for row in indices:
             points = [grid.decode(int(i), q, d) for i in row]
-            mine = codes[owner == b] - b * cells
-            assert directions_of_codes(mine, field, d) == oracles.directions_enumerate(points, q)
+            assert direction_set(PointSet.from_indices(q, d, row)) == oracles.directions_enumerate(points, q)
         if d >= 2:
             nondeg, degenerate = class_slope_counts(masses, q, d, k)
             for b, row in enumerate(indices):

@@ -139,6 +139,7 @@ def test_config_from_json_round_trip():
         {"trials": 0},
         {"threads": 0},
         {"seed": -1},
+        {"seed": 2**64},
         {"salem_threshold": 0},
         {"ratio_floor": -0.5},
         {"surprise": 1},

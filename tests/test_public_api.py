@@ -1,9 +1,12 @@
-"""The package's public surface: `fqdirections.__all__`, the README's library example and its citations."""
+"""The package's public surface: `fqdirections.__all__`, the README's library example, and the citations of
+the README and of the package's own comments and docstrings."""
 
 import ast
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import fqdirections
@@ -121,3 +124,32 @@ def test_readme_cited_names_resolve():
     for owner, name in checked:
         target = fqdirections.PointSet if owner == "PointSet" else importlib.import_module(f"fqdirections.{owner}")
         assert hasattr(target, name), f"README cites {owner}.{name}, which does not exist"
+
+
+def _source_texts(path):
+    """The comments of a package module, read by tokenize, and its docstrings, read by ast: no code."""
+    source = path.read_text(encoding="utf-8")
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    comments = [token.string for token in tokens if token.type == tokenize.COMMENT]
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return comments + [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source)) if isinstance(node, documented)]
+
+
+def test_source_cited_names_resolve_to_their_defining_module():
+    # every `module.name` a comment or docstring of src/ cites exists there, and
+    # a cited function or class is defined there, not imported from elsewhere
+    modules = {info.name for info in pkgutil.iter_modules(fqdirections.__path__)}
+    checked = [
+        (path.name, owner, name)
+        for path in sorted((ROOT / "src" / "fqdirections").glob("*.py"))
+        for text in _source_texts(path)
+        for owner, name in re.findall(r"\b(\w+)\.(\w+)", text)
+        if owner in modules
+    ]
+    assert checked
+    for where, owner, name in checked:
+        module = importlib.import_module(f"fqdirections.{owner}")
+        assert hasattr(module, name), f"{where} cites {owner}.{name}, which does not exist"
+        target = getattr(module, name)
+        if callable(target):
+            assert target.__module__ == module.__name__, f"{where} cites {owner}.{name}, defined in {target.__module__}"

@@ -246,8 +246,25 @@ def test_guard_band_failure_inside_a_block(monkeypatch, block_sizes):
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 3 * Q**D)
     with pytest.raises(NumericalInconsistencyError) as err:
         run_campaign(config)
-    assert str(err.value) == expected[4]
+    assert str(err.value) == f"{expected[4]} of trial 4"
     assert block_sizes == [[3, 3]]  # the error came from the second block
+
+
+def test_guard_band_failure_names_its_trial(monkeypatch):
+    # set 2's slope-3 value pushed 0.3 off an integer in a one-block campaign
+    config = CampaignConfig.from_mapping(
+        {"kind": "theorem-main", "q": 5, "d": 2, "k": 1, "trials": 6, "seed": 2, "mode": "random"}
+    )
+    original = incidence._remainders
+
+    def pushed(power, q, d, k, slopes):
+        remainders = original(power, q, d, k, slopes)
+        remainders[2, 3] += 0.3
+        return remainders
+
+    monkeypatch.setattr(incidence, "_remainders", pushed)
+    with pytest.raises(NumericalInconsistencyError, match=r"from the nearest integer .* at slope \(3,\) of trial 2$"):
+        run_campaign(config)
 
 
 # -- route agreement -------------------------------------------------------
@@ -269,8 +286,8 @@ def test_route_disagreement_inside_a_block(monkeypatch):
         blocks.append(picks)
         return original_power(picks, field, dim)
 
-    def skewed_counts(power, size, q, d, k):
-        nu, remainders = original_counts(power, size, q, d, k)
+    def skewed_counts(power, size, q, d, k, trials):
+        nu, remainders = original_counts(power, size, q, d, k, trials=trials)
         for row, points in zip(nu, blocks[-1]):
             slope = faults.get(tuple(sorted(points.tolist())))
             if slope is not None:
