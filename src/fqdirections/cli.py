@@ -1,7 +1,9 @@
 """Command-line front end: set generators, analyses, verification campaigns.
 
 Exit codes: 0 success, 1 campaign found a hard counterexample, 2 bad input
-(malformed .fset or config, invalid flags).  Integers print exactly; reals
+(malformed .fset or config, invalid flags), 141 (128 + SIGPIPE, as a shell
+reports it) with no error line when the reader closes the output pipe
+early, as `| head -1` does.  Integers print exactly; reals
 print with 6 significant digits.  Reports and .fset files are written only
 after the computation that fills them has finished, so a failing run leaves
 no partial output behind.
@@ -9,6 +11,7 @@ no partial output behind.
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import wraps
 
@@ -27,12 +30,16 @@ _INPUT_ERRORS = (SizeCapError, NumericalInconsistencyError, ValueError, OSError)
 
 
 def _guarded(func):
-    """Input and consistency errors exit 2 with a one-line message."""
+    """Input and consistency errors exit 2 with a one-line message; a closed output pipe exits 141."""
 
     @wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
+        except BrokenPipeError:
+            # the interpreter's final flush of stdout would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
         except _INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)

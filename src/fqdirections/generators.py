@@ -46,9 +46,8 @@ def gen_coordinate_subspace(q: int, d: int, k: int) -> PointSet:
     if not 0 <= k <= d:
         raise ValueError(f"subspace dimension must be in [0, {d}], got {k}")
     check_size_cap(q, d)
-    coords = np.zeros((q**k, d), dtype=np.int64)
-    coords[:, :k] = grid.decode_indices(np.arange(q**k, dtype=np.int64), q, k)
-    return PointSet.from_coords(q, d, coords)
+    # as in index_block: the point p of F_q^k, zero-padded, has index p q^(d-k)
+    return PointSet.from_indices(q, d, np.arange(q**k, dtype=np.int64) * q ** (d - k))
 
 
 def gen_affine_subspace(q: int, d: int, k: int, shift: tuple[int, ...]) -> PointSet:
@@ -77,9 +76,7 @@ def gen_embedded(base: PointSet, d: int) -> PointSet:
     if base.dim >= d:
         raise ValueError(f"embedding target dimension must exceed {base.dim}, got {d}")
     check_size_cap(base.q, d)
-    coords = np.zeros((base.cardinality, d), dtype=np.int64)
-    coords[:, : base.dim] = base.coords()
-    return PointSet.from_coords(base.q, d, coords)
+    return PointSet.from_indices(base.q, d, base.indices() * base.q ** (d - base.dim))
 
 
 def gen_subspace_random(q: int, d: int, m: int, n: int, seed: int) -> PointSet:

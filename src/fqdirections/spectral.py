@@ -1,4 +1,4 @@
-"""The Fourier transform of complex-valued functions on F_q^d.
+"""The Fourier transform on F_q^d: of complex tables, and the power of point sets.
 
 The transform is
 
@@ -8,32 +8,31 @@ computed axis by axis: d successive length-q one-dimensional transforms,
 pass j (j = 0, ..., d-1) along coordinate d-j.  No fast-transform
 algorithm is used; at desk scale none is needed.
 
-A pass only multiplies rows whose untransformed prefix (x_1, ..., x_(d-1-j))
-holds a nonzero value; every other row of its input is zero and is neither
-stored nor multiplied.  Pass 0 costs q^2 operations per live row.  A later
-pass j multiplies each live parent prefix (x_1, ..., x_(d-1-j)) only at the
-digits x_(d-j) of its live children, padded to the widest parent's count
-(at least 2): q^(j+1) * width operations per parent, q^(j+2) when every
-digit is live, O(d * q^(d+1)) in all.  At q = 101, d = 3 a random set of
-102 points leaves about 102 of 10,201 rows live in pass 0; pass 1 has about
-64 parents with 1.6 live digits each (width 3 to 5), and pass 2 one parent
-with about 64 live digits of 101: about 70 million complex multiply-adds
-where every digit would take 171 million.  Digits are skipped only for
-q <= 128, where a row's whole sum is one block of the BLAS inner loop.
+Two loops compute it, each for one kind of input.  The whole-cube loop
+multiplies every row of every pass of a stack of dense tables and ends in
+the complex transform (forward_transform) or in the power |fhat|^2.  The
+live-row loop takes a stack of point sets' indices, ends in |Ehat|^2
+only, and multiplies only rows whose untransformed prefix holds a point,
+from pass 1 on only at the digits of live children: O(d * q^(d+1)) in
+all.  At q = 101, d = 3 a random set of 102 points leaves about 102 of
+10,201 rows live in pass 0; pass 1 has about 64 parents with 1.6 live
+digits each (width 3 to 5), and pass 2 one parent with about 64 live
+digits of 101: about 70 million complex multiply-adds where every digit
+would take 171 million.  Digits are skipped only for q <= 128, where a
+row's whole sum is one block of the BLAS inner loop.
 
 indicator_power takes one set or a stack of B sets at once (campaigns
-evaluate a block of sets together) and has two paths.  A stack of at most
-2^21 multiply-adds B d q^(d+1) is transformed whole: its indicators are
-written into one buffer and each pass is one product of every row.  A
-campaign block holds at most 2^16 grid cells, so every block with
-d q <= 32 takes this path, as do blocks of up to 47 sets on F_11^3 and 24
-on F_13^3.  On grids this small the live loop's per-parent gathers and
-small products cost more than the zero products they skip: a block of 20
-sets of 122 points in F_11^3 took 1.78 ms live and 1.06 ms whole (medians,
-one BLAS thread).  A larger stack feeds the live loop straight from its
-point indices and builds no dense indicator; there sparse sets gain from
-the skips (a set of q + 1 points in F_31^3 took 1.5 times as long whole).  Either path
-reads |Ehat|^2 off the last pass and keeps no complex spectrum, and a row
+evaluate a block of sets together) and only chooses the loop.  A stack of
+at most 2^21 multiply-adds B d q^(d+1) is transformed whole.  A campaign
+block holds at most 2^16 grid cells, so every block with d q <= 32 takes
+this path, as do blocks of up to 47 sets on F_11^3 and 24 on F_13^3.  On
+grids this small the live loop's per-parent gathers and small products
+cost more than the zero products they skip: a block of 20 sets of 122
+points in F_11^3 took 1.78 ms live and 1.06 ms whole (medians, one BLAS
+thread).  A larger stack goes through the live loop, which builds no
+dense indicator; there sparse sets gain from the skips (a set of q + 1
+points in F_31^3 took 1.5 times as long whole).  Either loop reads
+|Ehat|^2 off the last pass and keeps no complex spectrum, and a row
 equals |forward_transform of the set's indicator|^2 bit for bit.
 """
 
@@ -159,16 +158,52 @@ def _transform_last_axis(
     return out
 
 
-def _axis_by_axis(
-    rows: np.ndarray, keys: np.ndarray, tables: int, field: PrimeField, dim: int, power: bool = False
-) -> np.ndarray:
-    """Transform a stack of `tables` flat q^d tables, given only their live rows.
+def _whole_stack(cube: np.ndarray, field: PrimeField, dim: int, power: bool = False) -> np.ndarray:
+    """Transform a (B, q^d) stack of tables, every row of every pass multiplied.
 
-    View the stack as (tables * q^(d-1), q) rows along coordinate d.  rows
-    holds the rows with a nonzero value and keys their ascending row numbers
+    The stacked form of the whole-cube loop (tests/oracles.dense_axis_by_axis)
+    in two buffers: cube, a C-ordered stack that the loop overwrites, and
+    one more of its size.  Each pass is one product of all
+    B q^(d-1) rows of one buffer into the other, and the transformed
+    coordinate is copied back to the front.  Returns the (B, q^d) forward
+    transform, or with power the float |transform|^2, in one of the buffers.
+    """
+    q, tables = field.q, len(cube)
+    size = tables * q**dim
+    cube = cube.reshape(size)
+    work = empty_table(size, np.complex128)
+    # at d = 1 a table is one row, which numpy sends to gemv; a (B, q) gemm would round otherwise
+    rows = (tables, 1, q) if dim == 1 else (tables * q ** (dim - 1), q)
+    stack = (tables,) + (q,) * dim
+    for j in range(dim):
+        _transform_last_axis(cube.reshape(rows), field, work.reshape(rows))
+        if j < dim - 1:
+            np.copyto(cube.reshape(stack), np.moveaxis(work.reshape(stack), -1, 1))
+    work *= float(q) ** (-dim)
+    out, result = work, cube
+    if power:
+        out = np.abs(work, out=cube.view(np.float64)[:size])
+        np.square(out, out=out)
+        result = work.view(np.float64)[:size]
+    np.copyto(result.reshape(stack), np.moveaxis(out.reshape(stack), -1, 1))
+    return result.reshape(tables, q**dim)
+
+
+def forward_transform(f: GridFunction) -> GridFunction:
+    """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x), in the layout of f; the whole-cube loop on a copy."""
+    cube = empty_table(len(f.values), np.complex128)
+    cube[:] = f.values
+    return GridFunction(f.field, f.dim, _whole_stack(cube.reshape(1, -1), f.field, f.dim)[0])
+
+
+def _axis_by_axis(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
+    """|Ehat(m)|^2 for a (B, n) stack of sets' flat point indices, multiplying live rows only.
+
+    View the stack's indicators as (B q^(d-1), q) rows along coordinate d.
+    A row is live when it holds a point, and its key is its row number
     b q^(d-1) + (x_1, ..., x_(d-1)) in mixed radix; every other row is
-    zero.  Returns the (tables, q^d) forward transform, or with power the
-    float |transform|^2, read off the last pass's output.
+    zero and is neither stored nor multiplied.  Returns the (B, q^d) float
+    power, read off the last pass's output.
 
     Pass j (j = 0, ..., d-1) transforms coordinate d-j.  A row of its input
     is fixed by its key (b, x_1, ..., x_(d-1-j)) and the frequencies that
@@ -183,21 +218,24 @@ def _axis_by_axis(
     all q digits, and for every q > _LIVE_DIGIT_Q, children sit at their
     digits and the shared matrix serves.
 
-    Values equal those of the whole-cube loop (tests/oracles.
-    dense_axis_by_axis) times q^-d bit for bit.  Each output value is one gemm sum over
-    the input digits in ascending order; the whole cube adds the same terms
-    plus zero products for the dead digits, and a zero term leaves the sum
-    as it is.  That needs three things, each seen to fail without it:
+    Values equal those of _whole_stack's power ending bit for bit.  Each
+    output value is one gemm sum over the input digits in ascending order;
+    the whole cube adds the same terms plus zero products for the dead
+    digits, and a zero term leaves the sum as it is.  That needs three
+    things, each seen to fail without it:
     - the sum must be one block of the BLAS inner loop, hence q <= 128;
     - numpy sends a product with one row to gemv, and a product with one
       inner term rounds differently too, hence the zero neighbour row of a
       lone live row and the width-2 pad;
     - the operand order stays rows @ chars, as in the whole cube: chars @
       rows accumulates in another order.
-    Only the sign of an exact zero may differ, and only in a table that
-    holds no nonzero value (where a lone live row's zero neighbour lies).
     """
-    q = field.q
+    q, tables = field.q, len(indices)
+    prefixes, last = np.divmod(indices, q)
+    point_keys = (q ** (dim - 1) * np.arange(tables)[:, None] + prefixes).ravel()
+    keys = grid.distinct(point_keys)
+    rows = np.zeros((len(keys), q), dtype=np.complex128)
+    rows[np.searchsorted(keys, point_keys), last.ravel()] = 1.0
     if dim == 1:
         # a table is one row, which alone numpy sends to gemv; so does each (1, q) row of a stack
         rows = rows[:, None]
@@ -211,7 +249,7 @@ def _axis_by_axis(
             keys, rows = np.array([0, 1]), np.concatenate([rows, zero])
     # Two whole-stack buffers serve every pass: a pass writes its output into
     # the front of one, its live rows are gathered into the other as the
-    # next pass's input, and the last output (or its power) is reordered.
+    # next pass's input, and the last output's power is reordered.
     spare = empty_table(tables * q**dim, np.complex128)
     work = empty_table(tables * q**dim, np.complex128)
     digits = None
@@ -246,74 +284,19 @@ def _axis_by_axis(
             block.fill(0)
             block[parent, slot] = out
         rows = block.transpose(0, *range(2, j + 3), 1)
-    # elementwise ops run in out's own order; only the ending's result is reordered
+    # elementwise ops run in out's own order; only the power is reordered
     out *= float(q) ** (-dim)
-    target = spare
-    if power:
-        out = np.abs(out, out=spare.view(np.float64)[: out.size].reshape(out.shape))
-        np.square(out, out=out)
-        target = work.view(np.float64)[: tables * q**dim]
+    out = np.abs(out, out=spare.view(np.float64)[: out.size].reshape(out.shape))
+    np.square(out, out=out)
+    result = work.view(np.float64)[: tables * q**dim]
     # out is (live tables, m_d, ..., m_1): each pass put its frequency last
     spectra = out.reshape((len(keys),) + (q,) * dim).transpose(0, *range(dim, 0, -1))
-    result = target.reshape((tables,) + (q,) * dim)
+    stack = result.reshape((tables,) + (q,) * dim)
     if len(keys) == tables:
-        result[...] = spectra
+        stack[...] = spectra
     else:
-        result.fill(0)
-        result[keys] = spectra
-    return target.reshape(tables, q**dim)
-
-
-def _live_rows(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first-pass rows with a nonzero value of a flat table or a flattened stack, and their keys."""
-    table = values.reshape(-1, q)
-    keys = np.flatnonzero((table != 0).any(axis=1))
-    # with every row live the table itself is the input, not a second copy
-    return (table if len(keys) == len(table) else table[keys]), keys
-
-
-def forward_transform(f: GridFunction) -> GridFunction:
-    """Fourier transform: fhat(m) = q^(-d) sum_x chi(-x.m) f(x), in the layout of f."""
-    return GridFunction(f.field, f.dim, _axis_by_axis(*_live_rows(f.values, f.field.q), 1, f.field, f.dim)[0])
-
-
-def _indicator_rows(indices: np.ndarray, q: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first-pass rows with a point, and their keys, of a (B, n) stack of sets' flat point indices."""
-    prefixes, last = np.divmod(indices, q)
-    point_keys = (q ** (dim - 1) * np.arange(len(indices))[:, None] + prefixes).ravel()
-    keys = grid.distinct(point_keys)
-    rows = np.zeros((len(keys), q), dtype=np.complex128)
-    rows[np.searchsorted(keys, point_keys), last.ravel()] = 1.0
-    return rows, keys
-
-
-def _whole_stack_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndarray:
-    """|Ehat(m)|^2 for a (B, n) stack of sets, every row of every pass multiplied.
-
-    The stacked form of the whole-cube loop (tests/oracles.dense_axis_by_axis)
-    in the live loop's two buffers: the stack's indicators are written into
-    one, each pass is one product of all B q^(d-1) rows into the other, and
-    the transformed coordinate is copied back to the front.  The last pass
-    ends as _axis_by_axis does, so a row equals the live loop's bit for bit.
-    """
-    q, tables = field.q, len(indices)
-    size = tables * q**dim
-    cube = empty_table(size, np.complex128)
-    work = empty_table(size, np.complex128)
-    cube.fill(0)
-    cube.reshape(tables, q**dim)[np.arange(tables)[:, None], indices] = 1.0
-    # at d = 1 a table is one row, which numpy sends to gemv; a (B, q) gemm would round otherwise
-    rows = (tables, 1, q) if dim == 1 else (tables * q ** (dim - 1), q)
-    stack = (tables,) + (q,) * dim
-    for j in range(dim):
-        _transform_last_axis(cube.reshape(rows), field, work.reshape(rows))
-        if j < dim - 1:
-            np.copyto(cube.reshape(stack), np.moveaxis(work.reshape(stack), -1, 1))
-    work *= float(q) ** (-dim)
-    power = np.abs(work, out=cube.view(np.float64)[:size])
-    np.square(power, out=power)
-    result = work.view(np.float64)[:size]
-    np.copyto(result.reshape(stack), np.moveaxis(power.reshape(stack), -1, 1))
+        stack.fill(0)
+        stack[keys] = spectra
     return result.reshape(tables, q**dim)
 
 
@@ -322,11 +305,15 @@ def indicator_power(indices: np.ndarray, field: PrimeField, dim: int) -> np.ndar
 
     indices is (B, n): B sets of n distinct points each.  Float rows in a
     transform buffer; row b is np.abs(forward_transform(indicator).values) ** 2
-    bit for bit, for set b's dense indicator.  A stack of at most
-    _WHOLE_STACK_MACS multiply-adds B d q^(d+1) is transformed whole from
-    its indicators; a larger one goes through the live-row loop, which
-    builds no indicator.
+    bit for bit, for set b's dense indicator.  Only the loop is chosen here:
+    a stack of at most _WHOLE_STACK_MACS multiply-adds B d q^(d+1) has its
+    indicators written into one stack for the whole-cube loop; a larger one
+    goes through the live-row loop, which builds no indicator.
     """
-    if len(indices) * dim * field.q ** (dim + 1) <= _WHOLE_STACK_MACS:
-        return _whole_stack_power(indices, field, dim)
-    return _axis_by_axis(*_indicator_rows(indices, field.q, dim), len(indices), field, dim, power=True)
+    tables, cells = len(indices), field.q**dim
+    if tables * dim * field.q * cells > _WHOLE_STACK_MACS:
+        return _axis_by_axis(indices, field, dim)
+    cube = empty_table(tables * cells, np.complex128).reshape(tables, cells)
+    cube.fill(0)
+    cube[np.arange(tables)[:, None], indices] = 1.0
+    return _whole_stack(cube, field, dim, power=True)

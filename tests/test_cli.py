@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fqdirections
 from fqdirections.cli import main
 from fqdirections.generators import gen_paraboloid, gen_random
 from fqdirections.incidence import all_slopes
@@ -158,6 +163,25 @@ def test_malformed_fset_exits_2(runner, tmp_path):
 def test_missing_file_exits_2(runner, tmp_path):
     result = invoke(runner, "directions", "--in", str(tmp_path / "nope.fset"))
     assert result.exit_code == 2
+
+
+def test_closed_output_pipe_exits_141_without_an_error_line(tmp_path):
+    # about 17,600 direction lines, written one at a time, overfill the pipe
+    # buffer; the reader takes one line and closes the pipe, as head -1 does
+    path = tmp_path / "E.fset"
+    write_fset(gen_random(5, 7, 300, seed=1), path)
+    src = str(Path(fqdirections.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fqdirections.cli", "directions", "--in", str(path), "--list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().strip().isdigit()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (141, b"")
 
 
 # -- campaigns -------------------------------------------------------------

@@ -94,6 +94,8 @@ def test_ambient_direction_count():
     assert ambient_direction_count(3, 3) == 13
     assert ambient_direction_count(7, 2) == 8
     assert ambient_direction_count(2, 4) == 15
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+        ambient_direction_count(5, 0)
 
 
 @pytest.mark.parametrize("q", [4, 1 << 17, True])
@@ -130,6 +132,12 @@ def test_coordinate_subspace_directions(q, d, n):
     # they are exactly the directions of the subspace point set
     H = gen_coordinate_subspace(q, d, n)
     assert direction_set(H) == dirs
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_coordinate_subspace_directions_rejects_dimension_out_of_range(n):
+    with pytest.raises(ValueError, match=rf"^subspace dimension must be in \[1, 3\], got {n}$"):
+        coordinate_subspace_directions(5, 3, n)
 
 
 def test_subspace_direction_count_formula():

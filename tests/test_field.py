@@ -77,6 +77,7 @@ def test_equality_and_hash_by_modulus():
     assert PrimeField(5) != PrimeField(7)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
     assert PrimeField(5) != 5
+    assert repr(PrimeField(5)) == "PrimeField(5)"
 
 
 def test_prime_field_is_shared_and_validated():

@@ -46,6 +46,10 @@ def test_evaluate_size_basic():
     assert evaluate_size("min(q^2, 30)", q=7, d=2, k=None) == 30
     assert evaluate_size(17, q=3, d=2, k=1) == 17
     assert evaluate_size("q - 1 + k", q=5, d=3, k=2) == 6
+    # an integral float comes out an int
+    for expr, size in (("q^2/q", 5), ("sqrt(q+4)", 3)):
+        value = evaluate_size(expr, q=5)
+        assert value == size and type(value) is int
 
 
 def test_evaluate_size_rejects_bad_input():
@@ -88,6 +92,7 @@ def test_evaluate_size_refuses_huge_powers_before_taking_them():
         ("x+1", "unknown variable 'x' in size expression 'x+1'"),
         ("q+'a'", "non-numeric literal in size expression \"q+'a'\""),
         ("q.real", "unsupported syntax in size expression 'q.real'"),
+        ("-10^40", "size expression '-10^40' evaluates to under -10^30, need >= 1"),
         # a name or expression of more than 60 characters is quoted by its first 60 and its length
         ("z" * 60, f"unknown variable {'z' * 60!r} in size expression {'z' * 60!r}"),
         (

@@ -87,6 +87,7 @@ def test_empty_and_full():
     assert len(PointSet.empty(3, 2)) == 0
     assert len(PointSet.full(3, 2)) == 9
     assert PointSet.full(3, 2).contains((2, 2))
+    assert repr(PointSet.full(3, 2)) == "PointSet(q=3, d=2, |E|=9)"
 
 
 def test_size_cap_enforced():

@@ -18,9 +18,7 @@ from fqdirections.spectral import (
     _WHOLE_STACK_MACS,
     _axis_by_axis,
     _characters,
-    _indicator_rows,
-    _live_rows,
-    _whole_stack_power,
+    _whole_stack,
     check_size_cap,
     empty_table,
     forward_transform,
@@ -145,17 +143,16 @@ def test_indicator_power_rows_equal_single_set_power(q, d, n, sets):
         assert np.array_equal(row, E.spectrum_power())
 
 
-# -- live-row transform against the whole-cube loop ------------------------
+# -- the whole-cube and live-row loops against the dense oracle ------------
 
 
 def dense_forward(values, q, d):
     return oracles.dense_axis_by_axis(values, prime_field(q).roots, q, d) * float(q) ** (-d)
 
 
-def stack_transform(stack, q, d):
-    """The live-row loop on a (B, q^d) stack of general tables."""
-    rows, keys = _live_rows(stack, q)
-    return _axis_by_axis(rows, keys, len(stack), prime_field(q), d)
+def stack_transform(stack, q, d, power=False):
+    """The whole-cube loop on a copy of a (B, q^d) stack of general tables."""
+    return _whole_stack(np.array(stack, dtype=np.complex128), prime_field(q), d, power)
 
 
 def indicator_masks(indices, q, d):
@@ -190,11 +187,12 @@ def _index_stacks(draw):
 
 
 def assert_both_paths_match_dense_loop(q, d, indices):
-    # indicator_power's two paths give the whole-cube loop's power byte for byte
+    # indicator_power's two loops give the dense oracle's power byte for byte
     field = prime_field(q)
-    whole = _whole_stack_power(indices, field, d)
-    live = _axis_by_axis(*_indicator_rows(indices, q, d), len(indices), field, d, power=True)
-    assert_same_bytes(whole, np.abs(dense_forward(indicator_masks(indices, q, d), q, d)) ** 2)
+    masks = indicator_masks(indices, q, d)
+    whole = stack_transform(masks, q, d, power=True)
+    live = _axis_by_axis(indices, field, d)
+    assert_same_bytes(whole, np.abs(dense_forward(masks, q, d)) ** 2)
     assert_same_bytes(live, whole)
     assert_same_bytes(indicator_power(indices, field, d), whole)
 
@@ -237,7 +235,8 @@ def test_power_paths_agree_either_side_of_cutoff(q, d, n, sets, whole):
 @given(_index_stacks(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_general_stack_matches_dense_loop(case, seed):
-    # random values on a random subset of rows, whole tables left empty
+    # random values on a random subset of rows, whole tables left empty: the
+    # whole-cube loop's complex and power endings
     q, d, indices = case
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=(len(indices), q**d)) + 1j * rng.normal(size=(len(indices), q**d))
@@ -245,9 +244,7 @@ def test_general_stack_matches_dense_loop(case, seed):
     stack[rng.random(len(indices)) < 0.3] = 0
     spectra = stack_transform(stack, q, d)
     assert np.array_equal(spectra, dense_forward(stack, q, d))
-    rows, keys = _live_rows(stack, q)
-    power = _axis_by_axis(rows, keys, len(stack), prime_field(q), d, power=True)
-    assert_same_bytes(power, np.abs(spectra) ** 2)
+    assert_same_bytes(stack_transform(stack, q, d, power=True), np.abs(spectra) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +287,7 @@ def test_live_row_edge_cases(q, d, points):
     reference = dense_forward(E.indicator().values, q, d)
     assert np.array_equal(E.spectrum().values, reference)
     assert np.array_equal(forward_transform(E.indicator()).values, reference)
+    assert_both_paths_match_dense_loop(q, d, E.indices()[None])
 
 
 @pytest.mark.parametrize("q,d", [(5, 3), (7, 2), (3, 1), (2, 1)])
@@ -303,13 +301,15 @@ def test_stack_mixing_empty_and_nonempty_tables(q, d):
 
 @pytest.mark.parametrize("q,d", [(5, 3), (7, 2), (3, 1), (101, 2)])
 def test_one_live_row_matches_dense_loop(q, d):
-    # numpy would send a one-row product to gemv, which rounds unlike gemm
+    # numpy would send a one-row product to gemv, which rounds unlike gemm;
+    # the live loop keeps a zero row beside a set's lone live row
     rng = np.random.default_rng(q * d)
     for row in (0, q ** (d - 1) - 1):
         values = np.zeros(q**d, dtype=np.complex128)
         values[row * q : (row + 1) * q] = rng.normal(size=q) + 1j * rng.normal(size=q)
         spec = forward_transform(GridFunction(prime_field(q), d, values))
         assert np.array_equal(spec.values, dense_forward(values, q, d))
+        assert_both_paths_match_dense_loop(q, d, row * q + np.arange(0, q, 2)[None])
 
 
 @pytest.mark.parametrize(
@@ -322,7 +322,7 @@ def test_one_live_child_per_parent_matches_dense_loop(q, d, sets, points, seed):
     rng = np.random.default_rng(seed)
     indices = np.array([rng.choice(q**d, points, replace=False) for _ in range(sets)])
     masks = indicator_masks(indices, q, d)
-    assert np.array_equal(stack_transform(masks, q, d), dense_forward(masks, q, d))
+    assert_both_paths_match_dense_loop(q, d, indices)
     assert_power_matches_spectrum(q, d, indices)
     stack = masks * (rng.normal(size=masks.shape) + 1j * rng.normal(size=masks.shape))
     assert np.array_equal(stack_transform(stack, q, d), dense_forward(stack, q, d))
@@ -330,11 +330,12 @@ def test_one_live_child_per_parent_matches_dense_loop(q, d, sets, points, seed):
 
 @pytest.mark.parametrize("q,d", [(101, 3), (131, 2)])
 def test_large_modulus_set_matches_dense_loop(q, d):
-    # q = 101, d = 3, |E| = q + 1 is the benchmark's large set: its later
-    # passes skip most digits.  q = 131 is above _LIVE_DIGIT_Q, where the
-    # BLAS splits a row's sum in two and every digit is kept.
+    # q = 101, d = 3, |E| = q + 1 is the benchmark's large set: the live
+    # loop's later passes skip most digits.  q = 131 is above _LIVE_DIGIT_Q,
+    # where the BLAS splits a row's sum in two and every digit is kept.
     E = gen_random(q, d, q + 1, seed=7)
     assert np.array_equal(E.spectrum().values, dense_forward(E.indicator().values, q, d))
+    assert_same_bytes(E.spectrum_power(), np.abs(E.spectrum().values) ** 2)
 
 
 @pytest.mark.parametrize("q", [3, 13, 101, max(p for p in range(_LIVE_DIGIT_Q + 1) if is_prime(p))])
@@ -415,18 +416,18 @@ def test_whole_stack_power_peak_memory():
 
 
 def _routes(monkeypatch):
-    """Record the (sets, q, d) of each stack indicator_power sends down each of its two paths."""
+    """Record the (tables, q, d) of each stack sent down each of the two transform loops."""
     routes = {"whole": [], "live": []}
 
-    def whole(indices, field, dim):
-        routes["whole"].append((len(indices), field.q, dim))
-        return _whole_stack_power(indices, field, dim)
+    def whole(cube, field, dim, power=False):
+        routes["whole"].append((len(cube), field.q, dim))
+        return _whole_stack(cube, field, dim, power)
 
-    def live(rows, keys, tables, field, dim, power=False):
-        routes["live"].append((tables, field.q, dim))
-        return _axis_by_axis(rows, keys, tables, field, dim, power)
+    def live(indices, field, dim):
+        routes["live"].append((len(indices), field.q, dim))
+        return _axis_by_axis(indices, field, dim)
 
-    monkeypatch.setattr(spectral, "_whole_stack_power", whole)
+    monkeypatch.setattr(spectral, "_whole_stack", whole)
     monkeypatch.setattr(spectral, "_axis_by_axis", live)
     return routes
 
@@ -462,9 +463,23 @@ def test_large_grid_stacks_take_the_live_loop(monkeypatch):
     assert routes["live"] == [(2, 31, 3), (1, 31, 3), (1, 101, 3)]
 
 
+def test_forward_transform_never_takes_the_live_loop(monkeypatch):
+    # the live loop serves point sets' power only: a sparse indicator on a
+    # grid above the whole-stack cutoff is transformed whole, and the set's
+    # own spectrum is that transform, cached
+    routes = _routes(monkeypatch)
+    E = gen_random(31, 3, 32, seed=2)
+    forward_transform(E.indicator())
+    assert E.spectrum() is E.spectrum()
+    assert routes == {"whole": [(1, 31, 3), (1, 31, 3)], "live": []}
+    E.spectrum_power()
+    assert routes["live"] == [(1, 31, 3)]
+
+
 def test_dense_transform_peak_memory():
-    # every row live: each pass reads one buffer and writes the other, with
-    # no third table for a product whose input and output overlap
+    # the transform copies the table into one buffer; each pass reads it and
+    # writes the other, with no third table for a product whose input and
+    # output overlap
     q, d = 61, 3
     f = GridFunction(prime_field(q), d, np.random.default_rng(3).random(q**d) + 1.0)
     tracemalloc.start()
